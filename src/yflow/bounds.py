@@ -7,9 +7,11 @@ gives identical verdicts, and no monitor can alter the flow.
 Slack discipline: inequalities with explicit constants are asserted with
 multiplicative slack ``1 + 10 h^2 + 10 dt`` (h the widest grid face, dt
 the largest accepted step) plus a tiny absolute floor for zero right-hand
-sides.  Where the underlying constant is non-constructive, the monitor
-instead asserts refinement stability: the quantity's ratio between a run
-and its grid-doubled twin must land in [0.9, 1.1].
+sides (:meth:`MonitorResult.add_upper`).  Where the underlying constant is
+non-constructive, the monitor instead asserts refinement stability: the
+quantity's ratio between a run and its grid-doubled twin must land in
+[0.9, 1.1] (:func:`refinement_ratio`).  :func:`run_monitors` dispatches
+through one name -> call table, whose keys are ``MONITOR_NAMES``.
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ class BoundLedger:
     rho0: float = math.nan
     s0_minus_lp: Dict[float, float] = field(default_factory=dict)
     s0_inf: float = math.nan
-    s0_sup: float = math.nan
     s0_lq: float = math.nan
     s0_plus_ln2: float = math.nan
     s0_bounded: bool = True
@@ -77,7 +78,6 @@ class BoundLedger:
         led = cls()
         led.s0_minus_lp = {p: lp_norm(sm, p, mu) for p in ps}
         led.s0_inf = float(s0.min())
-        led.s0_sup = float(np.abs(s0).max())
         led.s0_lq = lp_norm(s0, n * n / (2.0 * (n - 2.0)), mu)
         led.s0_plus_ln2 = lp_norm(np.maximum(s0, 0.0), n / 2.0, mu)
         led.s0_bounded = not manifold.s0_unbounded()
@@ -88,7 +88,7 @@ class BoundLedger:
         self.sup_u = max(self.sup_u, float(state.u.max()))
         self.inf_u = min(self.inf_u, float(state.u.min()))
 
-    def finalize(self, manifold: DiscretizedManifold) -> None:
+    def finalize(self) -> None:
         if not math.isfinite(self.sup_u):
             self.sup_u = math.nan
             self.inf_u = math.nan
@@ -148,6 +148,14 @@ class MonitorResult:
         if not verdict:
             self.passed = False
 
+    def add_upper(self, t: float, lhs: float, rhs: float, eps: float,
+                  atol: float = 0.0) -> bool:
+        """Row asserting ``lhs <= rhs (1 + eps) + atol``; returns its verdict."""
+        bound = rhs * (1.0 + eps) + atol
+        ok = lhs <= bound
+        self.add(t, lhs, bound, ok)
+        return ok
+
     def record_violations(self, ledger: BoundLedger) -> None:
         for row in self.rows:
             if not row.verdict:
@@ -160,10 +168,6 @@ def slack_epsilon(traj) -> float:
     dts = [r.dt for r in traj.records if r.dt > 0.0]
     dt_max = max(dts) if dts else 0.0
     return 10.0 * traj.manifold.h_max**2 + 10.0 * dt_max
-
-
-def _upper_ok(lhs: float, rhs: float, eps: float, atol: float = 0.0) -> bool:
-    return lhs <= rhs * (1.0 + eps) + atol
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +194,13 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     atol = 1e-10 * (1.0 + abs(led.rho0))
     base = led.s0_minus_lp.get(p)
     if base is None:
-        mu = traj.manifold.mu_weights
-        base = lp_norm(np.maximum(-traj.manifold.S0, 0.0), p, mu)
+        base = lp_norm(np.maximum(-traj.manifold.S0, 0.0), p, traj.manifold.mu_weights)
     n = traj.manifold.n
     for snap in traj.snapshots:
         sm = np.maximum(-snap.S, 0.0)
         lhs = lp_norm(sm, p, snap.gvol_weights)
         growth = 1.0 if p == math.inf else math.exp(snap.t * n * led.rho0 / (2.0 * p))
-        rhs = growth * base
-        res.add(snap.t, lhs, rhs * (1.0 + eps) + atol, _upper_ok(lhs, rhs, eps, atol))
+        res.add_upper(snap.t, lhs, growth * base, eps, atol)
     res.record_violations(led)
     return res
 
@@ -247,8 +249,7 @@ def check_u_upper(traj) -> MonitorResult:
     res.notes.append(f"rate C = {C:.12g}")
     eps = slack_epsilon(traj)
     for rec in traj.records:
-        rhs = math.exp(C * rec.t)
-        res.add(rec.t, rec.max_u, rhs * (1.0 + eps), _upper_ok(rec.max_u, rhs, eps))
+        res.add_upper(rec.t, rec.max_u, math.exp(C * rec.t), eps)
     res.record_violations(led)
     return res
 
@@ -268,7 +269,7 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
     res = MonitorResult(monitor_id="u_lower")
     eps = slack_epsilon(traj)
 
-    inf_u = min(r.min_u for r in traj.records)
+    inf_u = _inf_u(traj)
     res.add(traj.records[-1].t, inf_u, 0.0, inf_u > 0.0)
     res.notes.append(f"running inf u = {inf_u:.12g}")
 
@@ -286,11 +287,7 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
         res.notes.append("supersolution check skipped: (S0)_- unbounded")
 
     if refined is not None:
-        inf_f = min(r.min_u for r in refined.records)
-        ratio = inf_u / inf_f if inf_f > 0 else math.inf
-        ok = REFINE_BAND[0] <= ratio <= REFINE_BAND[1]
-        res.add(traj.records[-1].t, ratio, REFINE_BAND[1], ok)
-        res.notes.append(f"inf u refinement ratio = {ratio:.6g}")
+        _add_refinement(res, traj, refined, "inf_u")
     res.record_violations(led)
     return res
 
@@ -311,8 +308,7 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     atol = 1e-10 * (1.0 + abs(led.rho0))
     for snap in traj.snapshots:
         lhs = lp_norm(np.maximum(snap.S, 0.0), n / 2.0, snap.gvol_weights)
-        rhs = led.s0_plus_ln2
-        res.add(snap.t, lhs, rhs * (1.0 + eps) + atol, _upper_ok(lhs, rhs, eps, atol))
+        res.add_upper(snap.t, lhs, led.s0_plus_ln2, eps, atol)
 
     late = _late_sup_abs_s(traj)
     res.notes.append(f"sup over [T/2, T] of max|S| = {late:.12g}")
@@ -323,14 +319,14 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     res.add(traj.records[-1].t, integral, math.inf, math.isfinite(integral))
 
     if refined is not None:
-        for label, fn in (("late_sup", _late_sup_abs_s),
-                          ("time_integral", _s_high_norm_time_integral)):
-            ratio = fn(traj) / fn(refined)
-            ok = REFINE_BAND[0] <= ratio <= REFINE_BAND[1]
-            res.add(traj.records[-1].t, ratio, REFINE_BAND[1], ok)
-            res.notes.append(f"{label} refinement ratio = {ratio:.6g}")
+        for quantity in ("late_sup_abs_s", "s_time_integral"):
+            _add_refinement(res, traj, refined, quantity)
     res.record_violations(led)
     return res
+
+
+def _inf_u(traj) -> float:
+    return min(r.min_u for r in traj.records)
 
 
 def _late_sup_abs_s(traj) -> float:
@@ -370,11 +366,11 @@ def _sample_spacetime_fields(traj, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     fields = [("const", lambda t, xi=xi: np.ones_like(xi))]
 
+    snaps = traj.snapshots
+    ts = [s.t for s in snaps]
+
     def u_interp(t):
-        snaps = traj.snapshots
-        ts = [s.t for s in snaps]
-        j = int(np.searchsorted(ts, t))
-        j = min(max(j, 0), len(snaps) - 1)
+        j = min(max(int(np.searchsorted(ts, t)), 0), len(snaps) - 1)
         return snaps[j].u
 
     fields.append(("u_along_run", u_interp))
@@ -383,13 +379,11 @@ def _sample_spacetime_fields(traj, samples: int, seed: int):
         a = rng.uniform(0.0, 0.5)
         b = rng.uniform(a + 0.2, 1.0)
 
-        def make(coeff=coeff, a=a, b=b):
+        def make(coeff=coeff, ramp=make_cutoff(a, b, 1.0)):
             def f(t, xi=xi):
-                s = min(max((t / T - a) / (b - a), 0.0), 1.0)
-                ramp = s * s * (3.0 - 2.0 * s)
                 poly = (coeff[0] + coeff[1] * xi + coeff[2] * xi**2
                         + coeff[3] * xi**3 + coeff[4] * xi**4)
-                return (0.25 + 0.75 * ramp) * poly
+                return (0.25 + 0.75 * ramp(t / T)) * poly
 
             return f
 
@@ -432,9 +426,7 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
             * (led.A_T * float(np.trapezoid(grad_t, ts)) + led.B_T * float(np.trapezoid(l2_t, ts)))
             + 2.0 / (n + 2.0) * float(l2_t.max())
         )
-        ok = _upper_ok(lhs, rhs, eps)
-        res.add(ts[-1], lhs, rhs * (1.0 + eps), ok)
-        if not ok:
+        if not res.add_upper(ts[-1], lhs, rhs, eps):
             res.notes.append(f"violated by field {name}")
     res.record_violations(led)
     return res
@@ -475,7 +467,7 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
         eps = slack_epsilon(traj)
         for snap in traj.snapshots:
             lhs = h1_norm(traj.manifold, snap.u)
-            res.add(snap.t, lhs, ceiling * (1.0 + eps), _upper_ok(lhs, ceiling, eps))
+            res.add_upper(snap.t, lhs, ceiling, eps)
     res.record_violations(led)
     return res
 
@@ -521,7 +513,6 @@ class ChainReport:
     conjugate_exponent: float     # N = n^2/(n^2 - 2n + 4)
     moser_exponent: float         # (n+2)/(n N) = (n^3 + 8)/n^3
     levels: List[ChainLevel] = field(default_factory=list)
-    cutoffs: List[object] = field(default_factory=list)
 
     @property
     def finite(self) -> bool:
@@ -590,7 +581,6 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
         moser_exponent=q_hi / N,
     )
     for k in range(1, k_max + 1):
-        report.cutoffs.append(make_cutoff(tks[k - 1], tks[k], T))
         lhs = _cylinder_norm(traj, 2.0 * beta, q_hi, tks[k])
         rhs = _cylinder_norm(traj, 2.0 * beta, N, tks[k - 1])
         if rhs > 0.0:
@@ -605,29 +595,45 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
 # refinement comparison and the monitor driver
 
 
+# refinement quantity -> (label in monitor notes, trajectory summary)
+_REFINE_SUMMARIES = {
+    "inf_u": ("inf u", _inf_u),
+    "late_sup_abs_s": ("late_sup", _late_sup_abs_s),
+    "s_time_integral": ("time_integral", _s_high_norm_time_integral),
+}
+
+
 def refinement_ratio(traj_coarse, traj_fine, quantity: str) -> float:
     """Coarse/fine ratio of a trajectory summary (expected near 1)."""
-    fns = {
-        "inf_u": lambda tr: min(r.min_u for r in tr.records),
-        "late_sup_abs_s": _late_sup_abs_s,
-        "s_time_integral": _s_high_norm_time_integral,
-    }
     try:
-        fn = fns[quantity]
+        _, fn = _REFINE_SUMMARIES[quantity]
     except KeyError:
         raise ValueError(f"unknown refinement quantity {quantity!r}") from None
-    return fn(traj_coarse) / fn(traj_fine)
+    coarse, fine = fn(traj_coarse), fn(traj_fine)
+    return coarse / fine if fine > 0 else math.inf
 
 
-MONITOR_NAMES = (
-    "s_minus_decay",
-    "scal_lower",
-    "u_upper",
-    "u_lower",
-    "s_upper",
-    "parabolic_sobolev",
-    "energy_decay",
-)
+def _add_refinement(res: MonitorResult, traj, refined, quantity: str) -> None:
+    ratio = refinement_ratio(traj, refined, quantity)
+    ok = REFINE_BAND[0] <= ratio <= REFINE_BAND[1]
+    res.add(traj.records[-1].t, ratio, REFINE_BAND[1], ok)
+    res.notes.append(f"{_REFINE_SUMMARIES[quantity][0]} refinement ratio = {ratio:.6g}")
+
+
+# monitor name -> call; each lambda looks its check_* function up in the
+# module globals when it runs, so a wrapper bound to that name takes effect
+_MONITORS = {
+    "s_minus_decay": lambda traj, p_values, **_: [check_s_minus_decay(traj, p) for p in p_values],
+    "scal_lower": lambda traj, **_: [check_scal_lower(traj)],
+    "u_upper": lambda traj, **_: [check_u_upper(traj)],
+    "u_lower": lambda traj, refined, **_: [check_u_lower(traj, refined=refined)],
+    "s_upper": lambda traj, refined, **_: [check_s_upper(traj, refined=refined)],
+    "parabolic_sobolev": lambda traj, samples, seed, **_: [
+        check_parabolic_sobolev(traj, samples=samples, seed=seed)
+    ],
+    "energy_decay": lambda traj, **_: [check_energy_decay(traj)],
+}
+MONITOR_NAMES = tuple(_MONITORS)
 
 
 def run_monitors(
@@ -638,22 +644,13 @@ def run_monitors(
     sobolev_samples: int = 20,
     seed: int = 2024,
 ) -> List[MonitorResult]:
+    """Results of the named monitors, in the order of ``names``."""
     out: List[MonitorResult] = []
     for name in names:
-        if name == "s_minus_decay":
-            out.extend(check_s_minus_decay(traj, p) for p in p_values)
-        elif name == "scal_lower":
-            out.append(check_scal_lower(traj))
-        elif name == "u_upper":
-            out.append(check_u_upper(traj))
-        elif name == "u_lower":
-            out.append(check_u_lower(traj, refined=refined))
-        elif name == "s_upper":
-            out.append(check_s_upper(traj, refined=refined))
-        elif name == "parabolic_sobolev":
-            out.append(check_parabolic_sobolev(traj, samples=sobolev_samples, seed=seed))
-        elif name == "energy_decay":
-            out.append(check_energy_decay(traj))
-        else:
-            raise ValueError(f"unknown monitor {name!r}")
+        try:
+            call = _MONITORS[name]
+        except KeyError:
+            raise ValueError(f"unknown monitor {name!r}") from None
+        out.extend(call(traj, p_values=p_values, refined=refined,
+                        samples=sobolev_samples, seed=seed))
     return out

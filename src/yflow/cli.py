@@ -8,20 +8,25 @@ audit findings are warnings on stderr and never abort a run.
 from __future__ import annotations
 
 import argparse
-import math
+import operator
 import os
 import sys
 from typing import List, Optional
 
 from . import auxfn, bounds
-from .config import ConfigError, ScenarioConfig, load_scenario
-from .flow import FlowConfig, SolverAbort, Trajectory, run
-from .geometry import audit_assumptions
-from .yamabe import YamabeOptions, estimate_yamabe_constant
+from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario
+from .flow import SolverAbort, Trajectory, run
+from .geometry import DiscretizedManifold, GeometryError, audit_assumptions
+from .yamabe import estimate_yamabe_constant
 
+# (timeseries.csv column, StepRecord field, plotted to <column>.svg)
 TIMESERIES_COLUMNS = (
-    "t", "dt", "rho", "vol", "min_u", "max_u", "min_S", "max_S",
-    "s_minus_l2", "s_minus_linf", "energy_S_rho",
+    ("t", "t", False), ("dt", "dt", False),
+    ("rho", "rho", True), ("vol", "vol", True),
+    ("min_u", "min_u", True), ("max_u", "max_u", True),
+    ("min_S", "min_S", True), ("max_S", "max_S", True),
+    ("s_minus_l2", "s_minus_l2", False), ("s_minus_linf", "s_minus_linf", False),
+    ("energy_S_rho", "energy", True),
 )
 
 EXIT_OK = 0
@@ -34,17 +39,14 @@ def _g17(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _out_root(arg_out: Optional[str]) -> str:
-    return arg_out or os.environ.get("YFLOW_OUT") or "."
+def _out_root() -> str:
+    return os.environ.get("YFLOW_OUT") or "."
 
 
 def write_timeseries(traj: Trajectory, path: str) -> None:
-    lines = [",".join(TIMESERIES_COLUMNS)]
-    for r in traj.records:
-        lines.append(",".join(_g17(v) for v in (
-            r.t, r.dt, r.rho, r.vol, r.min_u, r.max_u, r.min_S, r.max_S,
-            r.s_minus_l2, r.s_minus_linf, r.energy,
-        )))
+    fields = operator.attrgetter(*(f for _, f, _ in TIMESERIES_COLUMNS))
+    lines = [",".join(col for col, _, _ in TIMESERIES_COLUMNS)]
+    lines.extend(",".join(_g17(v) for v in fields(r)) for r in traj.records)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -64,28 +66,32 @@ def write_monitors(results, path: str) -> None:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _emit_plots(traj: Trajectory, plot_dir: str) -> None:
+def _plot_columns(cols, plot_dir: str) -> None:
+    """One SVG per plotted timeseries column; ``cols`` maps column to values."""
     from .svgplot import render_series
 
     os.makedirs(plot_dir, exist_ok=True)
-    ts = [r.t for r in traj.records]
-    series = {
-        "rho": [r.rho for r in traj.records],
-        "vol": [r.vol for r in traj.records],
-        "min_u": [r.min_u for r in traj.records],
-        "max_u": [r.max_u for r in traj.records],
-        "min_S": [r.min_S for r in traj.records],
-        "max_S": [r.max_S for r in traj.records],
-        "energy_S_rho": [r.energy for r in traj.records],
-    }
-    for name, vals in series.items():
-        render_series(ts, vals, name, os.path.join(plot_dir, f"{name}.svg"))
+    for col, _, plotted in TIMESERIES_COLUMNS:
+        if plotted:
+            render_series(cols["t"], cols[col], col, os.path.join(plot_dir, f"{col}.svg"))
 
 
-def _scenario_run(cfg: ScenarioConfig, out_dir: str, quiet: bool) -> int:
+def _load(path: str, text: Optional[str] = None):
+    """(scenario, manifold) of a config file, parsed from ``text`` when given.
+
+    Prints one ``config error:`` line and returns None when either is invalid.
+    """
+    try:
+        cfg = load_scenario(path) if text is None else parse_scenario(text, source=path)
+        return cfg, cfg.build()
+    except (ConfigError, GeometryError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
+
+
+def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: str,
+                  quiet: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    manifold = cfg.build()
-
     report = audit_assumptions(manifold, cfg.audit_q)
     if not quiet or not report.ok:
         print(report, file=sys.stderr)
@@ -100,11 +106,7 @@ def _scenario_run(cfg: ScenarioConfig, out_dir: str, quiet: bool) -> int:
 
     ledger = traj.ledger
     if "parabolic_sobolev" in cfg.monitors and ledger.s0_bounded:
-        est = estimate_yamabe_constant(
-            manifold,
-            YamabeOptions(max_iter=cfg.yamabe_max_iter,
-                          multistart=cfg.yamabe_multistart, seed=cfg.seed),
-        )
+        est = estimate_yamabe_constant(manifold, cfg.yamabe_options())
         if est.value > 0.0:
             ledger.attach_sobolev(manifold, est.value)
 
@@ -118,7 +120,8 @@ def _scenario_run(cfg: ScenarioConfig, out_dir: str, quiet: bool) -> int:
     with open(os.path.join(out_dir, "ledger.txt"), "w", encoding="utf-8") as fh:
         fh.write(ledger.describe() + "\n")
     if cfg.plots:
-        _emit_plots(traj, os.path.join(out_dir, "plots"))
+        cols = {col: [getattr(r, f) for r in traj.records] for col, f, _ in TIMESERIES_COLUMNS}
+        _plot_columns(cols, os.path.join(out_dir, "plots"))
 
     failed = [r.monitor_id for r in results if r.applicable and not r.passed]
     if not quiet:
@@ -132,28 +135,21 @@ def _scenario_run(cfg: ScenarioConfig, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
+    cfg, manifold = loaded
     if args.seed is not None:
         cfg.seed = args.seed
-    base_out = cfg.output_dir or os.path.join(_out_root(args.out), "out")
-    if args.out:
-        base_out = args.out
+    base_out = args.out or cfg.output_dir or os.path.join(_out_root(), "out")
 
     if args.sweep:
-        try:
-            key, _, items = args.sweep.partition("=")
-            values = [v for v in items.split(",") if v]
-            if not key or not values:
-                raise ValueError("sweep needs PARAM=a,b,c")
-        except ValueError as exc:
-            print(f"sweep error: {exc}", file=sys.stderr)
+        key, _, items = args.sweep.partition("=")
+        values = [v for v in items.split(",") if v]
+        if not key or not values:
+            print("sweep error: sweep needs PARAM=a,b,c", file=sys.stderr)
             return EXIT_CONFIG
         return _run_sweep(args.config, key.strip(), values, base_out, args.quiet)
-    return _scenario_run(cfg, base_out, args.quiet)
+    return _scenario_run(cfg, manifold, base_out, args.quiet)
 
 
 def _run_sweep(config_path: str, key: str, values: List[str], base_out: str,
@@ -162,14 +158,14 @@ def _run_sweep(config_path: str, key: str, values: List[str], base_out: str,
 
     with open(config_path, "r", encoding="utf-8") as fh:
         base_text = fh.read()
-    jobs = []
-    for val in values:
-        text = _override_key(base_text, key, val)
-        jobs.append((text, os.path.join(base_out, f"{key}={val}")))
     worst = EXIT_OK
     with cf.ProcessPoolExecutor() as pool:
-        futures = [pool.submit(_sweep_job, text, out) for text, out in jobs]
-        for fut, (_, out) in zip(futures, jobs):
+        jobs = []
+        for val in values:
+            out = os.path.join(base_out, f"{key}={val}")
+            text = _override_key(base_text, key, val)
+            jobs.append((out, pool.submit(_sweep_job, config_path, text, out)))
+        for out, fut in jobs:
             code = fut.result()
             worst = max(worst, code)
             if not quiet:
@@ -192,46 +188,25 @@ def _override_key(text: str, key: str, value: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_job(config_text: str, out_dir: str) -> int:
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        fh.write(config_text)
-        tmp = fh.name
-    try:
-        cfg = load_scenario(tmp)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+def _sweep_job(config_path: str, config_text: str, out_dir: str) -> int:
+    if (loaded := _load(config_path, config_text)) is None:
         return EXIT_CONFIG
-    finally:
-        os.unlink(tmp)
-    return _scenario_run(cfg, out_dir, quiet=True)
+    return _scenario_run(*loaded, out_dir, quiet=True)
 
 
 def cmd_audit(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-        manifold = cfg.build()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
-    report = audit_assumptions(manifold, cfg.audit_q)
-    print(report)
+    cfg, manifold = loaded
+    print(audit_assumptions(manifold, cfg.audit_q))
     return EXIT_OK
 
 
 def cmd_yamabe(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-        manifold = cfg.build()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
-    est = estimate_yamabe_constant(
-        manifold,
-        YamabeOptions(max_iter=cfg.yamabe_max_iter,
-                      multistart=cfg.yamabe_multistart, seed=cfg.seed),
-    )
+    cfg, manifold = loaded
+    est = estimate_yamabe_constant(manifold, cfg.yamabe_options())
     tag = "" if est.converged else "  [not_converged]"
     print(f"Y_est = {est.value:.12g}  (upper bound; rotationally symmetric "
           f"competitors){tag}")
@@ -272,12 +247,9 @@ def cmd_auxcheck(args) -> int:
 
 
 def cmd_moser(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-        manifold = cfg.build()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
+    cfg, manifold = loaded
     try:
         traj = run(manifold, cfg.flow)
     except SolverAbort as exc:
@@ -291,8 +263,6 @@ def cmd_moser(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .svgplot import render_series
-
     try:
         with open(args.csv, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -303,7 +273,7 @@ def cmd_plot(args) -> int:
         print(f"{args.csv}: no data rows", file=sys.stderr)
         return EXIT_CONFIG
     header = lines[0].split(",")
-    missing = [c for c in TIMESERIES_COLUMNS if c not in header]
+    missing = [c for c, _, _ in TIMESERIES_COLUMNS if c not in header]
     if missing:
         print(f"{args.csv}: missing columns {', '.join(missing)}", file=sys.stderr)
         return EXIT_CONFIG
@@ -311,11 +281,8 @@ def cmd_plot(args) -> int:
     for ln in lines[1:]:
         for name, tok in zip(header, ln.split(",")):
             cols[name].append(float(tok))
-    out_dir = args.out or os.path.join(_out_root(None), "plots")
-    os.makedirs(out_dir, exist_ok=True)
-    ts = cols["t"]
-    for name in ("rho", "vol", "min_u", "max_u", "min_S", "max_S", "energy_S_rho"):
-        render_series(ts, cols[name], name, os.path.join(out_dir, f"{name}.svg"))
+    out_dir = args.out or os.path.join(_out_root(), "plots")
+    _plot_columns(cols, out_dir)
     print(f"wrote plots to {out_dir}")
     return EXIT_OK
 

@@ -8,14 +8,15 @@ diff-friendliness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .bounds import MONITOR_NAMES
 from .flow import FlowConfig
 from .geometry import DiscretizedManifold, RadialGrid, WarpedProfile, build_manifold, make_profile
+from .yamabe import YamabeOptions
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_kv", "load_scenario"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_kv", "parse_scenario", "load_scenario"]
 
 
 class ConfigError(ValueError):
@@ -92,6 +93,11 @@ def parse_kv(text: str, source: str = "<config>") -> Dict[str, object]:
     return values
 
 
+def _section(kv: Dict[str, object], name: str) -> Dict[str, object]:
+    """The keys of one dotted section, without the section prefix."""
+    return {k.split(".", 1)[1]: v for k, v in kv.items() if k.startswith(name + ".")}
+
+
 def _parse_p_list(spec: str) -> Tuple[float, ...]:
     out = []
     for tok in spec.split(","):
@@ -128,10 +134,13 @@ class ScenarioConfig:
     output_dir: Optional[str] = None
     plots: bool = False
     seed: int = 0
-    raw: Dict[str, object] = field(default_factory=dict)
 
     def build(self) -> DiscretizedManifold:
         return build_manifold(self.profile, self.grid)
+
+    def yamabe_options(self) -> YamabeOptions:
+        return YamabeOptions(max_iter=self.yamabe_max_iter,
+                             multistart=self.yamabe_multistart, seed=self.seed)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -140,31 +149,24 @@ def load_scenario(path: str) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    kv = parse_kv(text, source=path)
+    return parse_scenario(text, source=path)
 
-    name = kv.get("profile.name")
+
+def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
+    """Resolve and validate the text of a scenario file."""
+    kv = parse_kv(text, source=source)
+
+    prof_params = _section(kv, "profile")
+    name = prof_params.pop("name", None)
     if name is None:
         raise ConfigError("missing required key 'profile.name'")
     n = int(kv.get("manifold.n", 3))
-    prof_params = {
-        k.split(".", 1)[1]: v for k, v in kv.items()
-        if k.startswith("profile.") and k != "profile.name"
-    }
+    flow_params = _section(kv, "flow")     # FlowConfig's own defaults fill the rest
     try:
         profile = make_profile(str(name), n=n, **prof_params)
         grid = RadialGrid(M=int(kv.get("grid.M", 256)),
                           gamma=float(kv.get("grid.gamma", 1.0)))
-        flow = FlowConfig(
-            T_final=float(kv.get("flow.T", 1.0)),
-            cfl=float(kv.get("flow.cfl", 0.9)),
-            dt_init=float(kv.get("flow.dt_init", 1e-3)),
-            dt_min=float(kv.get("flow.dt_min", 1e-9)),
-            dt_max=float(kv.get("flow.dt_max", 1e-2)),
-            vol_tol=float(kv.get("flow.vol_tol", 1e-10)),
-            positivity_floor=float(kv.get("flow.positivity_floor", 1e-12)),
-            checkpoint_every=int(kv.get("flow.checkpoint_every", 0)),
-            snapshot_every=int(kv.get("flow.snapshot_every", 1)),
-        )
+        flow = FlowConfig(T_final=float(flow_params.pop("T", 1.0)), **flow_params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -184,6 +186,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     plots_raw = str(kv.get("output.plots", "false")).strip().lower()
     if plots_raw not in ("true", "false", "0", "1", "yes", "no"):
         raise ConfigError(f"output.plots must be boolean-like, got {plots_raw!r}")
+    if not kv.get("audit.q", 1.0) > 0.0:
+        raise ConfigError(f"audit.q must be positive, got {kv['audit.q']:g}")
 
     return ScenarioConfig(
         profile=profile,
@@ -200,5 +204,4 @@ def load_scenario(path: str) -> ScenarioConfig:
         output_dir=kv.get("output.dir"),
         plots=plots_raw in ("true", "1", "yes"),
         seed=int(kv.get("seed", 0)),
-        raw=kv,
     )

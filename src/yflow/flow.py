@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .discretization import TridiagonalOperator, critical_exponent, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
-from .yamabe import FlowState, average_scalar, scalar_curvature_flow
+from .yamabe import FlowState, _unit_volume, scalar_curvature_flow
 
 __all__ = [
     "FlowConfig",
@@ -105,10 +106,7 @@ def renormalize_volume(manifold: DiscretizedManifold, state: FlowState) -> FlowS
     Scales u by ``Vol^{-(n-2)/(2n)}`` so the evolving volume is one
     exactly, then refreshes S and rho.
     """
-    n = manifold.n
-    vol = state.volume
-    u = state.u * vol ** (-(n - 2.0) / (2.0 * n))
-    return FlowState.from_u(manifold, u, state.t)
+    return FlowState.from_u(manifold, _unit_volume(manifold, state.u, state.volume), state.t)
 
 
 def step(
@@ -121,8 +119,8 @@ def step(
     """Advance one semi-implicit step of size dt.
 
     With ``renormalize=False`` the returned state carries the raw
-    post-step volume (used to measure the projection drift); flows should
-    leave it True.
+    post-step volume and the previous rho; ``run`` then projects it with
+    :func:`renormalize_volume`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -153,10 +151,7 @@ def step(
 
     t_new = state.t + dt
     if renormalize:
-        p = critical_exponent(n)
-        vol = float(np.sum(manifold.mu_weights * u_new**p))
-        u_new = u_new * vol ** (-(n - 2.0) / (2.0 * n))
-        return FlowState.from_u(manifold, u_new, t_new)
+        return FlowState.from_u(manifold, _unit_volume(manifold, u_new), t_new)
     S = scalar_curvature_flow(manifold, u_new)
     gvol = manifold.mu_weights * u_new ** critical_exponent(n)
     rho = state.rho  # stale on purpose: caller inspects the raw state
@@ -177,7 +172,6 @@ class StepRecord:
     s_minus_l2: float
     s_minus_linf: float
     energy: float          # int (S - rho)^2 dVol_g
-    vol_drift: float       # |vol - 1| before the projection
 
 
 @dataclass
@@ -199,8 +193,6 @@ class Trajectory:
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     ledger: Optional[object] = None
-    aborted: bool = False
-    status: str = "ok"
 
     @property
     def times(self) -> np.ndarray:
@@ -222,7 +214,7 @@ class Trajectory:
                 raise ValueError(f"snapshot at t={s.t:g} violates volume tolerance")
 
 
-def _record_of(state: FlowState, step_index: int, dt: float, drift: float) -> StepRecord:
+def _record_of(state: FlowState, step_index: int, dt: float) -> StepRecord:
     sm = np.maximum(-state.S, 0.0)
     gw = state.gvol_weights
     return StepRecord(
@@ -238,7 +230,6 @@ def _record_of(state: FlowState, step_index: int, dt: float, drift: float) -> St
         s_minus_l2=lp_norm(sm, 2.0, gw),
         s_minus_linf=lp_norm(sm, math.inf, gw),
         energy=float(np.sum(gw * (state.S - state.rho) ** 2)),
-        vol_drift=drift,
     )
 
 
@@ -287,14 +278,13 @@ def run(
     n = manifold.n
     T = config.T_final
 
-    rec = _record_of(state, k, 0.0, 0.0)
+    rec = _record_of(state, k, 0.0)
     traj.records.append(rec)
     traj.snapshots.append(_snapshot_of(state, k))
     ledger.observe(state)
     for cb in monitors:
         cb(state, rec)
 
-    last_ckpt = None
     while state.t < T * (1.0 - 1e-14):
         reaction = float(np.max(np.abs(state.S - state.rho)))
         dt_cap = config.cfl * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
@@ -309,8 +299,6 @@ def run(
             if dt_nominal <= config.dt_min * (1.0 + 1e-12):
                 path = None
                 if checkpoint_dir is not None:
-                    import os
-
                     path = os.path.join(checkpoint_dir, f"abort_step{k}.ckpt")
                     checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
                 raise SolverAbort(
@@ -321,10 +309,9 @@ def run(
             dt_nominal = max(dt_nominal / 2.0, config.dt_min)
             continue
 
-        drift = abs(raw.volume - 1.0)
         state = renormalize_volume(manifold, raw)
         k += 1
-        rec = _record_of(state, k, dt_eff, drift)
+        rec = _record_of(state, k, dt_eff)
         traj.records.append(rec)
         ledger.observe(state)
 
@@ -333,18 +320,15 @@ def run(
             traj.snapshots.append(_snapshot_of(state, k))
             for cb in monitors:
                 cb(state, rec)
+
+        dt_nominal = min(dt_nominal * 1.2, config.dt_max)
         if config.checkpoint_every and checkpoint_dir is not None and (
             k % config.checkpoint_every == 0
         ):
-            import os
+            path = os.path.join(checkpoint_dir, f"step{k:08d}.ckpt")
+            checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
 
-            last_ckpt = os.path.join(checkpoint_dir, f"step{k:08d}.ckpt")
-            dt_next = min(dt_nominal * 1.2, config.dt_max)
-            checkpoint(state, last_ckpt, manifold, config, dt_next=dt_next, step_index=k)
-
-        dt_nominal = min(dt_nominal * 1.2, config.dt_max)
-
-    ledger.finalize(manifold)
+    ledger.finalize()
     traj.validate()
     return traj
 

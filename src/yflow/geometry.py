@@ -210,14 +210,12 @@ class DiscretizedManifold:
     n: int
     nodes: np.ndarray
     x_max: float
-    phi_nodes: np.ndarray
     face_h: np.ndarray
     face_weights: np.ndarray
     mu_weights: np.ndarray
     S0: np.ndarray
     scale: float
     raw_volume: float
-    volume: float = 1.0
 
     @property
     def node_count(self) -> int:
@@ -253,31 +251,29 @@ class DiscretizedManifold:
         return any(c < 0.0 for _, c in self.cone_coefficients())
 
 
-def scalar_curvature_g0(manifold: DiscretizedManifold) -> np.ndarray:
-    """Background scalar curvature at the manifold's nodes.
+def _scal0(profile: WarpedProfile, x: np.ndarray, c: float) -> np.ndarray:
+    """Background scalar curvature at the raw abscissae x, scaled by c^-2.
 
     Uses the warped-product identity
     ``S0 = -2(n-1) phi''/phi + (n-1)(n-2)(1 - phi'^2)/phi^2``
     evaluated on the unscaled profile, then rescaled by the inverse square
-    of the normalization homothety.
+    of the normalization homothety c.
     """
-    c = manifold.scale
-    x_raw = manifold.nodes / c
-    s0 = _scal0_raw(manifold.profile, x_raw) / (c * c)
-    if not np.all(np.isfinite(s0)):
-        bad = int(np.argmax(~np.isfinite(s0)))
-        raise ConstructionError(
-            f"non-finite curvature at node {bad} (x={manifold.nodes[bad]:.6g})"
-        )
-    return s0
-
-
-def _scal0_raw(profile: WarpedProfile, x: np.ndarray) -> np.ndarray:
     n = profile.n
     ph = profile.phi_at(x)
     d1 = profile.dphi_at(x)
     d2 = profile.d2phi_at(x)
-    return -2.0 * (n - 1) * d2 / ph + (n - 1) * (n - 2) * (1.0 - d1 * d1) / (ph * ph)
+    raw = -2.0 * (n - 1) * d2 / ph + (n - 1) * (n - 2) * (1.0 - d1 * d1) / (ph * ph)
+    s0 = raw / (c * c)
+    if not np.all(np.isfinite(s0)):
+        bad = int(np.argmax(~np.isfinite(s0)))
+        raise ConstructionError(f"non-finite curvature at node {bad} (x={x[bad]:.6g})")
+    return s0
+
+
+def scalar_curvature_g0(manifold: DiscretizedManifold) -> np.ndarray:
+    """Background scalar curvature at the manifold's nodes."""
+    return _scal0(manifold.profile, manifold.nodes / manifold.scale, manifold.scale)
 
 
 def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManifold:
@@ -326,21 +322,16 @@ def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManif
 
     xm = 0.5 * (x[:-1] + x[1:])
     phi_faces = profile.phi_at(xm)
-
-    s0 = _scal0_raw(profile, x) / (c * c)
-    if not np.all(np.isfinite(s0)):
-        bad = int(np.argmax(~np.isfinite(s0)))
-        raise ConstructionError(f"non-finite curvature at node {bad} (x={x[bad]:.6g})")
+    s0 = _scal0(profile, x, c)
 
     mu = mu / raw_volume
     mu = mu / mu.sum()  # second pass kills the last ulps of drift
-    man = DiscretizedManifold(
+    return DiscretizedManifold(
         profile=profile,
         grid=grid,
         n=n,
         nodes=c * x,
         x_max=c * profile.x_max,
-        phi_nodes=c * ph,
         face_h=c * np.diff(x),
         face_weights=omega * (c * phi_faces) ** (n - 1),
         mu_weights=mu,
@@ -348,7 +339,6 @@ def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManif
         scale=c,
         raw_volume=raw_volume,
     )
-    return man
 
 
 # ---------------------------------------------------------------------------

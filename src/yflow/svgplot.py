@@ -35,6 +35,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     v = start
     while v <= hi + 1e-12 * span:
         out.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:   # step below the resolution of v: no further tick
+            break
         v += step
     return out
 

@@ -26,7 +26,6 @@ from .discretization import (
     dirichlet_form,
     flow_exponent,
     kappa,
-    laplacian,
     lp_norm,
 )
 from .geometry import DiscretizedManifold
@@ -78,6 +77,20 @@ def scalar_curvature_flow(manifold: DiscretizedManifold, u: np.ndarray) -> np.nd
     return conformal_laplacian(manifold, u) * u ** (-flow_exponent(manifold.n))
 
 
+def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.ndarray:
+    """u scaled by ``vol^{-(n-2)/(2n)}``, ``vol = int u^p d(mu)`` unless given."""
+    n = manifold.n
+    if vol is None:
+        vol = float(np.sum(manifold.mu_weights * u ** critical_exponent(n)))
+    return u * vol ** (-(n - 2.0) / (2.0 * n))
+
+
+def _energy(manifold: DiscretizedManifold, v: np.ndarray) -> float:
+    """Conformal energy ``int kappa |grad v|^2 + S0 v^2 d(mu)``."""
+    mu_s0 = manifold.mu_weights * manifold.S0
+    return kappa(manifold.n) * dirichlet_form(manifold, v) + float(np.sum(mu_s0 * v * v))
+
+
 class RhoResult(NamedTuple):
     """Average curvature in both discrete forms plus their discrepancy."""
 
@@ -102,9 +115,7 @@ def average_scalar(
             f"evolving volume {vol:.12g} is outside tolerance {vol_tol:g} of 1; "
             "renormalize the state first"
         )
-    value = kappa(manifold.n) * dirichlet_form(manifold, u) + float(
-        np.sum(mu * manifold.S0 * u * u)
-    )
+    value = _energy(manifold, u)
     # int S dVol_g = int L0(u) u d(mu); equal to `value` by exact discrete
     # integration by parts, kept as a cross-check
     integral = float(np.sum(mu * conformal_laplacian(manifold, u) * u))
@@ -138,10 +149,7 @@ class FlowState:
             u = np.ones(manifold.node_count)
         u = check_field(manifold, u)
         _require_positive(u)
-        p = critical_exponent(manifold.n)
-        vol = float(np.sum(manifold.mu_weights * u**p))
-        u = u * vol ** (-(manifold.n - 2.0) / (2.0 * manifold.n))
-        return cls.from_u(manifold, u, t)
+        return cls.from_u(manifold, _unit_volume(manifold, u), t)
 
     @classmethod
     def from_u(cls, manifold: DiscretizedManifold, u: np.ndarray, t: float) -> "FlowState":
@@ -161,10 +169,7 @@ def yamabe_quotient(manifold: DiscretizedManifold, v: np.ndarray) -> float:
     denom = lp_norm(v, critical_exponent(manifold.n), manifold.mu_weights)
     if denom == 0.0:
         raise ValueError("yamabe quotient undefined for the zero field")
-    energy = kappa(manifold.n) * dirichlet_form(manifold, v) + float(
-        np.sum(manifold.mu_weights * manifold.S0 * v * v)
-    )
-    return energy / denom**2
+    return _energy(manifold, v) / denom**2
 
 
 @dataclass(frozen=True)
@@ -196,20 +201,11 @@ class YamabeEstimate:
 
 
 def _descend(manifold, v0, opts) -> YamabeEstimate:
-    n = manifold.n
-    p = critical_exponent(n)
-    kap = kappa(n)
+    p = critical_exponent(manifold.n)
     mu = manifold.mu_weights
-    s0 = manifold.S0
 
-    def normalize(v):
-        return v / lp_norm(v, p, mu)
-
-    def quotient(v):
-        return kap * dirichlet_form(manifold, v) + float(np.sum(mu * s0 * v * v))
-
-    v = normalize(v0)
-    q = quotient(v)
+    v = v0 / lp_norm(v0, p, mu)
+    q = _energy(manifold, v)
     history = [q]
     step = opts.step_init
     converged = False
@@ -230,7 +226,7 @@ def _descend(manifold, v0, opts) -> YamabeEstimate:
             tn = lp_norm(trial, p, mu)
             if tn > 0.0:
                 trial = trial / tn
-                q_trial = quotient(trial)
+                q_trial = _energy(manifold, trial)
                 if q_trial <= q - opts.armijo_slope * alpha * gnorm2:
                     v, q = trial, q_trial
                     history.append(q)

@@ -268,6 +268,30 @@ def test_run_monitors_driver(mixed_run):
     assert all(r.passed for r in applicable)
 
 
+def test_run_monitors_looks_checks_up_at_call_time(mixed_run, monkeypatch):
+    # a wrapper bound to the module name must be the function that runs
+    calls = []
+    original = bounds.check_scal_lower
+
+    def counting(traj):
+        calls.append(traj)
+        return original(traj)
+
+    monkeypatch.setattr(bounds, "check_scal_lower", counting)
+    results = run_monitors(mixed_run, names=("scal_lower",))
+    assert calls == [mixed_run]
+    assert [r.monitor_id for r in results] == ["scal_lower"]
+
+
+def test_run_monitors_keeps_order_and_rejects_unknown(mixed_run):
+    results = run_monitors(mixed_run, names=("u_upper", "s_minus_decay"),
+                           p_values=(2.0, 4.0))
+    assert [r.monitor_id for r in results] == [
+        "u_upper", "s_minus_decay_p2", "s_minus_decay_p4"]
+    with pytest.raises(ValueError, match="unknown monitor"):
+        run_monitors(mixed_run, names=("bogus",))
+
+
 def test_violations_recorded_on_failure(sphere_run):
     # forge an impossible ceiling to confirm the plumbing records failures
     led = sphere_run.ledger

@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from yflow.cli import main
@@ -129,6 +130,42 @@ def test_run_malformed_config_exit_two(tmp_path, capsys):
     cfg = _write(tmp_path, "profile.name = sphere\ngrid.M = oops\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def _write_profile(path, xs, phis):
+    path.write_text("".join(f"{x:.17g} {p:.17g}\n" for x, p in zip(xs, phis)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "bad.cfg", "--out", "o"],
+    ["run", "--config", "good.cfg", "--out", "o", "--sweep", "profile.path=bad.txt"],
+    ["audit", "--config", "bad.cfg"],
+    ["yamabe", "--config", "bad.cfg"],
+    ["moser", "--config", "bad.cfg"],
+], ids=["run", "run-sweep-worker", "audit", "yamabe", "moser"])
+def test_negative_tabulated_phi_exits_two(argv, tmp_path, monkeypatch, capfd):
+    # a tabulated phi that dips below zero parses but cannot be built
+    monkeypatch.chdir(tmp_path)
+    xs = np.linspace(0.0, np.pi, 33)
+    _write_profile(tmp_path / "good.txt", xs, np.sin(xs))
+    _write_profile(tmp_path / "bad.txt", xs,
+                   np.sin(xs) * (1.0 - 1.5 * np.exp(-(((xs - 1.5) / 0.3) ** 2))))
+    for name in ("good", "bad"):
+        (tmp_path / f"{name}.cfg").write_text(
+            f"profile.name = tabulated\nprofile.path = {name}.txt\n"
+            "grid.M = 32\nflow.T = 0.01\n"
+        )
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert err.count("config error:") == 1
+    assert "phi must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_nonpositive_audit_exponent_exits_two(command, tmp_path, capsys):
+    cfg = _write(tmp_path, SPHERE_CFG + "audit.q = -1\n")
+    assert main([command, "--config", cfg]) == 2
+    assert "audit.q must be positive" in capsys.readouterr().err
 
 
 def test_audit_command(tmp_path, capsys):
