@@ -84,9 +84,10 @@ class BoundLedger:
         led.s0_minus_bounded = not manifold.s0_minus_unbounded()
         return led
 
-    def observe(self, state) -> None:
-        self.sup_u = max(self.sup_u, float(state.u.max()))
-        self.inf_u = min(self.inf_u, float(state.u.min()))
+    def observe(self, rec) -> None:
+        """Fold one flow.StepRecord's extrema of u into the running ones."""
+        self.sup_u = max(self.sup_u, rec.max_u)
+        self.inf_u = min(self.inf_u, rec.min_u)
 
     def finalize(self) -> None:
         if not math.isfinite(self.sup_u):

@@ -148,16 +148,19 @@ def cmd_run(args) -> int:
         if not key or not values:
             print("sweep error: sweep needs PARAM=a,b,c", file=sys.stderr)
             return EXIT_CONFIG
-        return _run_sweep(args.config, key.strip(), values, base_out, args.quiet)
+        return _run_sweep(args.config, key.strip(), values, base_out, args.quiet, args.seed)
     return _scenario_run(cfg, manifold, base_out, args.quiet)
 
 
 def _run_sweep(config_path: str, key: str, values: List[str], base_out: str,
-               quiet: bool) -> int:
+               quiet: bool, seed: Optional[int]) -> int:
+    """One worker per value; a worker that raises counts as a solver abort."""
     import concurrent.futures as cf
 
     with open(config_path, "r", encoding="utf-8") as fh:
         base_text = fh.read()
+    if seed is not None:
+        base_text = _override_key(base_text, "seed", str(seed))
     worst = EXIT_OK
     with cf.ProcessPoolExecutor() as pool:
         jobs = []
@@ -166,7 +169,12 @@ def _run_sweep(config_path: str, key: str, values: List[str], base_out: str,
             text = _override_key(base_text, key, val)
             jobs.append((out, pool.submit(_sweep_job, config_path, text, out)))
         for out, fut in jobs:
-            code = fut.result()
+            try:
+                code = fut.result()
+            except Exception as exc:
+                print(f"sweep {out}: worker failed: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                code = EXIT_SOLVER
             worst = max(worst, code)
             if not quiet:
                 print(f"sweep {out}: exit {code}")

@@ -18,14 +18,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .discretization import TridiagonalOperator, critical_exponent, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
-from .yamabe import FlowState, _unit_volume, scalar_curvature_flow
+from .yamabe import FlowState, _unit_volume
 
 __all__ = [
     "FlowConfig",
@@ -118,9 +118,9 @@ def step(
 ) -> FlowState:
     """Advance one semi-implicit step of size dt.
 
-    With ``renormalize=False`` the returned state carries the raw
-    post-step volume and the previous rho; ``run`` then projects it with
-    :func:`renormalize_volume`.
+    The new state is projected with :func:`renormalize_volume`.  With
+    ``renormalize=False`` the raw post-step state is returned instead: its
+    volume weights are fresh, ``S`` is None and ``rho`` is the previous one.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -130,7 +130,7 @@ def step(
     diff_coeff = (n - 1) * u ** (1.0 - N)
     reaction = 0.25 * (n - 2) * (state.rho * u - manifold.S0 * u ** (2.0 - N))
 
-    lap = TridiagonalOperator.laplacian(manifold)
+    lap = manifold.laplacian_bands
     op = TridiagonalOperator(
         sub=-dt * diff_coeff * lap.sub,
         diag=1.0 - dt * diff_coeff * lap.diag,
@@ -149,13 +149,9 @@ def step(
         bad = int(np.argmax(u_new <= positivity_floor))
         raise StepRejected(dt, bad, float(u_new[bad]))
 
-    t_new = state.t + dt
-    if renormalize:
-        return FlowState.from_u(manifold, _unit_volume(manifold, u_new), t_new)
-    S = scalar_curvature_flow(manifold, u_new)
     gvol = manifold.mu_weights * u_new ** critical_exponent(n)
-    rho = state.rho  # stale on purpose: caller inspects the raw state
-    return FlowState(t=t_new, u=u_new, S=S, rho=rho, gvol_weights=gvol)
+    raw = FlowState(t=state.t + dt, u=u_new, S=None, rho=state.rho, gvol_weights=gvol)
+    return renormalize_volume(manifold, raw) if renormalize else raw
 
 
 @dataclass
@@ -281,7 +277,7 @@ def run(
     rec = _record_of(state, k, 0.0)
     traj.records.append(rec)
     traj.snapshots.append(_snapshot_of(state, k))
-    ledger.observe(state)
+    ledger.observe(rec)
     for cb in monitors:
         cb(state, rec)
 
@@ -291,10 +287,7 @@ def run(
         dt_eff = min(dt_nominal, dt_cap, T - state.t)
 
         try:
-            raw = step(
-                manifold, state, dt_eff,
-                positivity_floor=config.positivity_floor, renormalize=False,
-            )
+            state = step(manifold, state, dt_eff, positivity_floor=config.positivity_floor)
         except StepRejected:
             if dt_nominal <= config.dt_min * (1.0 + 1e-12):
                 path = None
@@ -309,11 +302,10 @@ def run(
             dt_nominal = max(dt_nominal / 2.0, config.dt_min)
             continue
 
-        state = renormalize_volume(manifold, raw)
         k += 1
         rec = _record_of(state, k, dt_eff)
         traj.records.append(rec)
-        ledger.observe(state)
+        ledger.observe(rec)
 
         done = state.t >= T * (1.0 - 1e-14)
         if k % config.snapshot_every == 0 or done:

@@ -15,6 +15,7 @@ curvature scales accordingly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -224,6 +225,13 @@ class DiscretizedManifold:
     @property
     def h_max(self) -> float:
         return float(self.face_h.max())
+
+    @functools.cached_property
+    def laplacian_bands(self):
+        """The Laplacian as a tridiagonal operator, built on first use."""
+        from .discretization import TridiagonalOperator   # imports this module
+
+        return TridiagonalOperator.laplacian(self)
 
     def spec_string(self) -> str:
         return f"{self.profile.spec_string()}|M={self.grid.M}|gamma={self.grid.gamma:.17g}"

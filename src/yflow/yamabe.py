@@ -8,14 +8,14 @@ constants.
 
 The average curvature is computed from the Dirichlet-form expression
 ``rho = int kappa |grad u|^2 + S0 u^2 d(mu)``; because the discrete
-integration by parts is exact, this agrees with ``int S dVol_g`` to
-rounding whenever the volume is one.
+integration by parts is exact, this equals ``int S dVol_g`` to rounding
+whenever the volume is one, so the second form is never evaluated.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "VolumeError",
     "YamabeSignError",
     "FlowState",
-    "RhoResult",
     "scalar_curvature_flow",
     "average_scalar",
     "yamabe_quotient",
@@ -91,50 +90,40 @@ def _energy(manifold: DiscretizedManifold, v: np.ndarray) -> float:
     return kappa(manifold.n) * dirichlet_form(manifold, v) + float(np.sum(mu_s0 * v * v))
 
 
-class RhoResult(NamedTuple):
-    """Average curvature in both discrete forms plus their discrepancy."""
-
-    value: float            # Dirichlet-form expression
-    integral_form: float    # int S dVol_g
-    discrepancy: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def average_scalar(
-    manifold: DiscretizedManifold, u: np.ndarray, vol_tol: float = 1e-8
-) -> RhoResult:
-    """Volume-normalized average scalar curvature of the evolving metric."""
+    manifold: DiscretizedManifold, u: np.ndarray, vol_tol: float = 1e-8,
+    volume: Optional[float] = None,
+) -> float:
+    """Volume-normalized average scalar curvature of the evolving metric.
+
+    ``volume``, when given, is ``int u^p d(mu)`` already summed by the caller.
+    """
     u = check_field(manifold, u)
     _require_positive(u)
-    mu = manifold.mu_weights
-    vol = float(np.sum(mu * u ** critical_exponent(manifold.n)))
-    if abs(vol - 1.0) > vol_tol:
+    if volume is None:
+        volume = float(np.sum(manifold.mu_weights * u ** critical_exponent(manifold.n)))
+    if abs(volume - 1.0) > vol_tol:
         raise VolumeError(
-            f"evolving volume {vol:.12g} is outside tolerance {vol_tol:g} of 1; "
+            f"evolving volume {volume:.12g} is outside tolerance {vol_tol:g} of 1; "
             "renormalize the state first"
         )
-    value = _energy(manifold, u)
-    # int S dVol_g = int L0(u) u d(mu); equal to `value` by exact discrete
-    # integration by parts, kept as a cross-check
-    integral = float(np.sum(mu * conformal_laplacian(manifold, u) * u))
-    return RhoResult(value, integral, abs(value - integral))
+    return _energy(manifold, u)
 
 
 @dataclass
 class FlowState:
     """One snapshot of the conformal flow.
 
-    ``S`` caches the scalar curvature of the current metric and ``rho`` its
-    average; both are recomputed whenever ``u`` changes, so they are fresh
-    by construction.  ``gvol_weights`` are the per-node weights of the
-    evolving volume measure.
+    ``S`` caches the scalar curvature of the current metric, ``rho`` its
+    average and ``gvol_weights`` the per-node weights of the evolving
+    volume measure.  :meth:`from_u` evaluates each of them once; the raw
+    state of ``flow.step(..., renormalize=False)`` is the one exception,
+    with ``S = None`` and the previous ``rho``.
     """
 
     t: float
     u: np.ndarray
-    S: np.ndarray
+    S: Optional[np.ndarray]
     rho: float
     gvol_weights: np.ndarray
 
@@ -153,9 +142,9 @@ class FlowState:
 
     @classmethod
     def from_u(cls, manifold: DiscretizedManifold, u: np.ndarray, t: float) -> "FlowState":
-        S = scalar_curvature_flow(manifold, u)
-        rho = average_scalar(manifold, u).value
         gvol = manifold.mu_weights * u ** critical_exponent(manifold.n)
+        S = scalar_curvature_flow(manifold, u)
+        rho = average_scalar(manifold, u, volume=float(np.sum(gvol)))
         return cls(t=t, u=u, S=S, rho=rho, gvol_weights=gvol)
 
     @property

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import yflow.cli
 from yflow.cli import main
 from yflow.config import ConfigError, load_scenario, parse_kv
 
@@ -250,3 +251,55 @@ def test_yflow_out_env_default(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert os.path.exists(os.path.join(str(tmp_path / "envroot"), "out",
                                        "timeseries.csv"))
+
+
+
+PERTURBED_CFG = """\
+profile.name = perturbed_sphere
+profile.eps = 0.2
+manifold.n = 3
+grid.M = 64
+grid.gamma = 2.0
+flow.T = 0.05
+flow.dt_init = 1e-3
+flow.dt_max = 1e-3
+flow.snapshot_every = 10
+monitors.p = 2,inf
+"""
+
+
+def test_sweep_passes_seed_to_workers(tmp_path, capsys):
+    # the seed draws the Sobolev test fields, so it shows in monitors.csv
+    cfg = _write(tmp_path, PERTURBED_CFG)
+    runs = {
+        "single": ["--seed", "5"],
+        "sweep": ["--seed", "5", "--sweep", "grid.M=64"],
+        "seedless": ["--sweep", "grid.M=64"],
+    }
+    for name, extra in runs.items():
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name), "--quiet",
+                     *extra]) == 0
+    single = (tmp_path / "single" / "monitors.csv").read_bytes()
+    assert (tmp_path / "sweep" / "grid.M=64" / "monitors.csv").read_bytes() == single
+    assert (tmp_path / "seedless" / "grid.M=64" / "monitors.csv").read_bytes() != single
+
+
+def test_crashing_sweep_worker_exits_three(tmp_path, capsys, monkeypatch):
+    real = yflow.cli._scenario_run
+
+    def crash_at_48(cfg, manifold, out_dir, quiet):
+        if out_dir.endswith("grid.M=48"):
+            raise RuntimeError("injected crash")
+        return real(cfg, manifold, out_dir, quiet)
+
+    # the fork start method carries the patch into the workers
+    monkeypatch.setattr(yflow.cli, "_scenario_run", crash_at_48)
+    cfg = _write(tmp_path, SPHERE_CFG)
+    out = tmp_path / "sweep"
+    code = main(["run", "--config", cfg, "--out", str(out), "--sweep", "grid.M=48,64"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert (f"sweep {out / 'grid.M=48'}: worker failed: RuntimeError: injected crash"
+            in captured.err.splitlines())
+    assert f"sweep {out / 'grid.M=64'}: exit 0" in captured.out.splitlines()
+    assert (out / "grid.M=64" / "monitors.csv").is_file()

@@ -57,18 +57,20 @@ def test_positivity_error_names_node(sphere64):
 
 
 def test_average_scalar_constant_factor(sphere256):
-    res = average_scalar(sphere256, np.ones(sphere256.node_count))
+    rho = average_scalar(sphere256, np.ones(sphere256.node_count))
     ref = float(np.sum(sphere256.mu_weights * sphere256.S0))
-    assert res.value == pytest.approx(ref, rel=1e-12)
-    assert res.value == pytest.approx(RHO_SPHERE, rel=1e-4)
+    assert type(rho) is float
+    assert rho == pytest.approx(ref, rel=1e-12)
+    assert rho == pytest.approx(RHO_SPHERE, rel=1e-4)
 
 
 def test_average_scalar_forms_agree(bumpy128):
     m = bumpy128
     u = 1.0 + 0.05 * np.sin(m.nodes / m.scale)
     st0 = FlowState.initial(m, u)
-    res = average_scalar(m, st0.u)
-    assert res.discrepancy <= 1e-8 * abs(res.value)
+    # Dirichlet form against int S dVol_g, by exact discrete integration by parts
+    integral = float(np.sum(st0.gvol_weights * st0.S))
+    assert average_scalar(m, st0.u) == pytest.approx(integral, rel=1e-8)
 
 
 def test_average_scalar_requires_unit_volume(sphere64):
