@@ -2,7 +2,9 @@
 
 Each monitor is a pure function of a finished trajectory (plus its ledger
 of initial-data constants): re-running monitors on a restored trajectory
-gives identical verdicts, and no monitor can alter the flow.
+gives identical verdicts, and no monitor can alter the flow.  Monitors read
+the trajectory's columns; per-snapshot norms are row reductions over its
+(snapshots x nodes) arrays, taken a block of rows at a time (:func:`_row_sums`).
 
 Slack discipline: inequalities with explicit constants are asserted with
 multiplicative slack ``1 + 10 h^2 + 10 dt`` (h the widest grid face, dt
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .discretization import critical_exponent, h1_norm, kappa, laplacian, lp_norm
+from .discretization import _gradient, _laplacian, lp_norm
 from .geometry import DiscretizedManifold
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
 
 P_DEFAULT = (2.0, 4.0, 8.0, math.inf)
 REFINE_BAND = (0.9, 1.1)
+BLOCK_ELEMENTS = 2**13      # entries per block of a per-snapshot reduction (64 KiB)
 
 
 @dataclass
@@ -83,16 +86,6 @@ class BoundLedger:
         led.s0_bounded = not manifold.s0_unbounded()
         led.s0_minus_bounded = not manifold.s0_minus_unbounded()
         return led
-
-    def observe(self, rec) -> None:
-        """Fold one flow.StepRecord's extrema of u into the running ones."""
-        self.sup_u = max(self.sup_u, rec.max_u)
-        self.inf_u = min(self.inf_u, rec.min_u)
-
-    def finalize(self) -> None:
-        if not math.isfinite(self.sup_u):
-            self.sup_u = math.nan
-            self.inf_u = math.nan
 
     def attach_sobolev(self, manifold: DiscretizedManifold, y_est: float) -> None:
         from .yamabe import sobolev_constants
@@ -166,9 +159,29 @@ class MonitorResult:
 
 
 def slack_epsilon(traj) -> float:
-    dts = [r.dt for r in traj.records if r.dt > 0.0]
-    dt_max = max(dts) if dts else 0.0
-    return 10.0 * traj.manifold.h_max**2 + 10.0 * dt_max
+    return 10.0 * traj.manifold.h_max**2 + 10.0 * float(traj.dt.max())
+
+
+def _row_sums(traj, terms, reduce=np.sum) -> List[np.ndarray]:
+    """Per-snapshot ``reduce`` over the nodes of each array ``terms(rows)`` yields.
+
+    ``terms`` maps a slice of snapshot rows to (rows x nodes) arrays; it runs on
+    blocks of about ``BLOCK_ELEMENTS`` entries, whose row sums equal each row's
+    1-D ``np.sum`` bit for bit.  Roots, ``exp`` and ``sqrt`` are left to the
+    caller's Python floats: an array power differs from the float one in the last bits.
+    """
+    count, nodes = traj.u.shape
+    rows = max(1, BLOCK_ELEMENTS // nodes)
+    blocks = [[reduce(a, axis=1) for a in terms(slice(lo, lo + rows))]
+              for lo in range(0, count, rows)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _lp_rows(traj, f, p: float) -> np.ndarray:
+    """Per-snapshot :func:`lp_norm` of ``f(rows)`` in the evolving measure, before its root."""
+    if p == math.inf:
+        return _row_sums(traj, lambda r: (np.abs(f(r)),), np.max)[0]
+    return _row_sums(traj, lambda r: (traj.gvol_weights[r] * np.abs(f(r)) ** p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +210,10 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     if base is None:
         base = lp_norm(np.maximum(-traj.manifold.S0, 0.0), p, traj.manifold.mu_weights)
     n = traj.manifold.n
-    for snap in traj.snapshots:
-        sm = np.maximum(-snap.S, 0.0)
-        lhs = lp_norm(sm, p, snap.gvol_weights)
-        growth = 1.0 if p == math.inf else math.exp(snap.t * n * led.rho0 / (2.0 * p))
-        res.add_upper(snap.t, lhs, growth * base, eps, atol)
+    sums = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p)
+    for t, v in zip(traj.snap_t.tolist(), sums.tolist()):
+        growth = 1.0 if p == math.inf else math.exp(t * n * led.rho0 / (2.0 * p))
+        res.add_upper(t, v if p == math.inf else v ** (1.0 / p), growth * base, eps, atol)
     res.record_violations(led)
     return res
 
@@ -218,15 +230,13 @@ def check_scal_lower(traj) -> MonitorResult:
     eps = slack_epsilon(traj)
     s_min0 = led.s0_inf
     floor = min(0.0, s_min0)
-    scale = 1.0 + abs(led.rho0)
-    for snap in traj.snapshots:
-        lhs = float(snap.S.min())
-        tol = eps * scale
-        res.add(snap.t, lhs, floor - tol, lhs >= floor - tol)
+    tol = eps * (1.0 + abs(led.rho0))
+    for t, lhs in zip(traj.snap_t.tolist(), traj.S.min(axis=1).tolist()):
+        res.add(t, lhs, floor - tol, lhs >= floor - tol)
         if s_min0 > 0.0:
-            denom = math.exp(led.rho0 * snap.t) * (led.rho0 - s_min0) + s_min0
+            denom = math.exp(led.rho0 * t) * (led.rho0 - s_min0) + s_min0
             bound = led.rho0 * s_min0 / denom
-            res.add(snap.t, lhs, bound - tol, lhs >= bound - tol)
+            res.add(t, lhs, bound - tol, lhs >= bound - tol)
     if s_min0 > 0.0:
         res.notes.append("inf S0 > 0: rational positive-branch floor asserted as well")
     res.record_violations(led)
@@ -249,8 +259,8 @@ def check_u_upper(traj) -> MonitorResult:
     C = 0.25 * (n - 2) * (led.s0_minus_lp[math.inf] + led.rho0)
     res.notes.append(f"rate C = {C:.12g}")
     eps = slack_epsilon(traj)
-    for rec in traj.records:
-        res.add_upper(rec.t, rec.max_u, math.exp(C * rec.t), eps)
+    for t, max_u in zip(traj.t.tolist(), traj.max_u.tolist()):
+        res.add_upper(t, max_u, math.exp(C * t), eps)
     res.record_violations(led)
     return res
 
@@ -271,19 +281,19 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
     eps = slack_epsilon(traj)
 
     inf_u = _inf_u(traj)
-    res.add(traj.records[-1].t, inf_u, 0.0, inf_u > 0.0)
+    res.add(float(traj.t[-1]), inf_u, 0.0, inf_u > 0.0)
     res.notes.append(f"running inf u = {inf_u:.12g}")
 
     if led.s0_minus_bounded:
         pfield = (n - 2) / (4.0 * (n - 1)) * (
             man.S0 + led.sup_u ** (4.0 / (n - 2)) * led.s0_minus_lp[math.inf]
         )
-        for snap in traj.snapshots:
-            resid = -laplacian(man, snap.u) + pfield * snap.u
-            scale = 1.0 + float(np.abs(pfield * snap.u).max())
-            lhs = float(resid.min())
-            tol = eps * scale
-            res.add(snap.t, lhs, -tol, lhs >= -tol)
+        u = traj.u
+        lows = _row_sums(traj, lambda r: (-_laplacian(man, u[r]) + pfield * u[r],), np.min)[0]
+        peaks = _row_sums(traj, lambda r: (np.abs(pfield * u[r]),), np.max)[0]
+        for t, lhs, peak in zip(traj.snap_t.tolist(), lows.tolist(), peaks.tolist()):
+            tol = eps * (1.0 + peak)
+            res.add(t, lhs, -tol, lhs >= -tol)
     else:
         res.notes.append("supersolution check skipped: (S0)_- unbounded")
 
@@ -307,17 +317,18 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     res = MonitorResult(monitor_id="s_upper")
     eps = slack_epsilon(traj)
     atol = 1e-10 * (1.0 + abs(led.rho0))
-    for snap in traj.snapshots:
-        lhs = lp_norm(np.maximum(snap.S, 0.0), n / 2.0, snap.gvol_weights)
-        res.add_upper(snap.t, lhs, led.s0_plus_ln2, eps, atol)
+    p = n / 2.0
+    sums = _lp_rows(traj, lambda r: np.maximum(traj.S[r], 0.0), p)
+    for t, v in zip(traj.snap_t.tolist(), sums.tolist()):
+        res.add_upper(t, v ** (1.0 / p), led.s0_plus_ln2, eps, atol)
 
     late = _late_sup_abs_s(traj)
     res.notes.append(f"sup over [T/2, T] of max|S| = {late:.12g}")
-    res.add(traj.records[-1].t, late, math.inf, math.isfinite(late))
+    res.add(float(traj.t[-1]), late, math.inf, math.isfinite(late))
 
     integral = _s_high_norm_time_integral(traj)
     res.notes.append(f"time integral of high-Lq curvature norm = {integral:.12g}")
-    res.add(traj.records[-1].t, integral, math.inf, math.isfinite(integral))
+    res.add(float(traj.t[-1]), integral, math.inf, math.isfinite(integral))
 
     if refined is not None:
         for quantity in ("late_sup_abs_s", "s_time_integral"):
@@ -327,68 +338,48 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
 
 
 def _inf_u(traj) -> float:
-    return min(r.min_u for r in traj.records)
+    return float(traj.min_u.min())
 
 
 def _late_sup_abs_s(traj) -> float:
-    T = traj.config.T_final
-    vals = [max(abs(r.min_S), abs(r.max_S)) for r in traj.records if r.t >= 0.5 * T - 1e-14]
-    return max(vals) if vals else math.nan
+    late = traj.t >= 0.5 * traj.config.T_final - 1e-14
+    vals = np.maximum(np.abs(traj.min_S[late]), np.abs(traj.max_S[late]))
+    return float(vals.max()) if vals.size else math.nan
 
 
 def _s_high_norm_time_integral(traj) -> float:
     """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2))."""
     n = traj.manifold.n
     q = n * n / (2.0 * (n - 2.0))
-    ts = np.array([s.t for s in traj.snapshots])
-    vals = np.array(
-        [float(np.sum(s.gvol_weights * np.abs(s.S) ** q)) ** ((n - 2.0) / n)
-         for s in traj.snapshots]
-    )
-    return float(np.trapezoid(vals, ts))
+    vals = [v ** ((n - 2.0) / n) for v in _lp_rows(traj, lambda r: traj.S[r], q).tolist()]
+    return float(np.trapezoid(vals, traj.snap_t))
 
 
 # ---------------------------------------------------------------------------
 # parabolic Sobolev inequality
 
 
-def _weighted_dirichlet(manifold, f, node_weight) -> float:
-    # int w^2 |grad f|^2 d(mu) with w averaged onto faces
-    wf = 0.5 * (node_weight[:-1] + node_weight[1:])
-    df = np.diff(f) / manifold.face_h
-    return float(np.sum(manifold.face_weights * wf**2 * df * df * manifold.face_h))
-
-
 def _sample_spacetime_fields(traj, samples: int, seed: int):
-    """Deterministic test family: polynomials in x times smooth time cutoffs."""
+    """Deterministic test family: polynomials in x times smooth time cutoffs.
+
+    Each is ``(name, ramp, profile)``, valued ``ramp[i] * profile`` on snapshot
+    row i (``profile[i]`` for ``u_along_run``'s (snapshots x nodes) profile).
+    """
     man = traj.manifold
     xi = man.nodes / man.x_max
-    T = traj.config.T_final
+    ts = traj.snap_t
+    flat = np.ones(ts.size)
     rng = np.random.default_rng(seed)
-    fields = [("const", lambda t, xi=xi: np.ones_like(xi))]
-
-    snaps = traj.snapshots
-    ts = [s.t for s in snaps]
-
-    def u_interp(t):
-        j = min(max(int(np.searchsorted(ts, t)), 0), len(snaps) - 1)
-        return snaps[j].u
-
-    fields.append(("u_along_run", u_interp))
+    # the snapshot times strictly increase, so u along the run is the u block
+    fields = [("const", flat, np.ones_like(xi)), ("u_along_run", flat, traj.u)]
     for j in range(max(samples - 2, 0)):
         coeff = rng.uniform(-1.0, 1.0, size=5)
         a = rng.uniform(0.0, 0.5)
         b = rng.uniform(a + 0.2, 1.0)
-
-        def make(coeff=coeff, ramp=make_cutoff(a, b, 1.0)):
-            def f(t, xi=xi):
-                poly = (coeff[0] + coeff[1] * xi + coeff[2] * xi**2
-                        + coeff[3] * xi**3 + coeff[4] * xi**4)
-                return (0.25 + 0.75 * ramp(t / T)) * poly
-
-            return f
-
-        fields.append((f"poly_{j}", make()))
+        poly = (coeff[0] + coeff[1] * xi + coeff[2] * xi**2
+                + coeff[3] * xi**3 + coeff[4] * xi**4)
+        ramp = 0.25 + 0.75 * make_cutoff(a, b, 1.0)(ts / traj.config.T_final)
+        fields.append((f"poly_{j}", ramp, poly))
     return fields
 
 
@@ -410,24 +401,26 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     n = man.n
     eps = slack_epsilon(traj)
     q = (n + 2.0) / n
-    ts = np.array([s.t for s in traj.snapshots])
-    for name, ffun in _sample_spacetime_fields(traj, samples, seed):
-        lhs_t = np.empty(ts.size)
-        grad_t = np.empty(ts.size)
-        l2_t = np.empty(ts.size)
-        for i, snap in enumerate(traj.snapshots):
-            fv = np.asarray(ffun(snap.t), dtype=float)
-            gw = snap.gvol_weights
-            lhs_t[i] = float(np.sum(gw * np.abs(fv) ** (2.0 * q)))
-            grad_t[i] = _weighted_dirichlet(man, fv, snap.u)
-            l2_t[i] = float(np.sum(gw * fv * fv))
+    ts, gw, u = traj.snap_t, traj.gvol_weights, traj.u
+
+    def terms(r, ramp, profile):
+        fv = ramp[r, None] * (profile[r] if profile.ndim == 2 else profile)
+        yield gw[r] * np.abs(fv) ** (2.0 * q)
+        # int w^2 |grad f|^2 d(mu) with w = u averaged onto faces
+        wf = 0.5 * (u[r, :-1] + u[r, 1:])
+        df = np.diff(fv, axis=1) / man.face_h
+        yield man.face_weights * wf**2 * df * df * man.face_h
+        yield gw[r] * fv * fv
+
+    for name, ramp, profile in _sample_spacetime_fields(traj, samples, seed):
+        lhs_t, grad_t, l2_t = _row_sums(traj, lambda r: terms(r, ramp, profile))
         lhs = float(np.trapezoid(lhs_t, ts)) ** (1.0 / q)
         rhs = (
             n / (n + 2.0)
             * (led.A_T * float(np.trapezoid(grad_t, ts)) + led.B_T * float(np.trapezoid(l2_t, ts)))
             + 2.0 / (n + 2.0) * float(l2_t.max())
         )
-        if not res.add_upper(ts[-1], lhs, rhs, eps):
+        if not res.add_upper(float(ts[-1]), lhs, rhs, eps):
             res.notes.append(f"violated by field {name}")
     res.record_violations(led)
     return res
@@ -441,21 +434,20 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
     """Decay of the curvature-normalization energy and the H^1 ceiling.
 
     ``int (S - rho)^2 dVol_g`` must be non-increasing in trend (after
-    averaging over `window` snapshots), and ``||u||_{H^1}`` must stay
-    below the explicit ceiling ``(n+2)/4 (rho0 + ||(S0)_-||_inf)``.
+    averaging over `window` records), and ``||u||_{H^1}`` must stay below
+    the explicit ceiling ``(n+2)/4 (rho0 + ||(S0)_-||_inf)``, which needs
+    bounded (S0)_-.
     """
     led = traj.ledger
     res = MonitorResult(monitor_id="energy_decay")
-    energies = np.array([r.energy for r in traj.records])
-    ts = traj.times
+    energies = traj.energy
     if energies.size > window:
         kernel = np.ones(window) / window
         smooth = np.convolve(energies, kernel, mode="valid")
-        tsm = ts[window - 1:]
-        for i in range(1, smooth.size):
-            ok = smooth[i] <= smooth[i - 1] + trend_slack * (1.0 + smooth[i - 1])
-            if not ok:
-                res.add(float(tsm[i]), float(smooth[i]), float(smooth[i - 1]), False)
+        tsm = traj.t[window - 1:]
+        ok = smooth[1:] <= smooth[:-1] + trend_slack * (1.0 + smooth[:-1])
+        for i in (np.flatnonzero(~ok) + 1).tolist():
+            res.add(float(tsm[i]), float(smooth[i]), float(smooth[i - 1]), False)
         if res.passed:
             res.add(float(tsm[-1]), float(smooth[-1]), float(smooth[0]), True)
     res.notes.append(
@@ -463,12 +455,20 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
     )
 
     if led.s0_minus_bounded:
-        n = traj.manifold.n
-        ceiling = 0.25 * (n + 2) * (led.rho0 + led.s0_minus_lp[math.inf])
+        man, u = traj.manifold, traj.u
+        ceiling = 0.25 * (man.n + 2) * (led.rho0 + led.s0_minus_lp[math.inf])
         eps = slack_epsilon(traj)
-        for snap in traj.snapshots:
-            lhs = h1_norm(traj.manifold, snap.u)
-            res.add_upper(snap.t, lhs, ceiling, eps)
+
+        def terms(r):   # the two sums of h1_norm
+            yield man.mu_weights * u[r] * u[r]
+            g = _gradient(man, u[r])
+            yield man.mu_weights * g * g
+
+        l2, g2 = _row_sums(traj, terms)
+        for t, a, b in zip(traj.snap_t.tolist(), l2.tolist(), g2.tolist()):
+            res.add_upper(t, math.sqrt(a + b), ceiling, eps)
+    else:
+        res.notes.append("H1 ceiling skipped: (S0)_- unbounded")
     res.record_violations(led)
     return res
 
@@ -489,10 +489,10 @@ def make_cutoff(t_lo: float, t_hi: float, T: float):
     level-k window, inside the required derivative budget.
     """
     if t_hi <= t_lo:
-        return lambda t: 1.0
+        return lambda t: np.ones_like(t)
 
-    def eta(t):
-        s = min(max((t - t_lo) / (t_hi - t_lo), 0.0), 1.0)
+    def eta(t):   # t: one time or a vector of times
+        s = np.minimum(np.maximum((t - t_lo) / (t_hi - t_lo), 0.0), 1.0)
         return s * s * (3.0 - 2.0 * s)
 
     return eta
@@ -535,11 +535,10 @@ class ChainReport:
 
 def _cylinder_norm(traj, power: float, q: float, t_lo: float) -> float:
     """||S_+^{power}||_{L^q} over M x [t_lo, T] in the evolving measure."""
-    ts = np.array([s.t for s in traj.snapshots])
-    vals = np.array(
-        [float(np.sum(s.gvol_weights * np.maximum(s.S, 0.0) ** (power * q)))
-         for s in traj.snapshots]
-    )
+    ts = traj.snap_t
+    vals = _row_sums(
+        traj, lambda r: (traj.gvol_weights[r] * np.maximum(traj.S[r], 0.0) ** (power * q),)
+    )[0]
     if t_lo <= ts[0]:
         return float(np.trapezoid(vals, ts)) ** (1.0 / q)
     j = int(np.searchsorted(ts, t_lo))
@@ -617,7 +616,7 @@ def refinement_ratio(traj_coarse, traj_fine, quantity: str) -> float:
 def _add_refinement(res: MonitorResult, traj, refined, quantity: str) -> None:
     ratio = refinement_ratio(traj, refined, quantity)
     ok = REFINE_BAND[0] <= ratio <= REFINE_BAND[1]
-    res.add(traj.records[-1].t, ratio, REFINE_BAND[1], ok)
+    res.add(float(traj.t[-1]), ratio, REFINE_BAND[1], ok)
     res.notes.append(f"{_REFINE_SUMMARIES[quantity][0]} refinement ratio = {ratio:.6g}")
 
 

@@ -8,7 +8,7 @@ audit findings are warnings on stderr and never abort a run.
 from __future__ import annotations
 
 import argparse
-import operator
+import math
 import os
 import sys
 from typing import List, Optional
@@ -19,7 +19,7 @@ from .flow import SolverAbort, Trajectory, run
 from .geometry import DiscretizedManifold, GeometryError, audit_assumptions
 from .yamabe import estimate_yamabe_constant
 
-# (timeseries.csv column, StepRecord field, plotted to <column>.svg)
+# (timeseries.csv column, Trajectory column, plotted to <column>.svg)
 TIMESERIES_COLUMNS = (
     ("t", "t", False), ("dt", "dt", False),
     ("rho", "rho", True), ("vol", "vol", True),
@@ -44,9 +44,9 @@ def _out_root() -> str:
 
 
 def write_timeseries(traj: Trajectory, path: str) -> None:
-    fields = operator.attrgetter(*(f for _, f, _ in TIMESERIES_COLUMNS))
+    cols = [getattr(traj, f) for _, f, _ in TIMESERIES_COLUMNS]
     lines = [",".join(col for col, _, _ in TIMESERIES_COLUMNS)]
-    lines.extend(",".join(_g17(v) for v in fields(r)) for r in traj.records)
+    lines.extend(",".join(map(_g17, row)) for row in zip(*cols))
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -73,7 +73,8 @@ def _plot_columns(cols, plot_dir: str) -> None:
     os.makedirs(plot_dir, exist_ok=True)
     for col, _, plotted in TIMESERIES_COLUMNS:
         if plotted:
-            render_series(cols["t"], cols[col], col, os.path.join(plot_dir, f"{col}.svg"))
+            render_series(list(map(float, cols["t"])), list(map(float, cols[col])),
+                          col, os.path.join(plot_dir, f"{col}.svg"))
 
 
 def _load(path: str, text: Optional[str] = None):
@@ -120,7 +121,7 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
     with open(os.path.join(out_dir, "ledger.txt"), "w", encoding="utf-8") as fh:
         fh.write(ledger.describe() + "\n")
     if cfg.plots:
-        cols = {col: [getattr(r, f) for r in traj.records] for col, f, _ in TIMESERIES_COLUMNS}
+        cols = {col: getattr(traj, f) for col, f, _ in TIMESERIES_COLUMNS}
         _plot_columns(cols, os.path.join(out_dir, "plots"))
 
     failed = [r.monitor_id for r in results if r.applicable and not r.passed]
@@ -273,22 +274,29 @@ def cmd_moser(args) -> int:
 def cmd_plot(args) -> int:
     try:
         with open(args.csv, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     except OSError as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if len(lines) < 2:
         print(f"{args.csv}: no data rows", file=sys.stderr)
         return EXIT_CONFIG
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     missing = [c for c, _, _ in TIMESERIES_COLUMNS if c not in header]
     if missing:
         print(f"{args.csv}: missing columns {', '.join(missing)}", file=sys.stderr)
         return EXIT_CONFIG
     cols = {name: [] for name in header}
-    for ln in lines[1:]:
-        for name, tok in zip(header, ln.split(",")):
-            cols[name].append(float(tok))
+    for lineno, ln in lines[1:]:
+        try:
+            values = [float(tok) for tok in ln.split(",")]
+            if len(values) != len(header) or not all(map(math.isfinite, values)):
+                raise ValueError(f"need {len(header)} finite values, got {ln!r}")
+        except ValueError as exc:
+            print(f"{args.csv}: line {lineno}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        for name, value in zip(header, values):
+            cols[name].append(value)
     out_dir = args.out or os.path.join(_out_root(), "plots")
     _plot_columns(cols, out_dir)
     print(f"wrote plots to {out_dir}")

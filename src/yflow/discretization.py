@@ -64,23 +64,27 @@ def check_field(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _fluxes(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
-    return manifold.face_weights * np.diff(f) / manifold.face_h
-
-
 def laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     """Weighted Laplace-Beltrami operator, zero-flux closure at the tips."""
-    f = check_field(manifold, f)
-    flux = _fluxes(manifold, f)
+    return _laplacian(manifold, check_field(manifold, f))
+
+
+def _laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
+    # unchecked body, along the last axis: row by row on a (rows x nodes) block
+    flux = manifold.face_weights * np.diff(f) / manifold.face_h
     out = np.zeros_like(f)
-    out[:-1] += flux
-    out[1:] -= flux
+    out[..., :-1] += flux
+    out[..., 1:] -= flux
     return out / manifold.mu_weights
 
 
 def conformal_laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     """S0 f - (4(n-1)/(n-2)) Laplacian(f)."""
-    return manifold.S0 * f - kappa(manifold.n) * laplacian(manifold, f)
+    return _conformal_laplacian(manifold, check_field(manifold, f))
+
+
+def _conformal_laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
+    return manifold.S0 * f - kappa(manifold.n) * _laplacian(manifold, f)
 
 
 def dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g=None) -> float:
@@ -89,7 +93,10 @@ def dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g=None) -> floa
     ``sum_i mu_i (Lap f)_i g_i == -dirichlet_form(f, g)`` holds to rounding.
     """
     f = check_field(manifold, f)
-    g = f if g is None else check_field(manifold, g)
+    return _dirichlet_form(manifold, f, f if g is None else check_field(manifold, g))
+
+
+def _dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g: np.ndarray) -> float:
     df = np.diff(f) / manifold.face_h
     dg = df if g is f else np.diff(g) / manifold.face_h
     return float(np.sum(manifold.face_weights * df * dg * manifold.face_h))
@@ -97,12 +104,15 @@ def dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g=None) -> floa
 
 def gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     """Nodal radial derivative: centered in the interior, one-sided at tips."""
-    f = check_field(manifold, f)
+    return _gradient(manifold, check_field(manifold, f))
+
+
+def _gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     x = manifold.nodes
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (x[2:] - x[:-2])
-    out[0] = (f[1] - f[0]) / (x[1] - x[0])
-    out[-1] = (f[-1] - f[-2]) / (x[-1] - x[-2])
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (x[2:] - x[:-2])
+    out[..., 0] = (f[..., 1] - f[..., 0]) / (x[1] - x[0])
+    out[..., -1] = (f[..., -1] - f[..., -2]) / (x[-1] - x[-2])
     return out
 
 
@@ -123,7 +133,7 @@ def lp_norm(f: np.ndarray, p: float, weights: np.ndarray) -> float:
 def h1_norm(manifold: DiscretizedManifold, f: np.ndarray) -> float:
     """First Sobolev norm sqrt(||f||_2^2 + ||f'||_2^2) in the background measure."""
     f = check_field(manifold, f)
-    g = gradient(manifold, f)
+    g = _gradient(manifold, f)
     mu = manifold.mu_weights
     return math.sqrt(float(np.sum(mu * f * f)) + float(np.sum(mu * g * g)))
 

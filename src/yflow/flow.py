@@ -12,14 +12,20 @@ it when a step loses positivity, and additionally caps dt by the explicit
 reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``.  Runs are strictly
 sequential and bit-deterministic for a fixed configuration; independent
 runs can execute concurrently.
+
+A run is stored as columns (:class:`Trajectory`): one vector per
+``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
+array each for u, S and the volume weights.  ``run`` appends each row to
+growable buffers and views them as numpy arrays at the end, without a copy.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from array import array
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,8 +38,7 @@ __all__ = [
     "StepRejected",
     "SolverAbort",
     "CheckpointError",
-    "StepRecord",
-    "Snapshot",
+    "RECORD_COLUMNS",
     "Trajectory",
     "step",
     "renormalize_volume",
@@ -154,96 +159,76 @@ def step(
     return renormalize_volume(manifold, raw) if renormalize else raw
 
 
-@dataclass
-class StepRecord:
-    step: int
-    t: float
-    dt: float
-    rho: float
-    vol: float
-    min_u: float
-    max_u: float
-    min_S: float
-    max_S: float
-    s_minus_l2: float
-    s_minus_linf: float
-    energy: float          # int (S - rho)^2 dVol_g
-
-
-@dataclass
-class Snapshot:
-    step: int
-    t: float
-    u: np.ndarray
-    S: np.ndarray
-    rho: float
-    gvol_weights: np.ndarray
+# per-step Trajectory columns after ``step``; ``energy`` is int (S - rho)^2 dVol_g
+RECORD_COLUMNS = ("t", "dt", "rho", "vol", "min_u", "max_u", "min_S", "max_S",
+                  "s_minus_l2", "s_minus_linf", "energy")
 
 
 @dataclass
 class Trajectory:
-    """Scalar time series plus field snapshots of one run."""
+    """One run stored as columns.
+
+    Per accepted step, the starting state first: ``step`` and the float
+    columns named in ``RECORD_COLUMNS``.  Per stored snapshot: the
+    ``snap_step`` and ``snap_t`` vectors and the (snapshots x nodes) arrays
+    ``u``, ``S`` and ``gvol_weights``, row-strided views of one buffer.
+    """
 
     manifold: DiscretizedManifold
     config: FlowConfig
-    records: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
-    ledger: Optional[object] = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
-    @property
-    def final_state(self) -> Optional[FlowState]:
-        if not self.snapshots:
-            return None
-        s = self.snapshots[-1]
-        return FlowState(t=s.t, u=s.u, S=s.S, rho=s.rho, gvol_weights=s.gvol_weights)
+    ledger: object
+    step: np.ndarray
+    t: np.ndarray
+    dt: np.ndarray
+    rho: np.ndarray
+    vol: np.ndarray
+    min_u: np.ndarray
+    max_u: np.ndarray
+    min_S: np.ndarray
+    max_S: np.ndarray
+    s_minus_l2: np.ndarray
+    s_minus_linf: np.ndarray
+    energy: np.ndarray
+    snap_step: np.ndarray
+    snap_t: np.ndarray
+    u: np.ndarray
+    S: np.ndarray
+    gvol_weights: np.ndarray
 
     def validate(self) -> None:
-        ts = self.times
-        if np.any(np.diff(ts) <= 0.0):
+        if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        for s in self.snapshots:
-            if abs(float(np.sum(s.gvol_weights)) - 1.0) > self.config.vol_tol:
-                raise ValueError(f"snapshot at t={s.t:g} violates volume tolerance")
+        off = np.abs(np.sum(self.gvol_weights, axis=1) - 1.0) > self.config.vol_tol
+        if off.any():
+            t = self.snap_t[off.argmax()]
+            raise ValueError(f"snapshot at t={t:g} violates volume tolerance")
 
 
-def _record_of(state: FlowState, step_index: int, dt: float) -> StepRecord:
+def _record_of(state: FlowState, step_index: int, dt: float) -> tuple:
+    """``step`` and the RECORD_COLUMNS of one state."""
     sm = np.maximum(-state.S, 0.0)
     gw = state.gvol_weights
-    return StepRecord(
-        step=step_index,
-        t=state.t,
-        dt=dt,
-        rho=state.rho,
-        vol=state.volume,
-        min_u=float(state.u.min()),
-        max_u=float(state.u.max()),
-        min_S=float(state.S.min()),
-        max_S=float(state.S.max()),
-        s_minus_l2=lp_norm(sm, 2.0, gw),
-        s_minus_linf=lp_norm(sm, math.inf, gw),
-        energy=float(np.sum(gw * (state.S - state.rho) ** 2)),
+    return (
+        step_index, state.t, dt, state.rho, state.volume,
+        float(state.u.min()), float(state.u.max()),
+        float(state.S.min()), float(state.S.max()),
+        lp_norm(sm, 2.0, gw), lp_norm(sm, math.inf, gw),
+        float(np.sum(gw * (state.S - state.rho) ** 2)),
     )
 
 
-def _snapshot_of(state: FlowState, step_index: int) -> Snapshot:
-    return Snapshot(
-        step=step_index,
-        t=state.t,
-        u=state.u.copy(),
-        S=state.S.copy(),
-        rho=state.rho,
-        gvol_weights=state.gvol_weights.copy(),
-    )
+def _append(columns: tuple, row: tuple) -> None:
+    """Append one row to growable ``array`` columns; a field adds all its node values."""
+    for col, value in zip(columns, row):
+        if isinstance(value, np.ndarray):
+            col.frombytes(value.tobytes())
+        else:
+            col.append(value)
 
 
 def run(
     manifold: DiscretizedManifold,
     config: FlowConfig,
-    monitors: Iterable[Callable[[FlowState, StepRecord], None]] = (),
     checkpoint_dir: Optional[str] = None,
     initial_state: Optional[FlowState] = None,
     initial_dt: Optional[float] = None,
@@ -252,21 +237,22 @@ def run(
 ) -> Trajectory:
     """Integrate to T_final under the adaptive controller.
 
-    ``monitors`` are read-only callbacks invoked at every stored snapshot.
     Passing ``initial_state``/``initial_dt``/``initial_step`` resumes a
     checkpointed run; with identical configuration the continuation is
     bit-identical to the uninterrupted trajectory.  ``rho0`` overrides the
     ledger's time-zero average curvature on resumed runs (by default the
-    value at the starting state is used).
+    value at the starting state is used).  The ledger's sup and inf of u are
+    the extrema of the ``max_u`` and ``min_u`` columns.
     """
     from .bounds import BoundLedger
 
-    monitors = tuple(monitors)
     state = initial_state if initial_state is not None else FlowState.initial(manifold)
-    traj = Trajectory(manifold=manifold, config=config)
     ledger = BoundLedger.from_manifold(manifold)
     ledger.rho0 = state.rho if rho0 is None else rho0
-    traj.ledger = ledger
+    # growable columns: snap_step, snap_t, then u, S and gvol_weights in one buffer,
+    # row by row (three buffers growing side by side fragment the heap)
+    records = (array("q"),) + tuple(array("d") for _ in RECORD_COLUMNS)
+    snapshots = (array("q"), array("d"), array("d"))
 
     k = initial_step
     dt_nominal = initial_dt if initial_dt is not None else config.dt_init
@@ -274,12 +260,8 @@ def run(
     n = manifold.n
     T = config.T_final
 
-    rec = _record_of(state, k, 0.0)
-    traj.records.append(rec)
-    traj.snapshots.append(_snapshot_of(state, k))
-    ledger.observe(rec)
-    for cb in monitors:
-        cb(state, rec)
+    _append(records, _record_of(state, k, 0.0))
+    _append(snapshots, (k, state.t, np.concatenate((state.u, state.S, state.gvol_weights))))
 
     while state.t < T * (1.0 - 1e-14):
         reaction = float(np.max(np.abs(state.S - state.rho)))
@@ -303,15 +285,9 @@ def run(
             continue
 
         k += 1
-        rec = _record_of(state, k, dt_eff)
-        traj.records.append(rec)
-        ledger.observe(rec)
-
-        done = state.t >= T * (1.0 - 1e-14)
-        if k % config.snapshot_every == 0 or done:
-            traj.snapshots.append(_snapshot_of(state, k))
-            for cb in monitors:
-                cb(state, rec)
+        _append(records, _record_of(state, k, dt_eff))
+        if k % config.snapshot_every == 0 or state.t >= T * (1.0 - 1e-14):
+            _append(snapshots, (k, state.t, np.concatenate((state.u, state.S, state.gvol_weights))))
 
         dt_nominal = min(dt_nominal * 1.2, config.dt_max)
         if config.checkpoint_every and checkpoint_dir is not None and (
@@ -320,7 +296,13 @@ def run(
             path = os.path.join(checkpoint_dir, f"step{k:08d}.ckpt")
             checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
 
-    ledger.finalize()
+    traj = Trajectory(
+        manifold, config, ledger,
+        *(np.frombuffer(col, dtype=col.typecode) for col in records + snapshots[:2]),
+        *np.frombuffer(snapshots[2]).reshape(-1, 3, manifold.node_count).transpose(1, 0, 2),
+    )
+    ledger.sup_u = float(traj.max_u.max())
+    ledger.inf_u = float(traj.min_u.min())
     traj.validate()
     return traj
 

@@ -20,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .discretization import (
+    _conformal_laplacian,
+    _dirichlet_form,
     check_field,
-    conformal_laplacian,
     critical_exponent,
-    dirichlet_form,
     flow_exponent,
     kappa,
     lp_norm,
@@ -73,7 +73,7 @@ def scalar_curvature_flow(manifold: DiscretizedManifold, u: np.ndarray) -> np.nd
     """Scalar curvature of ``u^{4/(n-2)} g0``: ``u^{-(n+2)/(n-2)} L0(u)``."""
     u = check_field(manifold, u)
     _require_positive(u)
-    return conformal_laplacian(manifold, u) * u ** (-flow_exponent(manifold.n))
+    return _conformal_laplacian(manifold, u) * u ** (-flow_exponent(manifold.n))
 
 
 def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.ndarray:
@@ -85,9 +85,9 @@ def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.n
 
 
 def _energy(manifold: DiscretizedManifold, v: np.ndarray) -> float:
-    """Conformal energy ``int kappa |grad v|^2 + S0 v^2 d(mu)``."""
+    """Conformal energy ``int kappa |grad v|^2 + S0 v^2 d(mu)``; v is not checked."""
     mu_s0 = manifold.mu_weights * manifold.S0
-    return kappa(manifold.n) * dirichlet_form(manifold, v) + float(np.sum(mu_s0 * v * v))
+    return kappa(manifold.n) * _dirichlet_form(manifold, v, v) + float(np.sum(mu_s0 * v * v))
 
 
 def average_scalar(
@@ -202,7 +202,7 @@ def _descend(manifold, v0, opts) -> YamabeEstimate:
     for it in range(1, opts.max_iter + 1):
         # mu-weighted gradient of Q at a p-normalized point
         grad = 2.0 * (
-            conformal_laplacian(manifold, v) - q * np.abs(v) ** (p - 2.0) * v
+            _conformal_laplacian(manifold, v) - q * np.abs(v) ** (p - 2.0) * v
         )
         gnorm2 = float(np.sum(mu * grad * grad))
         if gnorm2 <= opts.grad_tol**2:

@@ -66,8 +66,8 @@ def mixed512():
 
 def test_criterion_01_fixed_point(sphere_fp):
     traj, elapsed = sphere_fp
-    rho = np.array([r.rho for r in traj.records])
-    u_dev = max(max(abs(r.min_u - 1.0), abs(r.max_u - 1.0)) for r in traj.records)
+    rho = traj.rho
+    u_dev = float(max(np.abs(traj.min_u - 1.0).max(), np.abs(traj.max_u - 1.0).max()))
     rho_dev = float(np.max(np.abs(rho - rho[0])))
     ok = u_dev <= 1e-8 and rho_dev <= 1e-8 * rho[0] and elapsed < 5.0
     report(1, "round-sphere fixed point", ok,
@@ -76,9 +76,9 @@ def test_criterion_01_fixed_point(sphere_fp):
 
 def test_criterion_02_rho_monotone_and_consistent(perturbed512, perturbed512_dt_half):
     def checks(traj):
-        rho = np.array([r.rho for r in traj.records])
-        en = np.array([r.energy for r in traj.records])
-        dt = traj.records[1].dt
+        rho = traj.rho
+        en = traj.energy
+        dt = traj.dt[1]
         mono = bool(np.all(np.diff(rho) <= 1e-8 * (1.0 + np.abs(rho[:-1]))))
         dr = (rho[2:] - rho[:-2]) / (2.0 * dt)
         rhs = -0.5 * en[1:-1]
@@ -92,7 +92,7 @@ def test_criterion_02_rho_monotone_and_consistent(perturbed512, perturbed512_dt_
 
 
 def test_criterion_03_volume_conservation(perturbed512):
-    worst = max(abs(r.vol - 1.0) for r in perturbed512.records)
+    worst = float(np.abs(perturbed512.vol - 1.0).max())
     m = perturbed512.manifold
     st0 = FlowState.initial(m)
     d1 = abs(step(m, st0, 5e-4, renormalize=False).volume - 1.0)
@@ -174,8 +174,8 @@ def test_criterion_09_parabolic_sobolev(perturbed512):
 
 
 def test_criterion_10_energy_decay(perturbed512):
-    recs = perturbed512.records
-    ratio = recs[-1].energy / recs[0].energy
+    energy = perturbed512.energy
+    ratio = energy[-1] / energy[0]
     res = bounds.check_energy_decay(perturbed512)
     ok = ratio < 1e-2 and res.passed
     report(10, "normalization energy decays", ok,
@@ -190,15 +190,14 @@ def test_criterion_11_determinism(tmp_path):
     ckpt = tmp_path / "step00000050.ckpt"
     state, dt0, k0 = restore(str(ckpt), m, cfg)
     cont = run(m, cfg, initial_state=state, initial_dt=dt0, initial_step=k0,
-               rho0=full.records[0].rho)
-    tail = [r for r in full.records if r.step > k0]
-    cont_tail = [r for r in cont.records if r.step > k0]
-    same_scalars = len(tail) == len(cont_tail) and all(
-        a.t == b.t and a.dt == b.dt and a.rho == b.rho and a.vol == b.vol
-        and a.min_u == b.min_u and a.max_u == b.max_u
-        for a, b in zip(tail, cont_tail)
+               rho0=float(full.rho[0]))
+    tail = full.step > k0
+    cont_tail = cont.step > k0
+    same_scalars = np.count_nonzero(tail) == np.count_nonzero(cont_tail) and all(
+        np.array_equal(getattr(full, col)[tail], getattr(cont, col)[cont_tail])
+        for col in ("t", "dt", "rho", "vol", "min_u", "max_u")
     )
-    same_field = np.array_equal(full.snapshots[-1].u, cont.snapshots[-1].u)
+    same_field = np.array_equal(full.u[-1], cont.u[-1])
     report(11, "bit-identical continuation after save/restore",
            same_scalars and same_field,
-           f"{len(tail)} resumed steps compared")
+           f"{np.count_nonzero(tail)} resumed steps compared")

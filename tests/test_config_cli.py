@@ -227,6 +227,24 @@ def test_plot_empty_csv_exit_two(tmp_path, capsys):
     assert main(["plot", str(p)]) == 2
 
 
+PLOT_HEADER = ",".join(col for col, _, _ in yflow.cli.TIMESERIES_COLUMNS)
+PLOT_ROW = ",".join(["0.5"] * len(yflow.cli.TIMESERIES_COLUMNS))
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    (PLOT_ROW.replace("0.5", "abc", 1), "line 3: could not convert string to float"),
+    (PLOT_ROW.rsplit(",", 1)[0], "line 3: need 11 finite values"),
+    (PLOT_ROW.replace("0.5", "inf", 3), "line 3: need 11 finite values"),
+], ids=["non-numeric-token", "short-row", "infinite-value"])
+def test_plot_malformed_row_exit_two(tmp_path, capsys, bad_row, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"{PLOT_HEADER}\n{PLOT_ROW}\n{bad_row}\n")
+    assert main(["plot", str(p), "--out", str(tmp_path / "plots")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{p}: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_plot_missing_columns_exit_two(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("t,rho\n0.0,1.0\n")

@@ -66,27 +66,27 @@ def test_constant_factor_relaxes_monotonically(sphere64):
     assert np.allclose(st0.u, 1.0, rtol=1e-12)
     cfg = FlowConfig(T_final=0.05, dt_init=1e-3, dt_max=1e-3)
     traj = run(sphere64, cfg)
-    rhos = np.array([r.rho for r in traj.records])
+    rhos = traj.rho
     assert np.all(np.diff(rhos) <= 1e-8 * (1.0 + np.abs(rhos[:-1])))
 
 
 def test_run_round_sphere_trajectory(sphere256):
     cfg = FlowConfig(T_final=0.2, dt_init=1e-3, dt_max=1e-3, snapshot_every=50)
     traj = run(sphere256, cfg)
-    rhos = np.array([r.rho for r in traj.records])
+    rhos = traj.rho
     assert np.max(np.abs(rhos - rhos[0])) <= 1e-8 * rhos[0]
-    assert max(np.abs(s.u - 1.0).max() for s in traj.snapshots) <= 1e-8
-    assert np.max(np.abs([r.vol - 1.0 for r in traj.records])) <= 1e-12
+    assert np.abs(traj.u - 1.0).max() <= 1e-8
+    assert np.max(np.abs(traj.vol - 1.0)) <= 1e-12
 
 
 def test_rho_monotone_on_perturbed_run(bumpy128_run):
-    rhos = np.array([r.rho for r in bumpy128_run.records])
+    rhos = bumpy128_run.rho
     assert np.all(np.diff(rhos) <= 1e-8 * (1.0 + np.abs(rhos[:-1])))
 
 
 def test_energy_shrinks_on_perturbed_run(bumpy128_run):
-    recs = bumpy128_run.records
-    assert recs[-1].energy < 0.01 * recs[0].energy
+    energy = bumpy128_run.energy
+    assert energy[-1] < 0.01 * energy[0]
 
 
 def test_rho_ode_consistency_refines(bumpy128):
@@ -94,8 +94,8 @@ def test_rho_ode_consistency_refines(bumpy128):
     def mismatch(dt):
         cfg = FlowConfig(T_final=0.5, dt_init=dt, dt_max=dt)
         traj = run(bumpy128, cfg)
-        rho = np.array([r.rho for r in traj.records])
-        en = np.array([r.energy for r in traj.records])
+        rho = traj.rho
+        en = traj.energy
         dr = (rho[2:] - rho[:-2]) / (2.0 * dt)
         rhs = -0.5 * en[1:-1]
         return np.abs(dr - rhs).sum() / np.abs(rhs).sum()
@@ -109,13 +109,14 @@ def test_rho_ode_consistency_refines(bumpy128):
 def test_controller_grows_dt(bumpy128):
     cfg = FlowConfig(T_final=0.05, dt_init=1e-4, dt_max=2e-3)
     traj = run(bumpy128, cfg)
-    dts = [r.dt for r in traj.records if r.dt > 0]
+    dts = traj.dt[traj.dt > 0]
     assert max(dts) > 5 * dts[0]
     assert max(dts) <= cfg.dt_max * (1 + 1e-12)
 
 
 def test_times_strictly_increasing(bumpy128_run):
-    assert np.all(np.diff(bumpy128_run.times) > 0)
+    assert np.all(np.diff(bumpy128_run.t) > 0)
+    assert np.all(np.diff(bumpy128_run.snap_t) > 0)
     bumpy128_run.validate()
 
 
@@ -159,7 +160,7 @@ def _mini_setup():
 def test_checkpoint_roundtrip_exact(tmp_path):
     m, cfg = _mini_setup()
     traj = run(m, cfg)
-    state = traj.final_state
+    state = FlowState.from_u(m, traj.u[-1], float(traj.snap_t[-1]))
     path = str(tmp_path / "state.ckpt")
     checkpoint(state, path, m, cfg, dt_next=1.25e-3, step_index=7)
     restored, dt_next, k = restore(path, m, cfg)
@@ -175,21 +176,21 @@ def test_restore_then_step_matches_unbroken_run(tmp_path):
 
     # persist the midpoint snapshot with the controller's next nominal dt
     # (the record's dt grown once, capped), then resume to the horizon
-    mid = next(s for s in full.snapshots if s.t >= 0.1)
-    mid_state = FlowState(t=mid.t, u=mid.u, S=mid.S, rho=mid.rho,
-                          gvol_weights=mid.gvol_weights)
-    dt_next = min(full.records[mid.step].dt * 1.2, cfg.dt_max)
+    i = int(np.argmax(full.snap_t >= 0.1))
+    mid_step = int(full.snap_step[i])
+    mid_state = FlowState.from_u(m, full.u[i], float(full.snap_t[i]))
+    dt_next = min(float(full.dt[mid_step]) * 1.2, cfg.dt_max)
     path = str(tmp_path / "mid.ckpt")
-    checkpoint(mid_state, path, m, cfg, dt_next=dt_next, step_index=mid.step)
+    checkpoint(mid_state, path, m, cfg, dt_next=dt_next, step_index=mid_step)
     restored, dt0, k0 = restore(path, m, cfg)
     cont = run(m, cfg, initial_state=restored, initial_dt=dt0, initial_step=k0,
-               rho0=full.records[0].rho)
-    tail = [r for r in full.records if r.step > mid.step]
-    cont_tail = [r for r in cont.records if r.step > mid.step]
-    assert len(tail) == len(cont_tail)
-    for a, b in zip(tail, cont_tail):
-        assert a.t == b.t and a.dt == b.dt and a.rho == b.rho
-    assert np.array_equal(full.snapshots[-1].u, cont.snapshots[-1].u)
+               rho0=float(full.rho[0]))
+    tail = full.step > mid_step
+    cont_tail = cont.step > mid_step
+    assert np.count_nonzero(tail) == np.count_nonzero(cont_tail)
+    for col in ("t", "dt", "rho"):
+        assert np.array_equal(getattr(full, col)[tail], getattr(cont, col)[cont_tail])
+    assert np.array_equal(full.u[-1], cont.u[-1])
 
 
 def test_restore_rejects_altered_grid(tmp_path):

@@ -1,11 +1,13 @@
-"""Call counts of a traced flow job.
+"""Call counts of traced flow jobs.
 
 The benchmark's span tracer (``perfbench/tracer.py``, imported here by path
 and left unchanged) reports a function's per-call metrics only when the
-traced job calls it.  This runs a cut ``long_flow``-style scenario through
-``yflow.cli.main`` under that tracer and checks that the flow's path keeps
-its traced names, with one curvature evaluation per state and one
-Laplacian band build per manifold.
+traced job calls it.  This runs cut ``long_flow``- and
+``dense_monitors``-style scenarios through ``yflow.cli.main`` under that
+tracer.  The first checks that the flow's path keeps its traced names, with
+one curvature evaluation per state and one Laplacian band build per
+manifold; the second that every monitor, checkpoint and output writer the
+benchmark times still runs.
 """
 import importlib.util
 from pathlib import Path
@@ -30,12 +32,46 @@ output.plots = false
 seed = 1
 """
 
+DENSE_SCENARIO = """\
+profile.name = perturbed_sphere
+profile.eps = 0.2
+manifold.n = 3
+grid.M = 32
+grid.gamma = 2.0
+flow.T = 0.02
+flow.dt_init = 1e-3
+flow.dt_max = 1e-3
+flow.snapshot_every = 1
+flow.checkpoint_every = 5
+monitors.enable = all
+monitors.p = 2,3,4,6,8,inf
+monitors.samples = 5
+output.plots = true
+seed = 1
+"""
+
 ON_PATH = (
     "flow.step",
     "flow.renormalize_volume",
     "discretization.TridiagonalOperator.solve",
     "yamabe.scalar_curvature_flow",
     "yamabe.average_scalar",
+)
+
+
+DENSE_ON_PATH = (
+    "bounds.check_s_minus_decay",
+    "bounds.check_scal_lower",
+    "bounds.check_u_upper",
+    "bounds.check_u_lower",
+    "bounds.check_s_upper",
+    "bounds.check_parabolic_sobolev",
+    "bounds.check_energy_decay",
+    "bounds.run_monitors",
+    "flow.checkpoint",
+    "cli.write_timeseries",
+    "cli.write_monitors",
+    "svgplot.render_series",
 )
 
 
@@ -46,17 +82,23 @@ def _tracer_class():
     return module.Tracer
 
 
-def test_traced_flow_job_call_counts(tmp_path):
-    cfg = tmp_path / "cut_long_flow.cfg"
-    cfg.write_text(SCENARIO)
+def _traced_calls(tmp_path, scenario: str):
+    """Exit code and per-name call counts of one traced ``yflow run``."""
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(scenario)
     out = tmp_path / "out"
     tracer = _tracer_class()().install()
     try:
         code = main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
     finally:
         tracer.uninstall()
+    return code, {name: row["calls"] for name, row in tracer.table().items()}
+
+
+def test_traced_flow_job_call_counts(tmp_path):
+    code, calls = _traced_calls(tmp_path, SCENARIO)
     assert code == 0
-    calls = {name: row["calls"] for name, row in tracer.table().items()}
+    out = tmp_path / "out"
     # header and the initial state's row precede one row per accepted step
     steps = len((out / "timeseries.csv").read_text().splitlines()) - 2
     assert steps == 20
@@ -64,3 +106,11 @@ def test_traced_flow_job_call_counts(tmp_path):
     assert [name for name in ON_PATH if calls.get(name, 0) < 1] == []
     assert calls["yamabe.scalar_curvature_flow"] == steps + 1
     assert calls["discretization.TridiagonalOperator.laplacian"] == 1
+
+
+def test_traced_dense_monitors_job_call_counts(tmp_path):
+    code, calls = _traced_calls(tmp_path, DENSE_SCENARIO)
+    assert code == 0
+    assert [name for name in DENSE_ON_PATH if calls.get(name, 0) < 1] == []
+    assert calls["flow.checkpoint"] == 4
+    assert calls["bounds.check_s_minus_decay"] == 6
