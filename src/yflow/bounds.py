@@ -533,12 +533,12 @@ class ChainReport:
         return "\n".join(lines)
 
 
-def _cylinder_norm(traj, power: float, q: float, t_lo: float) -> float:
-    """||S_+^{power}||_{L^q} over M x [t_lo, T] in the evolving measure."""
-    ts = traj.snap_t
-    vals = _row_sums(
-        traj, lambda r: (traj.gvol_weights[r] * np.maximum(traj.S[r], 0.0) ** (power * q),)
-    )[0]
+def _cylinder_norm(ts: np.ndarray, vals: np.ndarray, q: float, t_lo: float) -> float:
+    """||S_+^{power}||_{L^q} over M x [t_lo, T] in the evolving measure.
+
+    ``vals`` holds the per-snapshot integrals of ``S_+^{power q} dVol_g`` at
+    the snapshot times ``ts``.
+    """
     if t_lo <= ts[0]:
         return float(np.trapezoid(vals, ts)) ** (1.0 / q)
     j = int(np.searchsorted(ts, t_lo))
@@ -580,9 +580,17 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
         conjugate_exponent=N,
         moser_exponent=q_hi / N,
     )
+    # the integrands of both exponents, each reduced once over the whole run
+    ts, power = traj.snap_t, 2.0 * beta
+    vals_hi, vals_N = (
+        _row_sums(traj, lambda r: (
+            traj.gvol_weights[r] * np.maximum(traj.S[r], 0.0) ** (power * q),
+        ))[0]
+        for q in (q_hi, N)
+    )
     for k in range(1, k_max + 1):
-        lhs = _cylinder_norm(traj, 2.0 * beta, q_hi, tks[k])
-        rhs = _cylinder_norm(traj, 2.0 * beta, N, tks[k - 1])
+        lhs = _cylinder_norm(ts, vals_hi, q_hi, tks[k])
+        rhs = _cylinder_norm(ts, vals_N, N, tks[k - 1])
         if rhs > 0.0:
             ratio = lhs / rhs
         else:

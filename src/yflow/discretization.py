@@ -6,10 +6,19 @@ Laplacian is the conservative flux stencil ``(1/w) D(w Df)`` with weight
 ends.  This makes constants exactly harmonic and yields an exact discrete
 integration-by-parts identity against :func:`dirichlet_form`, which the
 variational quantities downstream rely on.
+
+Tridiagonal systems are solved by LAPACK ``dgtsv``, the routine
+``scipy.linalg.solve_banded((1, 1), ...)`` reaches, bound with ``ctypes``
+from the OpenBLAS that numpy bundles.  A flow step therefore imports no
+scipy; builds of numpy without that library fall back to
+``scipy.linalg.lapack.dgtsv``.  Both paths give the same bits.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +67,7 @@ def check_field(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
         raise FieldAlignmentError(
             f"field of shape {f.shape} does not match {manifold.node_count} nodes"
         )
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         bad = int(np.argmax(~np.isfinite(f)))
         raise FieldAlignmentError(f"non-finite field entry at node {bad}")
     return f
@@ -71,7 +80,7 @@ def laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
 
 def _laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     # unchecked body, along the last axis: row by row on a (rows x nodes) block
-    flux = manifold.face_weights * np.diff(f) / manifold.face_h
+    flux = manifold.face_weights * (f[..., 1:] - f[..., :-1]) / manifold.face_h
     out = np.zeros_like(f)
     out[..., :-1] += flux
     out[..., 1:] -= flux
@@ -97,9 +106,9 @@ def dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g=None) -> floa
 
 
 def _dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g: np.ndarray) -> float:
-    df = np.diff(f) / manifold.face_h
-    dg = df if g is f else np.diff(g) / manifold.face_h
-    return float(np.sum(manifold.face_weights * df * dg * manifold.face_h))
+    df = (f[1:] - f[:-1]) / manifold.face_h
+    dg = df if g is f else (g[1:] - g[:-1]) / manifold.face_h
+    return float((manifold.face_weights * df * dg * manifold.face_h).sum())
 
 
 def gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
@@ -126,8 +135,8 @@ def lp_norm(f: np.ndarray, p: float, weights: np.ndarray) -> float:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
     f = np.asarray(f, dtype=float)
     if p == math.inf:
-        return float(np.max(np.abs(f)))
-    return float(np.sum(np.asarray(weights) * np.abs(f) ** p)) ** (1.0 / p)
+        return float(np.abs(f).max())
+    return float(np.add.reduce(np.asarray(weights) * np.abs(f) ** p)) ** (1.0 / p)
 
 
 def h1_norm(manifold: DiscretizedManifold, f: np.ndarray) -> float:
@@ -176,11 +185,65 @@ class TridiagonalOperator:
         return self.sub + self.diag + self.sup
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        from scipy.linalg import solve_banded
+        """Solve ``A x = rhs`` by Gaussian elimination with partial pivoting.
 
+        The operator and ``rhs`` are left unchanged.  Raises
+        ``numpy.linalg.LinAlgError`` on an exactly zero pivot, as
+        ``scipy.linalg.solve_banded`` does.
+        """
         npts = self.diag.size
-        ab = np.zeros((3, npts))
-        ab[0, 1:] = self.sup[:-1]
-        ab[1] = self.diag
-        ab[2, :-1] = self.sub[1:]
-        return solve_banded((1, 1), ab, rhs)
+        # dgtsv overwrites its inputs, so it gets copies: sub[1:], diag,
+        # sup[:-1] and rhs back to back; the solution ends in the last block
+        work = np.empty(4 * npts - 2)
+        work[: npts - 1] = self.sub[1:]
+        work[npts - 1 : 2 * npts - 1] = self.diag
+        work[2 * npts - 1 : 3 * npts - 2] = self.sup[:-1]
+        work[3 * npts - 2 :] = rhs
+        if _gtsv()(work, npts) != 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return work[3 * npts - 2 :]
+
+
+@functools.cache
+def _gtsv():
+    """LAPACK ``dgtsv`` as ``gtsv(work, n) -> info``, solving in place.
+
+    ``work`` holds ``dl`` (n-1), ``d`` (n), ``du`` (n-1) and ``b`` (n) back to
+    back; ``b`` is overwritten by the solution.  Binds ``scipy_dgtsv_64_``
+    (64-bit integers) from numpy's bundled OpenBLAS, else falls back to
+    ``scipy.linalg.lapack.dgtsv``.
+    """
+    import glob     # here, not at the top: only a flow's first solve needs it
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        fn = lib.scipy_dgtsv_64_
+    except (IndexError, OSError, AttributeError):
+        return _scipy_gtsv
+
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    f64 = ctypes.POINTER(ctypes.c_double)
+    fn.argtypes = [i64, i64, f64, f64, f64, f64, i64, i64]
+    fn.restype = None
+    byref = ctypes.byref
+    nrhs = ctypes.c_int64(1)
+
+    def gtsv(work: np.ndarray, n: int) -> int:
+        head = ctypes.c_double.from_buffer(work)     # holds the buffer while dgtsv runs
+        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+        fn(byref(size), byref(nrhs), byref(head), byref(head, 8 * (n - 1)),
+           byref(head, 8 * (2 * n - 1)), byref(head, 8 * (3 * n - 2)), byref(size), byref(info))
+        return info.value
+
+    return gtsv
+
+
+def _scipy_gtsv(work: np.ndarray, n: int) -> int:
+    """``scipy.linalg.lapack.dgtsv`` behind :func:`_gtsv`'s interface (needs n >= 2)."""
+    from scipy.linalg.lapack import dgtsv
+
+    dl, d, du, b = np.split(work, (n - 1, 2 * n - 1, 3 * n - 2))
+    _, _, _, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    b[...] = x
+    return info

@@ -3,15 +3,18 @@
 One step freezes the diffusion coefficient ``(n-1) u^{1-N}`` and the
 reaction terms at the current state, applies the Laplacian to the new
 conformal factor, and solves one tridiagonal system (semi-implicit, first
-order in time).  The continuous flow preserves the total volume; the
-discrete one drifts by O(dt^2) per step, so every accepted step is
-projected back onto the unit-volume slice.
+order in time) through :meth:`TridiagonalOperator.solve`.  One min/max test
+accepts the new factor; only a failing one is diagnosed further.  The
+continuous flow preserves the total volume; the discrete one drifts by
+O(dt^2) per step, so every accepted step is projected back onto the
+unit-volume slice, where ``FlowState.from_u`` validates u and evaluates S,
+rho and the volume once.
 
 The step controller grows dt by 1.2x on success up to ``dt_max``, halves
 it when a step loses positivity, and additionally caps dt by the explicit
-reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``.  Runs are strictly
-sequential and bit-deterministic for a fixed configuration; independent
-runs can execute concurrently.
+reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``, which each step's record
+returns with its row.  Runs are strictly sequential and bit-deterministic
+for a fixed configuration; independent runs can execute concurrently.
 
 A run is stored as columns (:class:`Trajectory`): one vector per
 ``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
@@ -132,25 +135,26 @@ def step(
     n = manifold.n
     N = flow_exponent(n)
     u = state.u
-    diff_coeff = (n - 1) * u ** (1.0 - N)
+    dt_diff = dt * ((n - 1) * u ** (1.0 - N))
     reaction = 0.25 * (n - 2) * (state.rho * u - manifold.S0 * u ** (2.0 - N))
 
     lap = manifold.laplacian_bands
     op = TridiagonalOperator(
-        sub=-dt * diff_coeff * lap.sub,
-        diag=1.0 - dt * diff_coeff * lap.diag,
-        sup=-dt * diff_coeff * lap.sup,
+        sub=-(dt_diff * lap.sub),
+        diag=1.0 - dt_diff * lap.diag,
+        sup=-(dt_diff * lap.sup),
     )
     u_new = op.solve(u + dt * reaction)
 
-    if not np.all(np.isfinite(u_new)):
-        bad = int(np.argmax(~np.isfinite(u_new)))
-        raise SolverAbort(
-            f"non-finite conformal factor at node {bad} "
-            f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})",
-            state=state,
-        )
-    if np.any(u_new <= positivity_floor):
+    # one min/max test; NaN fails both comparisons
+    if not (u_new.min() > positivity_floor and u_new.max() < math.inf):
+        if not np.isfinite(u_new).all():
+            bad = int(np.argmax(~np.isfinite(u_new)))
+            raise SolverAbort(
+                f"non-finite conformal factor at node {bad} "
+                f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})",
+                state=state,
+            )
         bad = int(np.argmax(u_new <= positivity_floor))
         raise StepRejected(dt, bad, float(u_new[bad]))
 
@@ -205,16 +209,18 @@ class Trajectory:
 
 
 def _record_of(state: FlowState, step_index: int, dt: float) -> tuple:
-    """``step`` and the RECORD_COLUMNS of one state."""
-    sm = np.maximum(-state.S, 0.0)
-    gw = state.gvol_weights
-    return (
+    """``step`` and the RECORD_COLUMNS of one state, and its ``max|S - rho|``."""
+    S, gw = state.S, state.gvol_weights
+    s_min = float(S.min())
+    d = S - state.rho
+    # S_- = max(-S, 0) is zero when S >= 0; max(0.0, x) keeps +0.0 for x = -0.0
+    s_minus_l2 = lp_norm(np.maximum(-S, 0.0), 2.0, gw) if s_min < 0.0 else 0.0
+    row = (
         step_index, state.t, dt, state.rho, state.volume,
-        float(state.u.min()), float(state.u.max()),
-        float(state.S.min()), float(state.S.max()),
-        lp_norm(sm, 2.0, gw), lp_norm(sm, math.inf, gw),
-        float(np.sum(gw * (state.S - state.rho) ** 2)),
+        float(state.u.min()), float(state.u.max()), s_min, float(S.max()),
+        s_minus_l2, max(0.0, -s_min), float((gw * d ** 2).sum()),
     )
+    return row, float(np.abs(d).max())
 
 
 def _append(columns: tuple, row: tuple) -> None:
@@ -260,11 +266,11 @@ def run(
     n = manifold.n
     T = config.T_final
 
-    _append(records, _record_of(state, k, 0.0))
+    row, reaction = _record_of(state, k, 0.0)
+    _append(records, row)
     _append(snapshots, (k, state.t, np.concatenate((state.u, state.S, state.gvol_weights))))
 
     while state.t < T * (1.0 - 1e-14):
-        reaction = float(np.max(np.abs(state.S - state.rho)))
         dt_cap = config.cfl * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
         dt_eff = min(dt_nominal, dt_cap, T - state.t)
 
@@ -285,7 +291,8 @@ def run(
             continue
 
         k += 1
-        _append(records, _record_of(state, k, dt_eff))
+        row, reaction = _record_of(state, k, dt_eff)
+        _append(records, row)
         if k % config.snapshot_every == 0 or state.t >= T * (1.0 - 1e-14):
             _append(snapshots, (k, state.t, np.concatenate((state.u, state.S, state.gvol_weights))))
 

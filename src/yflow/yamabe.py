@@ -64,7 +64,7 @@ class YamabeSignError(ValueError):
 
 
 def _require_positive(u: np.ndarray) -> None:
-    if np.any(u <= 0.0):
+    if u.min() <= 0.0:
         bad = int(np.argmax(u <= 0.0))
         raise PositivityError(bad, float(u[bad]))
 
@@ -80,14 +80,14 @@ def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.n
     """u scaled by ``vol^{-(n-2)/(2n)}``, ``vol = int u^p d(mu)`` unless given."""
     n = manifold.n
     if vol is None:
-        vol = float(np.sum(manifold.mu_weights * u ** critical_exponent(n)))
+        vol = float((manifold.mu_weights * u ** critical_exponent(n)).sum())
     return u * vol ** (-(n - 2.0) / (2.0 * n))
 
 
 def _energy(manifold: DiscretizedManifold, v: np.ndarray) -> float:
     """Conformal energy ``int kappa |grad v|^2 + S0 v^2 d(mu)``; v is not checked."""
     mu_s0 = manifold.mu_weights * manifold.S0
-    return kappa(manifold.n) * _dirichlet_form(manifold, v, v) + float(np.sum(mu_s0 * v * v))
+    return kappa(manifold.n) * _dirichlet_form(manifold, v, v) + float((mu_s0 * v * v).sum())
 
 
 def average_scalar(
@@ -96,12 +96,14 @@ def average_scalar(
 ) -> float:
     """Volume-normalized average scalar curvature of the evolving metric.
 
-    ``volume``, when given, is ``int u^p d(mu)`` already summed by the caller.
+    ``volume``, when given, is ``int u^p d(mu)`` already summed by a caller
+    that has validated u, as :meth:`FlowState.from_u` has through
+    :func:`scalar_curvature_flow`; u is then not checked again.
     """
-    u = check_field(manifold, u)
-    _require_positive(u)
     if volume is None:
-        volume = float(np.sum(manifold.mu_weights * u ** critical_exponent(manifold.n)))
+        u = check_field(manifold, u)
+        _require_positive(u)
+        volume = float((manifold.mu_weights * u ** critical_exponent(manifold.n)).sum())
     if abs(volume - 1.0) > vol_tol:
         raise VolumeError(
             f"evolving volume {volume:.12g} is outside tolerance {vol_tol:g} of 1; "
@@ -115,10 +117,11 @@ class FlowState:
     """One snapshot of the conformal flow.
 
     ``S`` caches the scalar curvature of the current metric, ``rho`` its
-    average and ``gvol_weights`` the per-node weights of the evolving
-    volume measure.  :meth:`from_u` evaluates each of them once; the raw
-    state of ``flow.step(..., renormalize=False)`` is the one exception,
-    with ``S = None`` and the previous ``rho``.
+    average, ``gvol_weights`` the per-node weights of the evolving volume
+    measure and ``volume`` their sum (summed on construction unless given).
+    :meth:`from_u` evaluates each of them once and validates u once; the
+    raw state of ``flow.step(..., renormalize=False)`` is the one
+    exception, with ``S = None`` and the previous ``rho``.
     """
 
     t: float
@@ -126,6 +129,11 @@ class FlowState:
     S: Optional[np.ndarray]
     rho: float
     gvol_weights: np.ndarray
+    volume: Optional[float] = None
+
+    def __post_init__(self):
+        if self.volume is None:
+            self.volume = float(self.gvol_weights.sum())
 
     @classmethod
     def initial(
@@ -142,14 +150,11 @@ class FlowState:
 
     @classmethod
     def from_u(cls, manifold: DiscretizedManifold, u: np.ndarray, t: float) -> "FlowState":
+        S = scalar_curvature_flow(manifold, u)    # validates u
         gvol = manifold.mu_weights * u ** critical_exponent(manifold.n)
-        S = scalar_curvature_flow(manifold, u)
-        rho = average_scalar(manifold, u, volume=float(np.sum(gvol)))
-        return cls(t=t, u=u, S=S, rho=rho, gvol_weights=gvol)
-
-    @property
-    def volume(self) -> float:
-        return float(np.sum(self.gvol_weights))
+        volume = float(gvol.sum())
+        rho = average_scalar(manifold, u, volume=volume)
+        return cls(t=t, u=u, S=S, rho=rho, gvol_weights=gvol, volume=volume)
 
 
 def yamabe_quotient(manifold: DiscretizedManifold, v: np.ndarray) -> float:

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import yflow
+from yflow import discretization
 from yflow.discretization import (
     FieldAlignmentError,
     TridiagonalOperator,
@@ -15,7 +22,7 @@ from yflow.discretization import (
     laplacian,
     lp_norm,
 )
-from yflow.geometry import RadialGrid, build_manifold, cone, sphere
+from yflow.geometry import RadialGrid, build_manifold, cone, perturbed_sphere, sphere
 
 
 def test_constants_are_harmonic(sphere256):
@@ -140,3 +147,87 @@ def test_gradient_linear_field(sphere64):
 def test_dirichlet_form_positive(sphere64):
     f = np.sin(sphere64.nodes / sphere64.scale)
     assert dirichlet_form(sphere64, f) > 0.0
+
+
+# --- tridiagonal solve ---------------------------------------------------------
+
+
+def _step_systems(M, count, seed):
+    """Operators and right-hand sides shaped like ``flow.step``'s, at random u and dt."""
+    m = build_manifold(perturbed_sphere(0.1), RadialGrid(M=M, gamma=2.0))
+    lap = TridiagonalOperator.laplacian(m)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        u = rng.uniform(0.5, 2.0, m.node_count)
+        dt_diff = 10.0 ** rng.uniform(-6.0, -2.0) * 2.0 * u**-4.0
+        op = TridiagonalOperator(sub=-(dt_diff * lap.sub), diag=1.0 - dt_diff * lap.diag,
+                                 sup=-(dt_diff * lap.sup))
+        yield op, u + rng.normal(0.0, 1e-3, m.node_count)
+
+
+def _solve_banded(op, rhs):
+    ab = np.zeros((3, op.diag.size))
+    ab[0, 1:] = op.sup[:-1]
+    ab[1] = op.diag
+    ab[2, :-1] = op.sub[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.fixture(params=["bundled", "scipy"])
+def loader(request, monkeypatch):
+    """Each path of ``_gtsv``; ``scipy`` forces the fallback."""
+    if request.param == "scipy":
+        monkeypatch.setattr(discretization, "_gtsv", lambda: discretization._scipy_gtsv)
+    return request.param
+
+
+@pytest.mark.parametrize("M", [128, 512, 2048])
+def test_solve_matches_solve_banded_bitwise(loader, M):
+    for op, rhs in _step_systems(M, count=10, seed=M):
+        assert op.solve(rhs).tobytes() == _solve_banded(op, rhs).tobytes()
+
+
+def test_solve_leaves_inputs_unchanged(loader):
+    op, rhs = next(_step_systems(128, count=1, seed=1))
+    before = [a.copy() for a in (op.sub, op.diag, op.sup, rhs)]
+    op.solve(rhs)
+    for a, b in zip((op.sub, op.diag, op.sup, rhs), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_solve_zero_pivot_raises(loader):
+    # column 1 is all zero, so elimination meets an exactly zero pivot
+    op = TridiagonalOperator(sub=np.zeros(4), diag=np.array([1.0, 0.0, 1.0, 1.0]),
+                             sup=np.zeros(4))
+    with pytest.raises(np.linalg.LinAlgError):
+        op.solve(np.ones(4))
+
+
+ONE_STEP_RUN = """
+import sys
+from yflow.cli import main
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+print(code, "scipy" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+
+ONE_STEP_CFG = """profile.name = perturbed_sphere
+profile.eps = 0.1
+grid.M = 64
+flow.T = 1e-3
+flow.dt_init = 1e-3
+flow.dt_max = 1e-3
+"""
+
+
+@pytest.mark.skipif(discretization._gtsv() is discretization._scipy_gtsv,
+                    reason="numpy has no bundled scipy_dgtsv_64_")
+def test_flow_run_does_not_import_scipy(tmp_path):
+    cfg = tmp_path / "one_step.cfg"
+    cfg.write_text(ONE_STEP_CFG)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(yflow.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", ONE_STEP_RUN, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
+    assert len((tmp_path / "out" / "timeseries.csv").read_text().splitlines()) == 3

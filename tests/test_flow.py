@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -16,6 +17,8 @@ from yflow.flow import (
     run,
     step,
 )
+from yflow.discretization import lp_norm
+from yflow.flow import _record_of
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
 from yflow.yamabe import FlowState
 
@@ -227,3 +230,19 @@ def test_config_hash_sensitivity():
     cfg2 = FlowConfig(T_final=0.2, dt_init=1e-3, dt_max=2e-3, snapshot_every=1,
                       vol_tol=1e-9)
     assert config_hash(m, cfg2) != h1
+
+
+@pytest.mark.parametrize("shape", ["mixed", "positive", "zero"])
+def test_record_s_minus_columns_match_lp_norm(bumpy128, shape):
+    # the record derives the S_- norms from S.min(); the benchmark's flows keep S > 0,
+    # so the mixed-sign branch is checked against the lp_norm of S_- = max(-S, 0) here
+    st = FlowState.initial(bumpy128)
+    S = {"mixed": st.S - st.S.mean(), "positive": st.S, "zero": np.zeros_like(st.S)}[shape]
+    st = dataclasses.replace(st, S=S)
+    row, reaction = _record_of(st, 0, 0.0)
+    s_minus = np.maximum(-S, 0.0)
+    assert row[9] == lp_norm(s_minus, 2.0, st.gvol_weights)
+    assert row[10] == lp_norm(s_minus, math.inf, st.gvol_weights)
+    assert math.copysign(1.0, row[9]) == math.copysign(1.0, row[10]) == 1.0
+    assert reaction == float(np.max(np.abs(S - st.rho)))
+    assert (shape == "mixed") == (row[10] > 0.0)

@@ -5,8 +5,8 @@ and left unchanged) reports a function's per-call metrics only when the
 traced job calls it.  This runs cut ``long_flow``- and
 ``dense_monitors``-style scenarios through ``yflow.cli.main`` under that
 tracer.  The first checks that the flow's path keeps its traced names, with
-one curvature evaluation per state and one Laplacian band build per
-manifold; the second that every monitor, checkpoint and output writer the
+one curvature evaluation per state, one traced tridiagonal solve per step
+and one Laplacian band build per manifold; the second that every monitor, checkpoint and output writer the
 benchmark times still runs.
 """
 import importlib.util
@@ -105,6 +105,8 @@ def test_traced_flow_job_call_counts(tmp_path):
 
     assert [name for name in ON_PATH if calls.get(name, 0) < 1] == []
     assert calls["yamabe.scalar_curvature_flow"] == steps + 1
+    # every step call, accepted or rejected, solves through the traced entry point
+    assert calls["discretization.TridiagonalOperator.solve"] == calls["flow.step"]
     assert calls["discretization.TridiagonalOperator.laplacian"] == 1
 
 
