@@ -640,21 +640,26 @@ def _sides_I8(b, L, nu, n, x):
     return x * _tG(b, L, nu, x) - 0.5 * n * _tH(b, L, nu, x), _tf(b, L, nu, n, x)
 
 
-def _located_c1c2(b, nu, n):
-    if np.ndim(b) == 0:
-        return locate_tilde_constants(float(b), float(nu), int(n))
-    bb = np.asarray(b, dtype=float)
-    nn = np.broadcast_to(np.asarray(nu, dtype=float), bb.shape)
-    dd = np.broadcast_to(np.asarray(n), bb.shape)
-    c1 = np.empty(bb.shape)
-    c2 = np.empty(bb.shape)
-    for i in range(bb.size):
-        c1[i], c2[i] = locate_tilde_constants(float(bb[i]), float(nn[i]), int(dd[i]))
-    return c1, c2
+def _per_run(lookup, *cols):
+    """``lookup`` once per run of equal consecutive parameter tuples, called
+    with the run's Python scalars as a per-sample loop would; returns one
+    array per lookup output, shaped like the broadcast columns."""
+    cols = np.broadcast_arrays(*cols)
+    flat = [c.ravel() for c in cols]
+    new = np.zeros(flat[0].size, dtype=bool)
+    new[:1] = True
+    for c in flat:
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    values = np.array([lookup(*args) for args in zip(*(c[starts].tolist() for c in flat))])
+    reps = np.diff(starts, append=new.size)
+    return tuple(np.repeat(v, reps).reshape(cols[0].shape)
+                 for v in values.reshape(starts.size, -1).T)
 
 
 def _sides_I9(b, L, nu, n, x):
-    c1, c2 = _located_c1c2(b, nu, n)
+    c1, c2 = _per_run(locate_tilde_constants, np.asarray(b, dtype=float),
+                      np.asarray(nu, dtype=float), np.asarray(n, dtype=int))
     th = _tH(b, L, nu, x)
     lhs = np.maximum(
         _tphi(b, L, nu, x) ** 2 - c1 * th, x * _tG(b, L, nu, x) - c2 * th
@@ -668,14 +673,7 @@ def _sides_I10(b, L, nu, n, x):
 
 
 def _sides_I11(b, L, nu, n, x):
-    if np.ndim(b) == 0:
-        c4 = locate_chain_constant(float(b), int(n))
-    else:
-        bb = np.asarray(b, dtype=float)
-        dd = np.broadcast_to(np.asarray(n), bb.shape)
-        c4 = np.empty(bb.shape)
-        for i in range(bb.size):
-            c4[i] = locate_chain_constant(float(bb[i]), int(dd[i]))
+    (c4,) = _per_run(locate_chain_constant, np.asarray(b, dtype=float), np.asarray(n, dtype=int))
     return _tF(b, L, nu, n, x) ** (2.0 * b), c4 * _tH(b, L, nu, x)
 
 
@@ -758,6 +756,14 @@ def _scale_reduced(ineq, b, L, nu, n, x):
         return ineq.sides(b, L / z, nu, n, x / z)
 
 
+def _inequality(ineq_id: str) -> _Inequality:
+    try:
+        return CATALOGUE[ineq_id]
+    except KeyError:
+        known = ", ".join(CATALOGUE)
+        raise ValueError(f"unknown inequality {ineq_id!r} (known: {known})") from None
+
+
 def check_inequality(ineq_id: str, params: AuxParams, x) -> bool:
     """Evaluate one catalogue inequality at (params, x).
 
@@ -766,11 +772,7 @@ def check_inequality(ineq_id: str, params: AuxParams, x) -> bool:
     sharpness of those regions is probed through
     :func:`find_counterexample` instead.
     """
-    try:
-        ineq = CATALOGUE[ineq_id]
-    except KeyError:
-        known = ", ".join(CATALOGUE)
-        raise ValueError(f"unknown inequality {ineq_id!r} (known: {known})") from None
+    ineq = _inequality(ineq_id)
     msg = ineq.region(params.beta, params.L, params.nu, params.n)
     if msg:
         raise RegionError(msg)
@@ -806,11 +808,7 @@ def run_catalogue(ids=None, samples: int = 100_000, seed: int = DEFAULT_SEED):
 
 
 def _scan(ineq_id, sampler, budget, seed, out_of_region, stop_early) -> CatalogueRow:
-    try:
-        ineq = CATALOGUE[ineq_id]
-    except KeyError:
-        known = ", ".join(CATALOGUE)
-        raise ValueError(f"unknown inequality {ineq_id!r} (known: {known})") from None
+    ineq = _inequality(ineq_id)
     if sampler is None:
         sampler = ineq.sample_outside if out_of_region else ineq.sample
         if sampler is None:
@@ -826,10 +824,9 @@ def _scan(ineq_id, sampler, budget, seed, out_of_region, stop_early) -> Catalogu
         remaining -= size
         b, L, nu, n, x = sampler(rng, size)
         lhs, rhs = _scale_reduced(ineq, b, L, nu, n, x)
-        tol = _REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        margin = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst = min(worst, float(margin.min()))
-        bad = lhs > rhs + tol
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        worst = min(worst, float(((rhs - lhs) / scale).min()))
+        bad = lhs > rhs + _REL_TOL * scale
         nbad = int(np.count_nonzero(bad))
         violations += nbad
         if nbad and first is None:

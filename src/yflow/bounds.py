@@ -172,9 +172,13 @@ def _row_sums(traj, terms, reduce=np.sum) -> List[np.ndarray]:
     """
     count, nodes = traj.u.shape
     rows = max(1, BLOCK_ELEMENTS // nodes)
-    blocks = [[reduce(a, axis=1) for a in terms(slice(lo, lo + rows))]
-              for lo in range(0, count, rows)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    sums = []   # one vector per term, filled block by block
+    for lo in range(0, count, rows):
+        for k, a in enumerate(terms(slice(lo, lo + rows))):
+            if lo == 0:
+                sums.append(np.empty(count))
+            sums[k][lo:lo + rows] = reduce(a, axis=1)
+    return sums
 
 
 def _lp_rows(traj, f, p: float) -> np.ndarray:
@@ -403,17 +407,22 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     q = (n + 2.0) / n
     ts, gw, u = traj.snap_t, traj.gvol_weights, traj.u
 
-    def terms(r, ramp, profile):
-        fv = ramp[r, None] * (profile[r] if profile.ndim == 2 else profile)
-        yield gw[r] * np.abs(fv) ** (2.0 * q)
+    fields = _sample_spacetime_fields(traj, samples, seed)
+
+    def terms(r):   # three sums per field; the face weights of w^2 are shared
         # int w^2 |grad f|^2 d(mu) with w = u averaged onto faces
         wf = 0.5 * (u[r, :-1] + u[r, 1:])
-        df = np.diff(fv, axis=1) / man.face_h
-        yield man.face_weights * wf**2 * df * df * man.face_h
-        yield gw[r] * fv * fv
+        fw_wf2 = man.face_weights * wf**2
+        for _, ramp, profile in fields:
+            fv = ramp[r, None] * (profile[r] if profile.ndim == 2 else profile)
+            yield gw[r] * np.abs(fv) ** (2.0 * q)
+            df = np.diff(fv, axis=1) / man.face_h
+            yield fw_wf2 * df * df * man.face_h
+            yield gw[r] * fv * fv
 
-    for name, ramp, profile in _sample_spacetime_fields(traj, samples, seed):
-        lhs_t, grad_t, l2_t = _row_sums(traj, lambda r: terms(r, ramp, profile))
+    sums = _row_sums(traj, terms)
+    for k, (name, _, _) in enumerate(fields):
+        lhs_t, grad_t, l2_t = sums[3 * k:3 * k + 3]
         lhs = float(np.trapezoid(lhs_t, ts)) ** (1.0 / q)
         rhs = (
             n / (n + 2.0)

@@ -224,6 +224,11 @@ def cmd_yamabe(args) -> int:
 
 
 def cmd_auxcheck(args) -> int:
+    for flag, value, least in (("--samples", args.samples, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"yflow auxcheck: {flag} must be an integer >= {least} (got {value})",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     ids = None
     if args.ineq:
         ids = [tok.strip() for tok in args.ineq.split(",") if tok.strip()]

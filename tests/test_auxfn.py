@@ -232,6 +232,11 @@ def test_check_inequality_frozen_cases():
     assert check_inequality("I3", AuxParams(beta=1.0, L=5.0), 2.0)
     # H(2,1,2) = 11/3 <= beta^2 x^{2 beta} = 64
     assert check_inequality("I1", AuxParams(beta=2.0, L=1.0), 2.0)
+    # scalar parameters reach the located constants as 0-d columns
+    tilde = AuxParams(beta=3.0, L=2.0, nu=0.3, n=4)
+    assert check_inequality("I9", tilde, 5.0)
+    assert check_inequality("I9", tilde, np.array([0.5, 2.0, 40.0]))
+    assert check_inequality("I11", AuxParams(beta=3.0, L=2.0, nu=3.0 / 7.0, n=4), 2.0)
 
 
 def test_check_inequality_region_errors():
@@ -340,3 +345,80 @@ def test_search_deterministic():
     a = run_catalogue(ids=["I6"], samples=4000, seed=42)[0]
     b = run_catalogue(ids=["I6"], samples=4000, seed=42)[0]
     assert a.worst_margin == b.worst_margin
+
+
+# --- located constants, one lookup per run of equal parameters ---------------
+
+
+def _per_sample(lookup, *cols):
+    """The per-sample loop that ``auxfn._per_run`` replaced, as a reference."""
+    cols = np.broadcast_arrays(*cols)
+    cast = [int if c.dtype.kind in "iu" else float for c in cols]
+    out = np.array([np.atleast_1d(lookup(*(k(c.flat[i]) for k, c in zip(cast, cols))))
+                    for i in range(cols[0].size)])
+    return tuple(v.reshape(cols[0].shape) for v in out.T)
+
+
+def _typed_lookup(calls):
+    def lookup(beta, nu, n):
+        # the cached constants are keyed by Python scalars
+        assert type(beta) is float and type(nu) is float and type(n) is int
+        calls.append((beta, nu, n))
+        return beta * nu + n, beta - n
+    return lookup
+
+
+@pytest.mark.parametrize("b, nu, n, runs", [
+    # tiled columns
+    (np.repeat([1.5, 2.5, 7.0], [4, 1, 3]), np.repeat([0.1, 0.2, 0.3], [4, 1, 3]),
+     np.repeat([3, 4, 5], [4, 1, 3]), 3),
+    # every run of length 1
+    (np.linspace(1.0, 2.0, 6), np.full(6, 0.25), np.full(6, 3), 6),
+    # two adjacent groups drawn with equal parameters form one run
+    (np.full(8, 2.0), np.full(8, 0.3), np.full(8, 4), 1),
+    # equal beta and nu, a new run where only n changes
+    (np.full(5, 2.0), np.full(5, 0.3), np.array([3, 3, 4, 4, 3]), 3),
+    # scalar nu and n broadcast against the beta column
+    (np.repeat([1.5, 9.0], [3, 2]), 0.3, 4, 2),
+    # 0-d input, as check_inequality passes it
+    (np.asarray(2.0), np.asarray(0.3), np.asarray(5), 1),
+], ids=["tiled", "length-1", "equal-adjacent", "n-only", "broadcast", "0-d"])
+def test_per_run_matches_per_sample_lookup(b, nu, n, runs):
+    calls = []
+    got = auxfn._per_run(_typed_lookup(calls), np.asarray(b, dtype=float),
+                         np.asarray(nu, dtype=float), np.asarray(n, dtype=int))
+    want = _per_sample(_typed_lookup([]), np.asarray(b, dtype=float),
+                       np.asarray(nu, dtype=float), np.asarray(n, dtype=int))
+    assert len(calls) == runs
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == np.shape(b)
+        assert g.tobytes() == w.tobytes()
+
+
+def test_catalogue_rows_equal_per_sample_lookup(monkeypatch):
+    rows = run_catalogue(["I9", "I11"], samples=60_000)
+    monkeypatch.setattr(auxfn, "_per_run", _per_sample)
+    assert rows == run_catalogue(["I9", "I11"], samples=60_000)
+
+
+@pytest.mark.parametrize("ineq_id, lookup_name, draw", [
+    ("I9", "locate_tilde_constants", auxfn._sample_tilde),
+    ("I11", "locate_chain_constant", auxfn._sample_pinned),
+])
+def test_scan_looks_up_once_per_parameter_group(monkeypatch, ineq_id, lookup_name, draw):
+    calls, groups = [], []
+    lookup = getattr(auxfn, lookup_name)
+
+    def counting(*args):
+        calls.append(args)
+        return lookup(*args)
+
+    def sampler(rng, size):
+        b, L, nu, n, x = draw(rng, size)
+        groups.append(len(set(zip(b.tolist(), nu.tolist(), n.tolist()))))
+        return b, L, nu, n, x
+
+    monkeypatch.setattr(auxfn, lookup_name, counting)
+    assert find_counterexample(ineq_id, sampler=sampler, budget=40_000) is None
+    assert len(calls) == sum(groups) < 100

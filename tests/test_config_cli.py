@@ -195,6 +195,50 @@ def test_auxcheck_unknown_inequality(capsys):
     assert main(["auxcheck", "--ineq", "I99"]) == 2
 
 
+# stdout of `yflow auxcheck --samples 40000 --sharpness`, byte for byte
+AUXCHECK_40K_SHARPNESS = """\
+inequality   samples  violations   worst margin
+I1             40000           0      0.000e+00
+I2             40000           0     -4.441e-16
+I3             40000           0    -3.122e-321
+I4             40000           0    -4.941e-323
+I5             40000           0      0.000e+00
+I6             40000           0      4.368e-42
+I7             40000           0     -3.902e-16
+I8             40000           0    -4.447e-323
+I9             40000           0    -2.124e-322
+I10            40000           0      0.000e+00
+I11            40000           0    -6.930e-316
+I12            40000           0     -9.709e-17
+I13            40000           0      0.000e+00
+LIMITS         40000           0      0.000e+00
+
+out-of-region sharpness probes:
+  I2: violated at beta=1.50432 L=1.54401 n=4 x=801553 (lhs 3.76303e-12 > rhs 0)
+  I4: violated at beta=1.20423 L=0.00238888 n=3 x=792.393 (lhs 0.00201549 > rhs 7.29145e-08)
+"""
+
+
+def test_auxcheck_golden_output(capsys):
+    assert main(["auxcheck", "--samples", "40000", "--sharpness"]) == 0
+    assert capsys.readouterr().out == AUXCHECK_40K_SHARPNESS
+
+
+# exit-code table: argv, exit code, a fragment of the one stderr line
+@pytest.mark.parametrize("argv, code, message", [
+    (["auxcheck", "--samples", "0"], 2, "--samples must be an integer >= 1 (got 0)"),
+    (["auxcheck", "--samples", "-3"], 2, "--samples must be an integer >= 1 (got -3)"),
+    (["auxcheck", "--samples", "0", "--sharpness"], 2, "--samples must be"),
+    (["auxcheck", "--seed", "-1"], 2, "--seed must be an integer >= 0 (got -1)"),
+], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
+        "auxcheck-samples-0-sharpness", "auxcheck-seed-negative"])
+def test_exit_codes(argv, code, message, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_moser_command(tmp_path, capsys):
     cfg = _write(tmp_path, SPHERE_CFG)
     assert main(["moser", "--config", cfg, "--beta", "2.0", "--kmax", "4"]) == 0
