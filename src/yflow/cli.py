@@ -35,10 +35,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _g17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _out_root() -> str:
     return os.environ.get("YFLOW_OUT") or "."
 
@@ -46,7 +42,10 @@ def _out_root() -> str:
 def write_timeseries(traj: Trajectory, path: str) -> None:
     cols = [getattr(traj, f) for _, f, _ in TIMESERIES_COLUMNS]
     lines = [",".join(col for col, _, _ in TIMESERIES_COLUMNS)]
-    lines.extend(",".join(map(_g17, row)) for row in zip(*cols))
+    # "%.17g" % v is f"{v:.17g}", for ±0, ±inf, nan and subnormals too; rows are
+    # read from the arrays, as .tolist() columns would hold every value at once
+    row_format = ",".join(["%.17g"] * len(cols))
+    lines.extend(row_format % row for row in zip(*cols))
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -57,11 +56,11 @@ def write_monitors(results, path: str) -> None:
         if not res.applicable:
             lines.append(f"{res.monitor_id},nan,nan,nan,nan,not_applicable")
             continue
-        for row in res.rows:
-            lines.append(
-                f"{res.monitor_id},{_g17(row.t)},{_g17(row.lhs)},{_g17(row.rhs)},"
-                f"{_g17(row.margin)},{'pass' if row.verdict else 'FAIL'}"
-            )
+        lines.extend(
+            "%s,%.17g,%.17g,%.17g,%.17g,%s" % (res.monitor_id, row.t, row.lhs, row.rhs,
+                                               row.margin, "pass" if row.verdict else "FAIL")
+            for row in res.rows
+        )
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -230,8 +229,12 @@ def cmd_auxcheck(args) -> int:
                   file=sys.stderr)
             return EXIT_CONFIG
     ids = None
-    if args.ineq:
+    if args.ineq is not None:
         ids = [tok.strip() for tok in args.ineq.split(",") if tok.strip()]
+        if not ids:
+            print(f"yflow auxcheck: --ineq names no inequality (got {args.ineq!r})",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         for ineq_id in ids:
             if ineq_id not in auxfn.catalogue_ids():
                 print(f"unknown inequality {ineq_id!r}", file=sys.stderr)

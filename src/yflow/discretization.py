@@ -5,7 +5,8 @@ Laplacian is the conservative flux stencil ``(1/w) D(w Df)`` with weight
 ``w = phi^{n-1}`` sampled at the face midpoints and zero flux through both
 ends.  This makes constants exactly harmonic and yields an exact discrete
 integration-by-parts identity against :func:`dirichlet_form`, which the
-variational quantities downstream rely on.
+variational quantities downstream rely on.  Both read the face conductances
+``face_weights / face_h`` cached on the manifold.
 
 Tridiagonal systems are solved by LAPACK ``dgtsv``, the routine
 ``scipy.linalg.solve_banded((1, 1), ...)`` reaches, bound with ``ctypes``
@@ -80,11 +81,14 @@ def laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
 
 def _laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     # unchecked body, along the last axis: row by row on a (rows x nodes) block
-    flux = manifold.face_weights * (f[..., 1:] - f[..., :-1]) / manifold.face_h
-    out = np.zeros_like(f)
-    out[..., :-1] += flux
-    out[..., 1:] -= flux
-    return out / manifold.mu_weights
+    flux = f[..., 1:] - f[..., :-1]
+    flux *= manifold.conductance
+    out = np.empty_like(f)
+    np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:-1])
+    out[..., 0] = flux[..., 0]
+    out[..., -1] = -flux[..., -1]
+    out /= manifold.mu_weights
+    return out
 
 
 def conformal_laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
@@ -106,9 +110,9 @@ def dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g=None) -> floa
 
 
 def _dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g: np.ndarray) -> float:
-    df = (f[1:] - f[:-1]) / manifold.face_h
-    dg = df if g is f else (g[1:] - g[:-1]) / manifold.face_h
-    return float((manifold.face_weights * df * dg * manifold.face_h).sum())
+    df = f[1:] - f[:-1]
+    dg = df if g is f else g[1:] - g[:-1]
+    return float(np.add.reduce(manifold.conductance * df * dg))
 
 
 def gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
@@ -162,17 +166,11 @@ class TridiagonalOperator:
 
     @classmethod
     def laplacian(cls, manifold: DiscretizedManifold) -> "TridiagonalOperator":
-        cw = manifold.face_weights / manifold.face_h
-        m = manifold.mu_weights
-        npts = manifold.node_count
-        sub = np.zeros(npts)
-        diag = np.zeros(npts)
-        sup = np.zeros(npts)
+        cw, m = manifold.conductance, manifold.mu_weights
+        sub, sup = np.zeros(manifold.node_count), np.zeros(manifold.node_count)
         sup[:-1] = cw / m[:-1]
-        diag[:-1] -= cw / m[:-1]
         sub[1:] = cw / m[1:]
-        diag[1:] -= cw / m[1:]
-        return cls(sub=sub, diag=diag, sup=sup)
+        return cls(sub=sub, diag=-(sub + sup), sup=sup)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -194,11 +192,7 @@ class TridiagonalOperator:
         npts = self.diag.size
         # dgtsv overwrites its inputs, so it gets copies: sub[1:], diag,
         # sup[:-1] and rhs back to back; the solution ends in the last block
-        work = np.empty(4 * npts - 2)
-        work[: npts - 1] = self.sub[1:]
-        work[npts - 1 : 2 * npts - 1] = self.diag
-        work[2 * npts - 1 : 3 * npts - 2] = self.sup[:-1]
-        work[3 * npts - 2 :] = rhs
+        work = np.concatenate((self.sub[1:], self.diag, self.sup[:-1], rhs))
         if _gtsv()(work, npts) != 0:
             raise np.linalg.LinAlgError("singular matrix")
         return work[3 * npts - 2 :]
@@ -213,13 +207,12 @@ def _gtsv():
     (64-bit integers) from numpy's bundled OpenBLAS, else falls back to
     ``scipy.linalg.lapack.dgtsv``.
     """
-    import glob     # here, not at the top: only a flow's first solve needs it
-
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
-        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
-        fn = lib.scipy_dgtsv_64_
-    except (IndexError, OSError, AttributeError):
+        name = next(f for f in os.listdir(libs)
+                    if f.startswith("libscipy_openblas64_") and f.endswith(".so"))
+        fn = ctypes.CDLL(os.path.join(libs, name)).scipy_dgtsv_64_
+    except (StopIteration, OSError, AttributeError):
         return _scipy_gtsv
 
     i64 = ctypes.POINTER(ctypes.c_int64)

@@ -8,7 +8,8 @@ accepts the new factor; only a failing one is diagnosed further.  The
 continuous flow preserves the total volume; the discrete one drifts by
 O(dt^2) per step, so every accepted step is projected back onto the
 unit-volume slice, where ``FlowState.from_u`` validates u and evaluates S,
-rho and the volume once.
+the volume weights and ``rho = int S dVol_g`` once each, from u alone;
+:meth:`Trajectory.validate` checks the final rho against the Dirichlet form.
 
 The step controller grows dt by 1.2x on success up to ``dt_max``, halves
 it when a step loses positivity, and additionally caps dt by the explicit
@@ -18,8 +19,8 @@ for a fixed configuration; independent runs can execute concurrently.
 
 A run is stored as columns (:class:`Trajectory`): one vector per
 ``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
-array each for u, S and the volume weights.  ``run`` appends each row to
-growable buffers and views them as numpy arrays at the end, without a copy.
+array each for u, S and the volume weights.  ``run`` appends each row to a
+flat growable buffer and reshapes the buffers into columns at the end.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .discretization import TridiagonalOperator, critical_exponent, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
-from .yamabe import FlowState, _unit_volume
+from .yamabe import FlowState, _unit_volume, average_scalar
 
 __all__ = [
     "FlowConfig",
@@ -133,32 +134,33 @@ def step(
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     n = manifold.n
-    N = flow_exponent(n)
     u = state.u
-    dt_diff = dt * ((n - 1) * u ** (1.0 - N))
-    reaction = 0.25 * (n - 2) * (state.rho * u - manifold.S0 * u ** (2.0 - N))
-
+    w = u ** (1.0 - flow_exponent(n))          # u^{1-N}
+    # u + dt (n-2)/4 (rho u - S0 u^{2-N}), with u^{2-N} = u^{1-N} u
+    c = 0.25 * (n - 2) * dt
+    rhs = manifold.S0 * w
+    rhs *= -c
+    rhs += 1.0 + c * state.rho
+    rhs *= u
+    # I - dt (n-1) u^{1-N} Lap, row by row
+    w *= -dt * (n - 1)
     lap = manifold.laplacian_bands
-    op = TridiagonalOperator(
-        sub=-(dt_diff * lap.sub),
-        diag=1.0 - dt_diff * lap.diag,
-        sup=-(dt_diff * lap.sup),
-    )
-    u_new = op.solve(u + dt * reaction)
+    diag = w * lap.diag
+    diag += 1.0
+    u_new = TridiagonalOperator(sub=w * lap.sub, diag=diag, sup=w * lap.sup).solve(rhs)
 
     # one min/max test; NaN fails both comparisons
-    if not (u_new.min() > positivity_floor and u_new.max() < math.inf):
+    if not (np.minimum.reduce(u_new) > positivity_floor
+            and np.maximum.reduce(u_new) < math.inf):
         if not np.isfinite(u_new).all():
             bad = int(np.argmax(~np.isfinite(u_new)))
-            raise SolverAbort(
-                f"non-finite conformal factor at node {bad} "
-                f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})",
-                state=state,
-            )
+            raise SolverAbort(f"non-finite conformal factor at node {bad} "
+                              f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})", state=state)
         bad = int(np.argmax(u_new <= positivity_floor))
         raise StepRejected(dt, bad, float(u_new[bad]))
 
-    gvol = manifold.mu_weights * u_new ** critical_exponent(n)
+    gvol = u_new ** critical_exponent(n)
+    gvol *= manifold.mu_weights
     raw = FlowState(t=state.t + dt, u=u_new, S=None, rho=state.rho, gvol_weights=gvol)
     return renormalize_volume(manifold, raw) if renormalize else raw
 
@@ -200,36 +202,41 @@ class Trajectory:
     gvol_weights: np.ndarray
 
     def validate(self) -> None:
+        """Check times, snapshot volumes, and the final rho against the Dirichlet form."""
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
         off = np.abs(np.sum(self.gvol_weights, axis=1) - 1.0) > self.config.vol_tol
         if off.any():
             t = self.snap_t[off.argmax()]
             raise ValueError(f"snapshot at t={t:g} violates volume tolerance")
+        rho = self.rho[-1]
+        dirichlet = average_scalar(self.manifold, self.u[-1])
+        scale = float(np.add.reduce(self.gvol_weights[-1] * np.abs(self.S[-1])))
+        if abs(rho - dirichlet) > 1e-12 * scale:
+            raise ValueError(f"final rho {rho:.17g} disagrees with the Dirichlet form "
+                             f"{dirichlet:.17g}")
 
 
 def _record_of(state: FlowState, step_index: int, dt: float) -> tuple:
     """``step`` and the RECORD_COLUMNS of one state, and its ``max|S - rho|``."""
-    S, gw = state.S, state.gvol_weights
-    s_min = float(S.min())
-    d = S - state.rho
+    S, gw, rho = state.S, state.gvol_weights, state.rho
+    s_min, s_max = float(np.minimum.reduce(S)), float(np.maximum.reduce(S))
+    d = S - rho
     # S_- = max(-S, 0) is zero when S >= 0; max(0.0, x) keeps +0.0 for x = -0.0
     s_minus_l2 = lp_norm(np.maximum(-S, 0.0), 2.0, gw) if s_min < 0.0 else 0.0
     row = (
-        step_index, state.t, dt, state.rho, state.volume,
-        float(state.u.min()), float(state.u.max()), s_min, float(S.max()),
-        s_minus_l2, max(0.0, -s_min), float((gw * d ** 2).sum()),
+        step_index, state.t, dt, rho, state.volume,
+        float(np.minimum.reduce(state.u)), float(np.maximum.reduce(state.u)), s_min, s_max,
+        s_minus_l2, max(0.0, -s_min), float(np.add.reduce(gw * d * d)),
     )
-    return row, float(np.abs(d).max())
+    # rounding is monotone, so max|S_i - rho| sits at an extreme of S
+    return row, max(s_max - rho, rho - s_min)
 
 
-def _append(columns: tuple, row: tuple) -> None:
-    """Append one row to growable ``array`` columns; a field adds all its node values."""
-    for col, value in zip(columns, row):
-        if isinstance(value, np.ndarray):
-            col.frombytes(value.tobytes())
-        else:
-            col.append(value)
+def _snapshot(buffer: array, step_index: int, state: FlowState) -> None:
+    """Append one snapshot row: step, t and the node values of u, S and gvol_weights."""
+    buffer.extend((step_index, state.t))
+    buffer.frombytes(np.concatenate((state.u, state.S, state.gvol_weights)).tobytes())
 
 
 def run(
@@ -255,10 +262,8 @@ def run(
     state = initial_state if initial_state is not None else FlowState.initial(manifold)
     ledger = BoundLedger.from_manifold(manifold)
     ledger.rho0 = state.rho if rho0 is None else rho0
-    # growable columns: snap_step, snap_t, then u, S and gvol_weights in one buffer,
-    # row by row (three buffers growing side by side fragment the heap)
-    records = (array("q"),) + tuple(array("d") for _ in RECORD_COLUMNS)
-    snapshots = (array("q"), array("d"), array("d"))
+    # growable row-major buffers, one row per record and per snapshot
+    records, snapshots = array("d"), array("d")
 
     k = initial_step
     dt_nominal = initial_dt if initial_dt is not None else config.dt_init
@@ -267,8 +272,8 @@ def run(
     T = config.T_final
 
     row, reaction = _record_of(state, k, 0.0)
-    _append(records, row)
-    _append(snapshots, (k, state.t, np.concatenate((state.u, state.S, state.gvol_weights))))
+    records.extend(row)
+    _snapshot(snapshots, k, state)
 
     while state.t < T * (1.0 - 1e-14):
         dt_cap = config.cfl * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
@@ -292,9 +297,9 @@ def run(
 
         k += 1
         row, reaction = _record_of(state, k, dt_eff)
-        _append(records, row)
+        records.extend(row)
         if k % config.snapshot_every == 0 or state.t >= T * (1.0 - 1e-14):
-            _append(snapshots, (k, state.t, np.concatenate((state.u, state.S, state.gvol_weights))))
+            _snapshot(snapshots, k, state)
 
         dt_nominal = min(dt_nominal * 1.2, config.dt_max)
         if config.checkpoint_every and checkpoint_dir is not None and (
@@ -303,11 +308,12 @@ def run(
             path = os.path.join(checkpoint_dir, f"step{k:08d}.ckpt")
             checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
 
-    traj = Trajectory(
-        manifold, config, ledger,
-        *(np.frombuffer(col, dtype=col.typecode) for col in records + snapshots[:2]),
-        *np.frombuffer(snapshots[2]).reshape(-1, 3, manifold.node_count).transpose(1, 0, 2),
-    )
+    # step indices stay below 2^53, so the float buffers hold them exactly
+    rec = np.frombuffer(records).reshape(-1, 1 + len(RECORD_COLUMNS)).T.copy()
+    snap = np.frombuffer(snapshots).reshape(-1, 2 + 3 * manifold.node_count)
+    traj = Trajectory(manifold, config, ledger, rec[0].astype(np.int64), *rec[1:],
+                      snap[:, 0].astype(np.int64), snap[:, 1].copy(),
+                      *snap[:, 2:].reshape(len(snap), 3, -1).transpose(1, 0, 2))
     ledger.sup_u = float(traj.max_u.max())
     ledger.inf_u = float(traj.min_u.min())
     traj.validate()

@@ -227,6 +227,16 @@ class DiscretizedManifold:
         return float(self.face_h.max())
 
     @functools.cached_property
+    def conductance(self) -> np.ndarray:
+        """Face conductances ``face_weights / face_h`` of the flux stencil."""
+        return self.face_weights / self.face_h
+
+    @functools.cached_property
+    def mu_S0(self) -> np.ndarray:
+        """``mu_weights * S0``, the background curvature as a measure."""
+        return self.mu_weights * self.S0
+
+    @functools.cached_property
     def laplacian_bands(self):
         """The Laplacian as a tridiagonal operator, built on first use."""
         from .discretization import TridiagonalOperator   # imports this module

@@ -6,10 +6,10 @@ the conformal Rayleigh quotient, and a projected-gradient estimate of the
 quotient's infimum all live here, together with the derived Sobolev
 constants.
 
-The average curvature is computed from the Dirichlet-form expression
-``rho = int kappa |grad u|^2 + S0 u^2 d(mu)``; because the discrete
-integration by parts is exact, this equals ``int S dVol_g`` to rounding
-whenever the volume is one, so the second form is never evaluated.
+A flow state's average curvature is ``rho = int S dVol_g``.  The discrete
+integration by parts is exact, so it equals the Dirichlet form
+``int kappa |grad u|^2 + S0 u^2 d(mu)`` of :func:`average_scalar` to
+rounding; a finished run compares the two once, on its final snapshot.
 """
 from __future__ import annotations
 
@@ -63,16 +63,26 @@ class YamabeSignError(ValueError):
     """Positive Yamabe constant assumption violated."""
 
 
-def _require_positive(u: np.ndarray) -> None:
-    if u.min() <= 0.0:
+def _positive_field(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
+    """u checked as a field of the manifold, and positive."""
+    u = check_field(manifold, u)
+    if np.minimum.reduce(u) <= 0.0:
         bad = int(np.argmax(u <= 0.0))
         raise PositivityError(bad, float(u[bad]))
+    return u
+
+
+def _require_unit_volume(volume: float) -> None:
+    if abs(volume - 1.0) > 1e-8:
+        raise VolumeError(
+            f"evolving volume {volume:.12g} is outside tolerance 1e-08 of 1; "
+            "renormalize the state first"
+        )
 
 
 def scalar_curvature_flow(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
     """Scalar curvature of ``u^{4/(n-2)} g0``: ``u^{-(n+2)/(n-2)} L0(u)``."""
-    u = check_field(manifold, u)
-    _require_positive(u)
+    u = _positive_field(manifold, u)
     return _conformal_laplacian(manifold, u) * u ** (-flow_exponent(manifold.n))
 
 
@@ -86,29 +96,19 @@ def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.n
 
 def _energy(manifold: DiscretizedManifold, v: np.ndarray) -> float:
     """Conformal energy ``int kappa |grad v|^2 + S0 v^2 d(mu)``; v is not checked."""
-    mu_s0 = manifold.mu_weights * manifold.S0
-    return kappa(manifold.n) * _dirichlet_form(manifold, v, v) + float((mu_s0 * v * v).sum())
+    return (kappa(manifold.n) * _dirichlet_form(manifold, v, v)
+            + float(np.add.reduce(manifold.mu_S0 * v * v)))
 
 
-def average_scalar(
-    manifold: DiscretizedManifold, u: np.ndarray, vol_tol: float = 1e-8,
-    volume: Optional[float] = None,
-) -> float:
+def average_scalar(manifold: DiscretizedManifold, u: np.ndarray) -> float:
     """Volume-normalized average scalar curvature of the evolving metric.
 
-    ``volume``, when given, is ``int u^p d(mu)`` already summed by a caller
-    that has validated u, as :meth:`FlowState.from_u` has through
-    :func:`scalar_curvature_flow`; u is then not checked again.
+    The Dirichlet form of u; it equals the ``int S dVol_g`` of
+    :meth:`FlowState.from_u` to rounding.
     """
-    if volume is None:
-        u = check_field(manifold, u)
-        _require_positive(u)
-        volume = float((manifold.mu_weights * u ** critical_exponent(manifold.n)).sum())
-    if abs(volume - 1.0) > vol_tol:
-        raise VolumeError(
-            f"evolving volume {volume:.12g} is outside tolerance {vol_tol:g} of 1; "
-            "renormalize the state first"
-        )
+    u = _positive_field(manifold, u)
+    p = critical_exponent(manifold.n)
+    _require_unit_volume(float(np.add.reduce(manifold.mu_weights * u ** p)))
     return _energy(manifold, u)
 
 
@@ -117,10 +117,10 @@ class FlowState:
     """One snapshot of the conformal flow.
 
     ``S`` caches the scalar curvature of the current metric, ``rho`` its
-    average, ``gvol_weights`` the per-node weights of the evolving volume
-    measure and ``volume`` their sum (summed on construction unless given).
-    :meth:`from_u` evaluates each of them once and validates u once; the
-    raw state of ``flow.step(..., renormalize=False)`` is the one
+    average ``int S dVol_g``, ``gvol_weights`` the per-node weights of the
+    evolving volume measure and ``volume`` their sum (summed on construction
+    unless given).  :meth:`from_u` builds each of them once, from u alone;
+    the raw state of ``flow.step(..., renormalize=False)`` is the one
     exception, with ``S = None`` and the previous ``rho``.
     """
 
@@ -133,7 +133,7 @@ class FlowState:
 
     def __post_init__(self):
         if self.volume is None:
-            self.volume = float(self.gvol_weights.sum())
+            self.volume = float(np.add.reduce(self.gvol_weights))
 
     @classmethod
     def initial(
@@ -144,17 +144,17 @@ class FlowState:
     ) -> "FlowState":
         if u is None:
             u = np.ones(manifold.node_count)
-        u = check_field(manifold, u)
-        _require_positive(u)
-        return cls.from_u(manifold, _unit_volume(manifold, u), t)
+        return cls.from_u(manifold, _unit_volume(manifold, _positive_field(manifold, u)), t)
 
     @classmethod
     def from_u(cls, manifold: DiscretizedManifold, u: np.ndarray, t: float) -> "FlowState":
+        """The state of a unit-volume u; raises VolumeError off the slice."""
         S = scalar_curvature_flow(manifold, u)    # validates u
         gvol = manifold.mu_weights * u ** critical_exponent(manifold.n)
-        volume = float(gvol.sum())
-        rho = average_scalar(manifold, u, volume=volume)
-        return cls(t=t, u=u, S=S, rho=rho, gvol_weights=gvol, volume=volume)
+        volume = float(np.add.reduce(gvol))
+        _require_unit_volume(volume)
+        return cls(t=t, u=u, S=S, rho=float(np.add.reduce(gvol * S)), gvol_weights=gvol,
+                   volume=volume)
 
 
 def yamabe_quotient(manifold: DiscretizedManifold, v: np.ndarray) -> float:

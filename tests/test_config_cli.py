@@ -230,8 +230,12 @@ def test_auxcheck_golden_output(capsys):
     (["auxcheck", "--samples", "-3"], 2, "--samples must be an integer >= 1 (got -3)"),
     (["auxcheck", "--samples", "0", "--sharpness"], 2, "--samples must be"),
     (["auxcheck", "--seed", "-1"], 2, "--seed must be an integer >= 0 (got -1)"),
+    (["auxcheck", "--ineq", ","], 2, "--ineq names no inequality (got ',')"),
+    (["auxcheck", "--ineq", ""], 2, "--ineq names no inequality (got '')"),
+    (["auxcheck", "--ineq", " , ", "--sharpness"], 2, "--ineq names no inequality"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
-        "auxcheck-samples-0-sharpness", "auxcheck-seed-negative"])
+        "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
+        "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness"])
 def test_exit_codes(argv, code, message, capsys):
     assert main(argv) == code
     out, err = capsys.readouterr()
@@ -365,3 +369,31 @@ def test_crashing_sweep_worker_exits_three(tmp_path, capsys, monkeypatch):
             in captured.err.splitlines())
     assert f"sweep {out / 'grid.M=64'}: exit 0" in captured.out.splitlines()
     assert (out / "grid.M=64" / "monitors.csv").is_file()
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                  np.float64(1.0 / 3.0), 1e300, 43.82285291353398]
+
+
+def test_csv_writers_format_like_fstrings(tmp_path):
+    # one %-format per row must print every value as f"{v:.17g}" does
+    from types import SimpleNamespace
+
+    from yflow.bounds import MonitorResult
+
+    cols = {f: np.roll(np.array(SPECIAL_VALUES, dtype=float), i)
+            for i, (_, f, _) in enumerate(yflow.cli.TIMESERIES_COLUMNS)}
+    path = tmp_path / "timeseries.csv"
+    yflow.cli.write_timeseries(SimpleNamespace(**cols), str(path))
+    rows = path.read_text().splitlines()[1:]
+    assert rows == [",".join(f"{cols[f][r]:.17g}" for _, f, _ in yflow.cli.TIMESERIES_COLUMNS)
+                    for r in range(len(SPECIAL_VALUES))]
+
+    res = MonitorResult("probe")
+    for v in SPECIAL_VALUES:
+        res.add(v, v, 1.0, v == v)
+    path = tmp_path / "monitors.csv"
+    yflow.cli.write_monitors([res], str(path))
+    assert path.read_text().splitlines()[1:] == [
+        f"probe,{r.t:.17g},{r.lhs:.17g},{r.rhs:.17g},{r.margin:.17g},"
+        f"{'pass' if r.verdict else 'FAIL'}" for r in res.rows]

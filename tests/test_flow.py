@@ -123,6 +123,14 @@ def test_times_strictly_increasing(bumpy128_run):
     bumpy128_run.validate()
 
 
+def test_validate_checks_final_rho_against_dirichlet_form(bumpy128):
+    traj = run(bumpy128, FlowConfig(T_final=0.02, dt_init=1e-3, dt_max=1e-3))
+    traj.validate()
+    traj.rho[-1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="Dirichlet form"):
+        traj.validate()
+
+
 def test_step_rejection_on_positivity():
     # where S0 exceeds rho the factor moves down ~ dt (S0 - rho)/4; against
     # a tight floor that must reject the step, never clip it

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yflow.discretization import conformal_laplacian, critical_exponent, flow_exponent
 from yflow.flow import StepRejected, renormalize_volume, step
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
-from yflow.yamabe import FlowState
+from yflow.yamabe import FlowState, average_scalar
 
 STEPS = 4
 GRIDS = st.sampled_from([32, 64, 128])
@@ -48,3 +49,43 @@ def test_round_sphere_is_a_fixed_point(M, dt):
         state = step(m, state, dt)
     assert np.max(np.abs(state.u - 1.0)) <= 1e-12
     assert state.rho == pytest.approx(st0.rho, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 5]), eps=st.floats(0.0, 0.3), M=GRIDS, dt=DTS)
+def test_step_invariants_in_higher_dimensions(n, eps, M, dt):
+    m = build_manifold(perturbed_sphere(eps, n=n), RadialGrid(M=M, gamma=2.0))
+    state = FlowState.initial(m)
+    for _ in range(STEPS):
+        try:
+            raw = step(m, state, dt, renormalize=False)
+        except StepRejected:
+            return
+        new = step(m, state, dt)
+        assert _same_bits(new, renormalize_volume(m, raw))
+        assert abs(new.volume - 1.0) <= 1e-12
+        assert np.all(new.u > 0.0)
+        assert new.rho <= state.rho + 1e-14 * abs(state.rho)
+        state = new
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4, 5, 6]), eps=st.floats(0.0, 0.3), M=GRIDS,
+       amp=st.floats(-0.2, 0.2), dt=DTS)
+def test_state_matches_reference_formulas(n, eps, M, amp, dt):
+    # S, the volume weights and rho of a state, initial and after a step,
+    # against their defining formulas and the Dirichlet form of rho
+    m = build_manifold(perturbed_sphere(eps, n=n), RadialGrid(M=M, gamma=2.0))
+    x = m.nodes / m.x_max
+    state = FlowState.initial(m, 1.0 + amp * np.cos(np.pi * x))
+    try:
+        states = (state, step(m, state, dt))
+    except StepRejected:
+        states = (state,)
+    for s in states:
+        u = s.u
+        np.testing.assert_allclose(
+            s.S, conformal_laplacian(m, u) * u ** (-flow_exponent(n)), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            s.gvol_weights, m.mu_weights * u ** critical_exponent(n), rtol=1e-12, atol=0.0)
+        assert s.rho == pytest.approx(average_scalar(m, u), rel=1e-12, abs=0.0)
