@@ -6,6 +6,10 @@ gives identical verdicts, and no monitor can alter the flow.  Monitors read
 the trajectory's columns; per-snapshot norms are row reductions over its
 (snapshots x nodes) arrays, taken a block of rows at a time (:func:`_row_sums`).
 
+Hypotheses: ``REQUIRES`` names those of ``geometry.HYPOTHESES`` that a monitor
+(or a group of its rows) needs; where the ledger's verdict on one is a failure,
+the monitor is not applicable (the rows skipped), noting the table's reason.
+
 Slack discipline: inequalities with explicit constants are asserted with
 multiplicative slack ``1 + 10 h^2 + 10 dt`` (h the widest grid face, dt
 the largest accepted step) plus a tiny absolute floor for zero right-hand
@@ -24,7 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .discretization import _gradient, _laplacian, lp_norm
-from .geometry import DiscretizedManifold
+from .geometry import AuditCheck, DiscretizedManifold, hypothesis_verdicts
 
 __all__ = [
     "BoundLedger",
@@ -38,6 +42,7 @@ __all__ = [
     "check_parabolic_sobolev",
     "check_energy_decay",
     "moser_chain",
+    "check_chain_parameters",
     "ChainLevel",
     "ChainReport",
     "cutoff_times",
@@ -45,6 +50,7 @@ __all__ = [
     "refinement_ratio",
     "run_monitors",
     "MONITOR_NAMES",
+    "REQUIRES",
 ]
 
 P_DEFAULT = (2.0, 4.0, 8.0, math.inf)
@@ -61,8 +67,7 @@ class BoundLedger:
     s0_inf: float = math.nan
     s0_lq: float = math.nan
     s0_plus_ln2: float = math.nan
-    s0_bounded: bool = True
-    s0_minus_bounded: bool = True
+    hypotheses: Dict[str, AuditCheck] = field(default_factory=dict)   # at q = n^2/(2(n-2))
     sup_u: float = -math.inf
     inf_u: float = math.inf
     y_est: Optional[float] = None
@@ -81,10 +86,9 @@ class BoundLedger:
         led = cls()
         led.s0_minus_lp = {p: lp_norm(sm, p, mu) for p in ps}
         led.s0_inf = float(s0.min())
-        led.s0_lq = lp_norm(s0, n * n / (2.0 * (n - 2.0)), mu)
+        led.hypotheses = hypothesis_verdicts(manifold, n * n / (2.0 * (n - 2.0)))
+        led.s0_lq = led.hypotheses["s0_lq_finite"].value    # lp_norm(s0, q, mu), bit for bit
         led.s0_plus_ln2 = lp_norm(np.maximum(s0, 0.0), n / 2.0, mu)
-        led.s0_bounded = not manifold.s0_unbounded()
-        led.s0_minus_bounded = not manifold.s0_minus_unbounded()
         return led
 
     def attach_sobolev(self, manifold: DiscretizedManifold, y_est: float) -> None:
@@ -150,13 +154,6 @@ class MonitorResult:
         self.add(t, lhs, bound, ok)
         return ok
 
-    def record_violations(self, ledger: BoundLedger) -> None:
-        for row in self.rows:
-            if not row.verdict:
-                ledger.violations.append(
-                    (self.monitor_id, row.t, row.lhs, row.rhs, row.margin)
-                )
-
 
 def slack_epsilon(traj) -> float:
     return 10.0 * traj.manifold.h_max**2 + 10.0 * float(traj.dt.max())
@@ -204,9 +201,7 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
         raise ValueError("p must lie in [2, inf]")
     led = traj.ledger
     res = MonitorResult(monitor_id=f"s_minus_decay_p{'inf' if p == math.inf else int(p)}")
-    if p == math.inf and not led.s0_minus_bounded:
-        res.applicable = False
-        res.notes.append("(S0)_- unbounded at a cone tip; sup-norm bound unavailable")
+    if not _applies(res, led, res.monitor_id):
         return res
     eps = slack_epsilon(traj)
     atol = 1e-10 * (1.0 + abs(led.rho0))
@@ -218,7 +213,6 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     for t, v in zip(traj.snap_t.tolist(), sums.tolist()):
         growth = 1.0 if p == math.inf else math.exp(t * n * led.rho0 / (2.0 * p))
         res.add_upper(t, v if p == math.inf else v ** (1.0 / p), growth * base, eps, atol)
-    res.record_violations(led)
     return res
 
 
@@ -243,7 +237,6 @@ def check_scal_lower(traj) -> MonitorResult:
             res.add(t, lhs, bound - tol, lhs >= bound - tol)
     if s_min0 > 0.0:
         res.notes.append("inf S0 > 0: rational positive-branch floor asserted as well")
-    res.record_violations(led)
     return res
 
 
@@ -255,9 +248,7 @@ def check_u_upper(traj) -> MonitorResult:
     """
     led = traj.ledger
     res = MonitorResult(monitor_id="u_upper")
-    if not led.s0_minus_bounded:
-        res.applicable = False
-        res.notes.append("(S0)_- unbounded; exponential bound not applicable")
+    if not _applies(res, led, res.monitor_id):
         return res
     n = traj.manifold.n
     C = 0.25 * (n - 2) * (led.s0_minus_lp[math.inf] + led.rho0)
@@ -265,7 +256,6 @@ def check_u_upper(traj) -> MonitorResult:
     eps = slack_epsilon(traj)
     for t, max_u in zip(traj.t.tolist(), traj.max_u.tolist()):
         res.add_upper(t, max_u, math.exp(C * t), eps)
-    res.record_violations(led)
     return res
 
 
@@ -288,7 +278,7 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
     res.add(float(traj.t[-1]), inf_u, 0.0, inf_u > 0.0)
     res.notes.append(f"running inf u = {inf_u:.12g}")
 
-    if led.s0_minus_bounded:
+    if _applies(res, led, "u_lower/supersolution"):
         pfield = (n - 2) / (4.0 * (n - 1)) * (
             man.S0 + led.sup_u ** (4.0 / (n - 2)) * led.s0_minus_lp[math.inf]
         )
@@ -298,12 +288,9 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
         for t, lhs, peak in zip(traj.snap_t.tolist(), lows.tolist(), peaks.tolist()):
             tol = eps * (1.0 + peak)
             res.add(t, lhs, -tol, lhs >= -tol)
-    else:
-        res.notes.append("supersolution check skipped: (S0)_- unbounded")
 
     if refined is not None:
         _add_refinement(res, traj, refined, "inf_u")
-    res.record_violations(led)
     return res
 
 
@@ -337,7 +324,6 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     if refined is not None:
         for quantity in ("late_sup_abs_s", "s_time_integral"):
             _add_refinement(res, traj, refined, quantity)
-    res.record_violations(led)
     return res
 
 
@@ -397,9 +383,9 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     """
     led = traj.ledger
     res = MonitorResult(monitor_id="parabolic_sobolev")
-    if led.A_T is None or led.B_T is None:
-        res.applicable = False
-        res.notes.append("Sobolev constants unavailable (no Yamabe estimate or S0 unbounded)")
+    missing = led.A_T is None or led.B_T is None
+    if not _applies(res, led, res.monitor_id,
+                    "Sobolev constants unavailable (no Yamabe estimate)" if missing else None):
         return res
     man = traj.manifold
     n = man.n
@@ -431,7 +417,6 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
         )
         if not res.add_upper(float(ts[-1]), lhs, rhs, eps):
             res.notes.append(f"violated by field {name}")
-    res.record_violations(led)
     return res
 
 
@@ -463,7 +448,7 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
         f"energy initial {energies[0]:.12g} final {energies[-1]:.12g}"
     )
 
-    if led.s0_minus_bounded:
+    if _applies(res, led, "energy_decay/h1_ceiling"):
         man, u = traj.manifold, traj.u
         ceiling = 0.25 * (man.n + 2) * (led.rho0 + led.s0_minus_lp[math.inf])
         eps = slack_epsilon(traj)
@@ -476,9 +461,6 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
         l2, g2 = _row_sums(traj, terms)
         for t, a, b in zip(traj.snap_t.tolist(), l2.tolist(), g2.tolist()):
             res.add_upper(t, math.sqrt(a + b), ceiling, eps)
-    else:
-        res.notes.append("H1 ceiling skipped: (S0)_- unbounded")
-    res.record_violations(led)
     return res
 
 
@@ -564,6 +546,14 @@ def _cylinder_norm(ts: np.ndarray, vals: np.ndarray, q: float, t_lo: float) -> f
     return float(np.trapezoid(vcut, tcut)) ** (1.0 / q)
 
 
+def check_chain_parameters(beta: float, k_max: int) -> None:
+    """Raise ValueError unless ``beta > 1`` and ``1 <= k_max <= 8``."""
+    if not beta > 1.0:
+        raise ValueError(f"chain exponent beta must exceed 1 (got {beta:g})")
+    if not 1 <= k_max <= 8:
+        raise ValueError(f"k_max must lie in [1, 8] (got {k_max})")
+
+
 def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
     """Norm bootstrap ledger over the nested space-time cylinders.
 
@@ -574,10 +564,7 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
     constant is non-constructive, so only finiteness and refinement
     stability are asserted by callers.
     """
-    if not beta > 1.0:
-        raise ValueError("chain exponent beta must exceed 1")
-    if not 1 <= k_max <= 8:
-        raise ValueError("k_max must lie in [1, 8]")
+    check_chain_parameters(beta, k_max)
     n = traj.manifold.n
     N = n * n / (n * n - 2.0 * n + 4.0)
     q_hi = (n + 2.0) / n
@@ -652,6 +639,37 @@ _MONITORS = {
 }
 MONITOR_NAMES = tuple(_MONITORS)
 
+# gated result -> the hypotheses it needs: a monitor id, or "<monitor>/<rows>"
+# for a group of that monitor's rows
+REQUIRES = {
+    "s_minus_decay_pinf": ("s0_minus_bounded",),
+    "u_upper": ("s0_minus_bounded",),
+    "u_lower/supersolution": ("s0_minus_bounded",),
+    "parabolic_sobolev": ("s0_bounded",),
+    "energy_decay/h1_ceiling": ("s0_minus_bounded",),
+}
+
+
+def _applies(res: MonitorResult, ledger: BoundLedger, gated: str,
+             unavailable: Optional[str] = None) -> bool:
+    """Whether each hypothesis ``REQUIRES[gated]`` names holds, and no reason is ``unavailable``.
+
+    If not, the first failure's reason becomes a note: a gated monitor is
+    then not applicable, a gated "<monitor>/<rows>" group only skipped.
+    """
+    failed = [ledger.hypotheses[name] for name in REQUIRES.get(gated, ())
+              if not ledger.hypotheses[name].passed]
+    reason = f"{failed[0].name} fails: {failed[0].detail}" if failed else unavailable
+    if reason is None:
+        return True
+    rows = gated.partition("/")[2]
+    if rows:
+        res.notes.append(f"{rows} rows skipped: {reason}")
+    else:
+        res.applicable = False
+        res.notes.append(reason)
+    return False
+
 
 def run_monitors(
     traj,
@@ -661,7 +679,10 @@ def run_monitors(
     sobolev_samples: int = 20,
     seed: int = 2024,
 ) -> List[MonitorResult]:
-    """Results of the named monitors, in the order of ``names``."""
+    """Results of the named monitors, in the order of ``names``.
+
+    Each failed row goes to ``traj.ledger.violations``, in the same order.
+    """
     out: List[MonitorResult] = []
     for name in names:
         try:
@@ -670,4 +691,6 @@ def run_monitors(
             raise ValueError(f"unknown monitor {name!r}") from None
         out.extend(call(traj, p_values=p_values, refined=refined,
                         samples=sobolev_samples, seed=seed))
+    traj.ledger.violations.extend((res.monitor_id, row.t, row.lhs, row.rhs, row.margin)
+                                  for res in out for row in res.rows if not row.verdict)
     return out

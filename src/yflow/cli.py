@@ -105,7 +105,7 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
         return EXIT_SOLVER
 
     ledger = traj.ledger
-    if "parabolic_sobolev" in cfg.monitors and ledger.s0_bounded:
+    if "parabolic_sobolev" in cfg.monitors and ledger.hypotheses["s0_bounded"].passed:
         est = estimate_yamabe_constant(manifold, cfg.yamabe_options())
         if est.value > 0.0:
             ledger.attach_sobolev(manifold, est.value)
@@ -127,7 +127,8 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
     if not quiet:
         for r in results:
             status = "n/a " if not r.applicable else ("pass" if r.passed else "FAIL")
-            print(f"[{status}] {r.monitor_id}")
+            why = "" if r.applicable else f": {r.notes[-1]}"    # the note of the unmet requirement
+            print(f"[{status}] {r.monitor_id}{why}")
     if failed:
         print(f"monitor failures: {', '.join(failed)}", file=sys.stderr)
         return EXIT_MONITOR
@@ -206,7 +207,12 @@ def cmd_audit(args) -> int:
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
-    print(audit_assumptions(manifold, cfg.audit_q))
+    report = audit_assumptions(manifold, cfg.audit_q)
+    print(report)
+    print("monitors that require each hypothesis")
+    for check in report.checks:
+        gated = [key for key, names in bounds.REQUIRES.items() if check.name in names]
+        print(f"  {check.name}: {', '.join(gated) or '-'}")
     return EXIT_OK
 
 
@@ -267,13 +273,18 @@ def cmd_moser(args) -> int:
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
+    beta = args.beta if args.beta is not None else cfg.moser_beta
+    k_max = args.kmax if args.kmax is not None else cfg.moser_k_max
+    try:
+        bounds.check_chain_parameters(beta, k_max)
+    except ValueError as exc:
+        print(f"yflow moser: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         traj = run(manifold, cfg.flow)
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    beta = args.beta if args.beta is not None else cfg.moser_beta
-    k_max = args.kmax if args.kmax is not None else cfg.moser_k_max
     report = bounds.moser_chain(traj, beta=beta, k_max=k_max)
     print(report.describe())
     return EXIT_OK if report.finite else EXIT_MONITOR

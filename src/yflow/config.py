@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .bounds import MONITOR_NAMES
+from .bounds import MONITOR_NAMES, check_chain_parameters
 from .flow import FlowConfig
 from .geometry import DiscretizedManifold, RadialGrid, WarpedProfile, build_manifold, make_profile
 from .yamabe import YamabeOptions
@@ -167,6 +167,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         grid = RadialGrid(M=int(kv.get("grid.M", 256)),
                           gamma=float(kv.get("grid.gamma", 1.0)))
         flow = FlowConfig(T_final=float(flow_params.pop("T", 1.0)), **flow_params)
+        check_chain_parameters(kv.get("moser.beta", 2.0), kv.get("moser.k_max", 6))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -351,72 +351,55 @@ def checkpoint(
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_line(raw: bytes, offset: int, expect: str, path: str):
-    if not raw:
-        raise CheckpointError(f"{path}: unexpected end of file at byte {offset}")
-    text = raw.decode("utf-8", errors="replace").rstrip("\n")
-    parts = text.split(" ", 1)
-    if parts[0] != expect or len(parts) < 2:
-        raise CheckpointError(
-            f"{path}: expected '{expect} ...' at byte {offset}, got {text!r}"
-        )
-    return parts[1]
-
-
 def restore(
     path: str, manifold: DiscretizedManifold, config: FlowConfig
 ):
     """Read a checkpoint; returns (state, dt_next, step_index).
 
     Refuses files whose configuration hash does not match the given
-    manifold and flow configuration.
+    manifold and flow configuration.  A line that cannot be read is
+    reported with its byte offset.
     """
     with open(path, "rb") as fh:
-        offset = 0
         header = fh.readline()
         if header.rstrip(b"\n") != b"YFLOW v1":
             raise CheckpointError(f"{path}: bad header at byte 0: {header!r}")
-        offset += len(header)
+        offset = len(header)
 
-        raw = fh.readline()
-        found = _parse_line(raw, offset, "hash", path)
-        offset += len(raw)
-        expected = config_hash(manifold, config)
+        def field(key: str, cast=str):
+            """The value of the next line, ``<key> <value>``, as ``cast`` reads it."""
+            nonlocal offset
+            raw = fh.readline()
+            if not raw:
+                raise CheckpointError(f"{path}: unexpected end of file at byte {offset}")
+            text = raw.decode("utf-8", errors="replace").rstrip("\n")
+            parts = text.split(" ", 1)
+            if parts[0] != key or len(parts) < 2:
+                raise CheckpointError(f"{path}: expected '{key} ...' at byte {offset}, got {text!r}")
+            try:
+                value = cast(parts[1])
+            except ValueError:
+                raise CheckpointError(
+                    f"{path}: malformed {key!r} field at byte {offset}: {parts[1]!r}"
+                ) from None
+            offset += len(raw)
+            return value
+
+        found, expected = field("hash"), config_hash(manifold, config)
         if found != expected:
             raise CheckpointError(
                 f"{path}: configuration hash mismatch "
                 f"(file {found[:12]}..., current {expected[:12]}...); "
                 "the checkpoint belongs to a different manifold or flow setup"
             )
-
-        fields = {}
-        for key in ("t", "dt", "step", "nodes"):
-            raw = fh.readline()
-            fields[key] = _parse_line(raw, offset, key, path)
-            offset += len(raw)
-        try:
-            t = float(fields["t"])
-            dt_next = float(fields["dt"])
-            step_index = int(fields["step"])
-            nodes = int(fields["nodes"])
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: malformed header field: {exc}") from exc
+        t, dt_next = field("t", float), field("dt", float)
+        step_index, nodes = field("step", int), field("nodes", int)
         if nodes != manifold.node_count:
             raise CheckpointError(
                 f"{path}: node count {nodes} does not match the manifold "
                 f"({manifold.node_count})"
             )
-        u = np.empty(nodes)
-        for i in range(nodes):
-            raw = fh.readline()
-            val = _parse_line(raw, offset, "u", path)
-            try:
-                u[i] = float(val)
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"{path}: bad node value at byte {offset}: {val!r}"
-                ) from exc
-            offset += len(raw)
+        u = np.array([field("u", float) for _ in range(nodes)])
 
     state = FlowState.from_u(manifold, u, t)
     return state, dt_next, step_index

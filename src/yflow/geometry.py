@@ -11,7 +11,8 @@ Everything downstream works on a :class:`DiscretizedManifold`: a graded
 radial grid, quadrature weights for the background measure
 ``d(mu) = omega_{n-1} phi^{n-1} dx``, and the background scalar curvature
 field.  Construction normalizes the total volume to one by a homothety;
-curvature scales accordingly.
+curvature scales accordingly.  ``HYPOTHESES`` holds the paper's hypotheses
+as predicates on that manifold; :func:`audit_assumptions` renders them.
 """
 from __future__ import annotations
 
@@ -32,10 +33,12 @@ __all__ = [
     "DiscretizedManifold",
     "GeometryError",
     "ConstructionError",
+    "HYPOTHESES",
     "AuditCheck",
     "AuditReport",
     "build_manifold",
     "scalar_curvature_g0",
+    "hypothesis_verdicts",
     "audit_assumptions",
     "sphere",
     "perturbed_sphere",
@@ -260,14 +263,6 @@ class DiscretizedManifold:
                 out.append((tip, (nn - 1) * (nn - 2) * (1.0 - a * a) / (a * a)))
         return out
 
-    def s0_unbounded(self) -> bool:
-        """True when S0 grows without bound under grid refinement."""
-        return any(abs(c) > 0.0 for _, c in self.cone_coefficients())
-
-    def s0_minus_unbounded(self) -> bool:
-        """True when the negative part of S0 is unbounded (cone slope > 1)."""
-        return any(c < 0.0 for _, c in self.cone_coefficients())
-
 
 def _scal0(profile: WarpedProfile, x: np.ndarray, c: float) -> np.ndarray:
     """Background scalar curvature at the raw abscissae x, scaled by c^-2.
@@ -360,20 +355,61 @@ def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManif
 
 
 # ---------------------------------------------------------------------------
-# assumption audit
+# the paper's hypotheses and their audit
+
+
+def _divergent_tips(manifold: DiscretizedManifold, q: float) -> list:
+    """Tips where ``|S0|^q ~ x^(-2q)`` is not integrable against ``x^(n-1)``."""
+    return [tip for tip, coeff in manifold.cone_coefficients()
+            if abs(coeff) > 0.0 and 2.0 * q >= manifold.n]
+
+
+def _s0_lq_finite(manifold: DiscretizedManifold, q: float):
+    lq_val = float(np.sum(manifold.mu_weights * np.abs(manifold.S0) ** q)) ** (1.0 / q)
+    ok = not _divergent_tips(manifold, q)
+    return ok, lq_val, f"quadrature value {lq_val:.6g}" + ("" if ok else " (divergent at tip)")
+
+
+def _sup_verdict(values: np.ndarray, ok: bool, label: str, failure: str):
+    worst = float(values.max())
+    return ok, worst, f"{label} = {worst:.6g}" + ("" if ok else f" (unbounded: {failure})")
+
+
+# hypothesis name -> predicate (manifold, q) -> (holds, value, reason).  Each
+# verdict follows from the tips' leading 1/x^2 curvature coefficients
+# (n-1)(n-2)(1-a^2)/a^2, so refinement cannot change it; the value is measured
+# on this grid.  S0 is unbounded unless every coefficient vanishes, (S0)_-
+# when one is negative (a cone of slope a > 1).
+HYPOTHESES = {
+    "finite_volume": lambda m, q: (True, 1.0, "total volume normalized to 1"),
+    "s0_lq_finite": _s0_lq_finite,
+    "s0_minus_bounded": lambda m, q: _sup_verdict(
+        np.maximum(-m.S0, 0.0), all(c >= 0.0 for _, c in m.cone_coefficients()),
+        "max (S0)_- over nodes", "cone slope > 1"),
+    "s0_bounded": lambda m, q: _sup_verdict(
+        np.abs(m.S0), all(c == 0.0 for _, c in m.cone_coefficients()),
+        "max |S0| over nodes", "cone slope != 1"),
+}
 
 
 @dataclass
 class AuditCheck:
+    """Verdict of one hypothesis: whether it holds, its value and the reason."""
+
     name: str
     passed: bool
     value: float
     detail: str
 
 
+def hypothesis_verdicts(manifold: DiscretizedManifold, q: float) -> dict:
+    """Name -> :class:`AuditCheck` of every HYPOTHESES entry, in table order."""
+    return {name: AuditCheck(name, *pred(manifold, q)) for name, pred in HYPOTHESES.items()}
+
+
 @dataclass
 class AuditReport:
-    """Verdicts on the standing integrability assumptions.
+    """Verdicts on the paper's hypotheses.
 
     The audit annotates; it never blocks a simulation.  ``ok`` is False if
     any check failed, and ``warnings`` collects the refinement-divergence
@@ -399,48 +435,25 @@ class AuditReport:
 
 
 def audit_assumptions(manifold: DiscretizedManifold, q: Optional[float] = None) -> AuditReport:
-    """Check finite volume, ``S0 in L^q``, and boundedness of ``(S0)_-``.
+    """The HYPOTHESES table as a report: one check per hypothesis, in order.
 
-    ``q`` defaults to ``n^2 / (2(n-2))``.  Near a cone tip of slope
-    ``a != 1`` the curvature grows like ``1/x^2`` against the weight
-    ``x^{n-1}``, so the L^q integral diverges under refinement exactly when
-    ``2q >= n``; that analysis decides the verdict, with the quadrature
-    value reported for context.
+    ``q`` defaults to ``n^2 / (2(n-2))``.  The tips' leading curvature
+    coefficients decide each verdict (see ``HYPOTHESES``), with the value
+    on this grid reported for context; each tip where the L^q integral
+    diverges under refinement adds a warning.
     """
     n = manifold.n
     if q is None:
         q = n * n / (2.0 * (n - 2.0))
     if not q > 0.0:
         raise GeometryError("audit exponent q must be positive")
-
-    report = AuditReport(q=q)
-    report.checks.append(
-        AuditCheck("finite_volume", True, 1.0, "total volume normalized to 1")
-    )
-
-    s0 = manifold.S0
-    mu = manifold.mu_weights
-    lq_val = float(np.sum(mu * np.abs(s0) ** q)) ** (1.0 / q)
-
-    divergent = []
-    for tip, coeff in manifold.cone_coefficients():
-        if abs(coeff) > 0.0 and 2.0 * q >= n:
-            divergent.append(tip)
-            report.warnings.append(
-                f"{tip.describe()} tip: |S0|^q ~ x^(-2q) against weight x^(n-1); "
-                f"exponent n-1-2q = {n - 1 - 2 * q:g} <= -1, so the L^{q:g} "
-                "integral diverges under refinement"
-            )
-    lq_ok = not divergent
-    detail = f"quadrature value {lq_val:.6g}" + ("" if lq_ok else " (divergent at tip)")
-    report.checks.append(AuditCheck("s0_lq_finite", lq_ok, lq_val, detail))
-
-    s0_minus_max = float(np.maximum(-s0, 0.0).max())
-    minus_ok = not manifold.s0_minus_unbounded()
-    detail = f"max (S0)_- over nodes = {s0_minus_max:.6g}"
-    if not minus_ok:
-        detail += " (unbounded: cone slope > 1)"
-    report.checks.append(AuditCheck("s0_minus_bounded", minus_ok, s0_minus_max, detail))
+    report = AuditReport(q=q, checks=list(hypothesis_verdicts(manifold, q).values()))
+    for tip in _divergent_tips(manifold, q):
+        report.warnings.append(
+            f"{tip.describe()} tip: |S0|^q ~ x^(-2q) against weight x^(n-1); "
+            f"exponent n-1-2q = {n - 1 - 2 * q:g} <= -1, so the L^{q:g} "
+            "integral diverges under refinement"
+        )
     return report
 
 

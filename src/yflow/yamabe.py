@@ -28,7 +28,7 @@ from .discretization import (
     kappa,
     lp_norm,
 )
-from .geometry import DiscretizedManifold
+from .geometry import HYPOTHESES, DiscretizedManifold
 
 __all__ = [
     "PositivityError",
@@ -270,19 +270,14 @@ class SobolevConstants:
     ``A0 = kappa(n)/Y`` and ``B0 = sup|S0|/Y`` give the background
     inequality; along the flow they degrade via the conformal-factor
     extremes to ``A_T = A0 (sup u / inf u)^2`` and
-    ``B_T = B0 (sup u)^2 / (inf u)^{2n/(n-2)}``.  ``B0``/``B_T`` are None
-    when S0 is unbounded, in which case the inequality is unavailable.
+    ``B_T = B0 (sup u)^2 / (inf u)^{2n/(n-2)}``.  ``B0``/``B_T`` are None,
+    and the inequality unavailable, when the ``s0_bounded`` hypothesis fails.
     """
 
     A0: float
     B0: Optional[float]
     A_T: Optional[float]
     B_T: Optional[float]
-    s0_sup: Optional[float]
-
-    @property
-    def available(self) -> bool:
-        return self.B_T is not None
 
 
 def sobolev_constants(
@@ -295,11 +290,11 @@ def sobolev_constants(
     if not (inf_u > 0.0 and sup_u >= inf_u):
         raise ValueError("need sup_u >= inf_u > 0")
     A0 = kappa(manifold.n) / y_est
-    if manifold.s0_unbounded():
-        return SobolevConstants(A0=A0, B0=None, A_T=None, B_T=None, s0_sup=None)
-    s0_sup = float(np.max(np.abs(manifold.S0)))
+    s0_bounded, s0_sup, _ = HYPOTHESES["s0_bounded"](manifold, None)    # needs no q
+    if not s0_bounded:
+        return SobolevConstants(A0=A0, B0=None, A_T=None, B_T=None)
     B0 = s0_sup / y_est
     ratio = sup_u / inf_u
     A_T = A0 * ratio**2
     B_T = B0 * sup_u**2 / inf_u ** critical_exponent(manifold.n)
-    return SobolevConstants(A0=A0, B0=B0, A_T=A_T, B_T=B_T, s0_sup=s0_sup)
+    return SobolevConstants(A0=A0, B0=B0, A_T=A_T, B_T=B_T)

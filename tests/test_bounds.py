@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +22,7 @@ from yflow.bounds import (
     run_monitors,
 )
 from yflow.flow import FlowConfig, run
-from yflow.geometry import RadialGrid, build_manifold, cone, perturbed_sphere, sphere
+from yflow.geometry import HYPOTHESES, RadialGrid, build_manifold, cone, perturbed_sphere, sphere
 from yflow.yamabe import YamabeOptions, estimate_yamabe_constant
 
 
@@ -42,7 +44,7 @@ def test_ledger_from_manifold(sphere256):
     led = BoundLedger.from_manifold(sphere256)
     assert led.s0_inf == pytest.approx(float(sphere256.S0.min()))
     assert led.s0_minus_lp[math.inf] == 0.0
-    assert led.s0_bounded and led.s0_minus_bounded
+    assert all(verdict.passed for verdict in led.hypotheses.values())
     # q = 4.5 norm of a constant field is the constant itself (unit volume)
     assert led.s0_lq == pytest.approx(float(sphere256.S0.max()), rel=1e-7)
 
@@ -51,7 +53,7 @@ def test_mixed_profile_really_mixed(mixed_run):
     led = mixed_run.ledger
     assert led.s0_inf < 0.0
     assert led.s0_minus_lp[math.inf] > 0.0
-    assert led.s0_minus_bounded
+    assert led.hypotheses["s0_minus_bounded"].passed
 
 
 def test_s_minus_decay_zero_initial(sphere_run):
@@ -114,11 +116,44 @@ def test_energy_decay_notes_skipped_h1_ceiling_on_cone():
     m = build_manifold(cone(1.5), RadialGrid(M=32))
     cfg = FlowConfig(T_final=5e-4, dt_init=1e-5, dt_max=1e-5, snapshot_every=10)
     traj = run(m, cfg)
-    assert not traj.ledger.s0_minus_bounded
+    verdict = traj.ledger.hypotheses["s0_minus_bounded"]
+    assert not verdict.passed
     res = check_energy_decay(traj)
-    assert "H1 ceiling skipped: (S0)_- unbounded" in res.notes
+    assert f"h1_ceiling rows skipped: s0_minus_bounded fails: {verdict.detail}" in res.notes
     # only the energy trend row; no per-snapshot H^1 rows
     assert len(res.rows) == 1
+
+
+def test_requires_names_monitors_and_hypotheses():
+    ids = {f"s_minus_decay_p{p}" for p in (2, 4, 8, "inf")} | set(bounds.MONITOR_NAMES)
+    for gated, names in bounds.REQUIRES.items():
+        assert gated.partition("/")[0] in ids
+        assert names and set(names) <= set(HYPOTHESES)
+
+
+def test_gated_results_note_the_table_reason_on_steep_cone():
+    m = build_manifold(cone(1.5), RadialGrid(M=32))
+    cfg = FlowConfig(T_final=5e-4, dt_init=1e-5, dt_max=1e-5, snapshot_every=10)
+    traj = run(m, cfg)
+    reason = f"s0_minus_bounded fails: {traj.ledger.hypotheses['s0_minus_bounded'].detail}"
+    for res in (check_u_upper(traj), check_s_minus_decay(traj, math.inf)):
+        assert not res.applicable and res.notes == [reason] and res.rows == []
+    assert check_s_minus_decay(traj, 2.0).applicable
+    lower = check_u_lower(traj)
+    assert lower.applicable and f"supersolution rows skipped: {reason}" in lower.notes
+    # only the running-inf row; no supersolution rows
+    assert len(lower.rows) == 1
+
+
+def test_run_monitors_records_each_failed_row(mixed_run):
+    # a forged zero ceiling for ||(S0)_-||_L2 fails the rows where S_- is not zero
+    traj = dataclasses.replace(mixed_run, ledger=copy.deepcopy(mixed_run.ledger))
+    traj.ledger.s0_minus_lp[2.0] = 0.0
+    res = check_s_minus_decay(traj, 2.0)
+    assert not res.passed and traj.ledger.violations == []
+    (res,) = run_monitors(traj, names=("s_minus_decay",), p_values=(2.0,))
+    failed = [(res.monitor_id, r.t, r.lhs, r.rhs, r.margin) for r in res.rows if not r.verdict]
+    assert failed and traj.ledger.violations == failed
 
 
 def test_u_lower_sphere_stays_one(sphere_run):
@@ -163,6 +198,7 @@ def test_parabolic_sobolev_needs_constants(sphere_run):
     # ledger without Sobolev constants: not applicable, never a failure
     res = check_parabolic_sobolev(sphere_run)
     assert not res.applicable
+    assert res.notes == ["Sobolev constants unavailable (no Yamabe estimate)"]
 
 
 def test_parabolic_sobolev_holds(mixed_run):

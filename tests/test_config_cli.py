@@ -176,6 +176,39 @@ def test_audit_command(tmp_path, capsys):
     assert "s0_lq_finite" in out and "diverges" in out
 
 
+def test_audit_lists_the_monitors_each_hypothesis_gates(tmp_path, capsys):
+    cfg = _write(tmp_path, CONE_CFG)
+    assert main(["audit", "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # S0 ~ +1/x^2 at a cone tip of slope 0.8: unbounded, with (S0)_- = 0
+    assert out[1:5] == [
+        "  [pass] finite_volume: total volume normalized to 1",
+        "  [FAIL] s0_lq_finite: quadrature value 511.477 (divergent at tip)",
+        "  [pass] s0_minus_bounded: max (S0)_- over nodes = 0",
+        "  [FAIL] s0_bounded: max |S0| over nodes = 5428.29 (unbounded: cone slope != 1)",
+    ]
+    assert out[-5:] == [
+        "monitors that require each hypothesis",
+        "  finite_volume: -",
+        "  s0_lq_finite: -",
+        "  s0_minus_bounded: s_minus_decay_pinf, u_upper, u_lower/supersolution, "
+        "energy_decay/h1_ceiling",
+        "  s0_bounded: parabolic_sobolev",
+    ]
+
+
+def test_run_says_why_a_monitor_is_not_applicable(tmp_path, capsys):
+    # a cone of slope 1.5: S0 ~ -1/x^2 at the tip, so (S0)_- is unbounded
+    cfg = _write(tmp_path, CONE_CFG.replace("profile.a = 0.8", "profile.a = 1.5"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    na = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[n/a ]")]
+    minus = "s0_minus_bounded fails: max (S0)_- over nodes = "
+    assert [line.split(": ", 1)[0] for line in na] == [
+        "[n/a ] s_minus_decay_pinf", "[n/a ] u_upper", "[n/a ] parabolic_sobolev"]
+    assert all(minus in line and line.endswith("(unbounded: cone slope > 1)") for line in na[:2])
+    assert na[2].startswith("[n/a ] parabolic_sobolev: s0_bounded fails: max |S0| over nodes")
+
+
 def test_yamabe_command(tmp_path, capsys):
     cfg = _write(tmp_path, SPHERE_CFG)
     assert main(["yamabe", "--config", cfg]) == 0
@@ -224,7 +257,15 @@ def test_auxcheck_golden_output(capsys):
     assert capsys.readouterr().out == AUXCHECK_40K_SHARPNESS
 
 
-# exit-code table: argv, exit code, a fragment of the one stderr line
+# exit-code table: argv, exit code, a fragment of the one stderr line; "{name}"
+# in argv is the path of the config file CONFIGS[name]
+CONFIGS = {
+    "sphere": SPHERE_CFG,
+    "beta_1": SPHERE_CFG + "moser.beta = 1.0\n",
+    "kmax_9": SPHERE_CFG + "moser.k_max = 9\n",
+}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["auxcheck", "--samples", "0"], 2, "--samples must be an integer >= 1 (got 0)"),
     (["auxcheck", "--samples", "-3"], 2, "--samples must be an integer >= 1 (got -3)"),
@@ -233,11 +274,27 @@ def test_auxcheck_golden_output(capsys):
     (["auxcheck", "--ineq", ","], 2, "--ineq names no inequality (got ',')"),
     (["auxcheck", "--ineq", ""], 2, "--ineq names no inequality (got '')"),
     (["auxcheck", "--ineq", " , ", "--sharpness"], 2, "--ineq names no inequality"),
+    (["moser", "--config", "{sphere}", "--kmax", "0"], 2,
+     "yflow moser: k_max must lie in [1, 8] (got 0)"),
+    (["moser", "--config", "{sphere}", "--kmax", "9"], 2,
+     "yflow moser: k_max must lie in [1, 8] (got 9)"),
+    (["moser", "--config", "{sphere}", "--beta", "0.5"], 2,
+     "yflow moser: chain exponent beta must exceed 1 (got 0.5)"),
+    (["moser", "--config", "{beta_1}"], 2,
+     "config error: chain exponent beta must exceed 1 (got 1)"),
+    (["moser", "--config", "{kmax_9}"], 2, "config error: k_max must lie in [1, 8] (got 9)"),
+    (["run", "--config", "{beta_1}"], 2, "config error: chain exponent beta must exceed 1"),
+    (["audit", "--config", "{kmax_9}"], 2, "config error: k_max must lie in [1, 8]"),
+    (["yamabe", "--config", "{beta_1}"], 2, "config error: chain exponent beta must exceed 1"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
-        "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness"])
-def test_exit_codes(argv, code, message, capsys):
-    assert main(argv) == code
+        "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
+        "moser-kmax-0", "moser-kmax-9", "moser-beta-half", "moser-config-beta-1",
+        "moser-config-kmax-9", "run-config-beta-1", "audit-config-kmax-9",
+        "yamabe-config-beta-1"])
+def test_exit_codes(argv, code, message, tmp_path, capsys):
+    paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
+    assert main([arg.format(**paths) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err

@@ -230,6 +230,22 @@ def test_restore_reports_truncation_offset(tmp_path):
         restore(path, m, cfg)
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("t", "zero"), ("dt", "1e-3e"), ("step", "1.5"), ("nodes", "17.5"),
+])
+def test_restore_reports_malformed_header_field_offset(tmp_path, key, bad):
+    m, cfg = _mini_setup()
+    path = tmp_path / "s.ckpt"
+    checkpoint(FlowState.initial(m), str(path), m, cfg, dt_next=1e-3, step_index=0)
+    lines = path.read_bytes().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(key.encode() + b" "))
+    lines[index] = f"{key} {bad}\n".encode()
+    path.write_bytes(b"".join(lines))
+    offset = sum(map(len, lines[:index]))
+    with pytest.raises(CheckpointError, match=rf"malformed '{key}' field at byte {offset}: '{bad}'"):
+        restore(str(path), m, cfg)
+
+
 def test_config_hash_sensitivity():
     m, cfg = _mini_setup()
     h1 = config_hash(m, cfg)

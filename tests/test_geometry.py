@@ -170,7 +170,8 @@ def test_audit_cone_lq_fails():
     rep = audit_assumptions(m, q=4.5)
     assert not rep.ok
     failed = {c.name for c in rep.checks if not c.passed}
-    assert failed == {"s0_lq_finite"}
+    # S0 ~ +1/x^2 at the tip: outside L^q and unbounded
+    assert failed == {"s0_lq_finite", "s0_bounded"}
     # the divergence exponent is reported: x^{-2q} x^2 integrand for n=3
     assert any("diverges" in w for w in rep.warnings)
     # (S0)_- is bounded for slope < 1 (curvature blows up to +inf)

@@ -154,7 +154,7 @@ def test_sobolev_constants_formulas(sphere64):
 def test_sobolev_constants_flagged_for_cone():
     m = build_manifold(cone(0.8), RadialGrid(M=32))
     sc = sobolev_constants(m, y_est=5.0, sup_u=1.0, inf_u=1.0)
-    assert sc.B0 is None and sc.B_T is None and not sc.available
+    assert sc.B0 is None and sc.B_T is None
 
 
 def test_sobolev_requires_positive_estimate(sphere64):
