@@ -106,7 +106,7 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
 
     ledger = traj.ledger
     if "parabolic_sobolev" in cfg.monitors and ledger.hypotheses["s0_bounded"].passed:
-        est = estimate_yamabe_constant(manifold, cfg.yamabe_options())
+        est = estimate_yamabe_constant(manifold, max_iter=cfg.yamabe_max_iter)
         if est.value > 0.0:
             ledger.attach_sobolev(manifold, est.value)
 
@@ -220,7 +220,7 @@ def cmd_yamabe(args) -> int:
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
-    est = estimate_yamabe_constant(manifold, cfg.yamabe_options())
+    est = estimate_yamabe_constant(manifold, max_iter=cfg.yamabe_max_iter)
     tag = "" if est.converged else "  [not_converged]"
     print(f"Y_est = {est.value:.12g}  (upper bound; rotationally symmetric "
           f"competitors){tag}")

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Tuple
 from .bounds import MONITOR_NAMES, check_chain_parameters
 from .flow import FlowConfig
 from .geometry import DiscretizedManifold, RadialGrid, WarpedProfile, build_manifold, make_profile
-from .yamabe import YamabeOptions
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_kv", "parse_scenario", "load_scenario"]
 
@@ -54,7 +53,6 @@ _KNOWN_KEYS = {
     "monitors.samples": int,
     "audit.q": float,
     "yamabe.max_iter": int,
-    "yamabe.multistart": int,
     "moser.beta": float,
     "moser.k_max": int,
     "output.dir": str,
@@ -111,7 +109,7 @@ def _parse_p_list(spec: str) -> Tuple[float, ...]:
     if not out:
         raise ConfigError("monitors.p must list at least one exponent")
     for p in out:
-        if p != math.inf and p < 2.0:
+        if not p >= 2.0:    # NaN fails too; inf passes
             raise ConfigError(f"monitor exponent p = {p:g} must be >= 2")
     return tuple(out)
 
@@ -128,7 +126,6 @@ class ScenarioConfig:
     sobolev_samples: int = 20
     audit_q: Optional[float] = None
     yamabe_max_iter: int = 300
-    yamabe_multistart: int = 0
     moser_beta: float = 2.0
     moser_k_max: int = 6
     output_dir: Optional[str] = None
@@ -137,10 +134,6 @@ class ScenarioConfig:
 
     def build(self) -> DiscretizedManifold:
         return build_manifold(self.profile, self.grid)
-
-    def yamabe_options(self) -> YamabeOptions:
-        return YamabeOptions(max_iter=self.yamabe_max_iter,
-                             multistart=self.yamabe_multistart, seed=self.seed)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -199,7 +192,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         sobolev_samples=int(kv.get("monitors.samples", 20)),
         audit_q=kv.get("audit.q"),
         yamabe_max_iter=int(kv.get("yamabe.max_iter", 300)),
-        yamabe_multistart=int(kv.get("yamabe.multistart", 0)),
         moser_beta=float(kv.get("moser.beta", 2.0)),
         moser_k_max=int(kv.get("moser.k_max", 6)),
         output_dir=kv.get("output.dir"),

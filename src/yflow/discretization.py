@@ -36,7 +36,6 @@ __all__ = [
     "conformal_laplacian",
     "dirichlet_form",
     "gradient",
-    "integrate",
     "lp_norm",
     "h1_norm",
     "TridiagonalOperator",
@@ -129,10 +128,6 @@ def _gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate(f: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(np.asarray(weights) * np.asarray(f)))
-
-
 def lp_norm(f: np.ndarray, p: float, weights: np.ndarray) -> float:
     """L^p norm under the given node weights; p = inf is the node max."""
     if p != math.inf and p < 1.0:
@@ -172,16 +167,6 @@ class TridiagonalOperator:
         sub[1:] = cw / m[1:]
         return cls(sub=sub, diag=-(sub + sup), sup=sup)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        out = self.diag * f
-        out[1:] += self.sub[1:] * f[:-1]
-        out[:-1] += self.sup[:-1] * f[1:]
-        return out
-
-    def row_sums(self) -> np.ndarray:
-        return self.sub + self.diag + self.sup
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` by Gaussian elimination with partial pivoting.
 
@@ -189,13 +174,21 @@ class TridiagonalOperator:
         ``numpy.linalg.LinAlgError`` on an exactly zero pivot, as
         ``scipy.linalg.solve_banded`` does.
         """
-        npts = self.diag.size
-        # dgtsv overwrites its inputs, so it gets copies: sub[1:], diag,
-        # sup[:-1] and rhs back to back; the solution ends in the last block
-        work = np.concatenate((self.sub[1:], self.diag, self.sup[:-1], rhs))
-        if _gtsv()(work, npts) != 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return work[3 * npts - 2 :]
+        return _solve_tridiagonal(self, rhs)
+
+
+def _solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
+    """The body of :meth:`TridiagonalOperator.solve`.
+
+    The Yamabe estimate solves through here, so ``solve`` runs once per flow step.
+    """
+    npts = op.diag.size
+    # dgtsv overwrites its inputs, so it gets copies: sub[1:], diag,
+    # sup[:-1] and rhs back to back; the solution ends in the last block
+    work = np.concatenate((op.sub[1:], op.diag, op.sup[:-1], rhs))
+    if _gtsv()(work, npts) != 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return work[3 * npts - 2 :]
 
 
 @functools.cache

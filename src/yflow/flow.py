@@ -66,13 +66,13 @@ class FlowConfig:
     snapshot_every: int = 1         # steps between stored field snapshots
 
     def __post_init__(self):
-        if not self.T_final > 0.0:
-            raise ValueError("T_final must be positive")
+        if not 0.0 < self.T_final < math.inf:
+            raise ValueError("T_final must be positive and finite")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.vol_tol <= 0.0 or self.positivity_floor <= 0.0:
+        if not (self.vol_tol > 0.0 and self.positivity_floor > 0.0):
             raise ValueError("tolerances must be positive")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
@@ -357,8 +357,8 @@ def restore(
     """Read a checkpoint; returns (state, dt_next, step_index).
 
     Refuses files whose configuration hash does not match the given
-    manifold and flow configuration.  A line that cannot be read is
-    reported with its byte offset.
+    manifold and flow configuration.  A line that cannot be read, and a
+    hash or node count that does not match, is reported with its byte offset.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -385,18 +385,20 @@ def restore(
             offset += len(raw)
             return value
 
+        at = offset
         found, expected = field("hash"), config_hash(manifold, config)
         if found != expected:
             raise CheckpointError(
-                f"{path}: configuration hash mismatch "
+                f"{path}: configuration hash mismatch at byte {at} "
                 f"(file {found[:12]}..., current {expected[:12]}...); "
                 "the checkpoint belongs to a different manifold or flow setup"
             )
-        t, dt_next = field("t", float), field("dt", float)
-        step_index, nodes = field("step", int), field("nodes", int)
+        t, dt_next, step_index = field("t", float), field("dt", float), field("step", int)
+        at = offset
+        nodes = field("nodes", int)
         if nodes != manifold.node_count:
             raise CheckpointError(
-                f"{path}: node count {nodes} does not match the manifold "
+                f"{path}: node count {nodes} at byte {at} does not match the manifold "
                 f"({manifold.node_count})"
             )
         u = np.array([field("u", float) for _ in range(nodes)])

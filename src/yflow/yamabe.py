@@ -2,7 +2,7 @@
 
 The evolving metric is ``g = u^{4/(n-2)} g0`` with conformal factor
 ``u > 0``.  Its scalar curvature, the volume-normalized average curvature,
-the conformal Rayleigh quotient, and a projected-gradient estimate of the
+the conformal Rayleigh quotient, and an inverse-iteration estimate of the
 quotient's infimum all live here, together with the derived Sobolev
 constants.
 
@@ -14,14 +14,16 @@ rounding; a finished run compares the two once, on its final snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .discretization import (
+    TridiagonalOperator,
     _conformal_laplacian,
     _dirichlet_form,
+    _solve_tridiagonal,
     check_field,
     critical_exponent,
     flow_exponent,
@@ -38,7 +40,6 @@ __all__ = [
     "scalar_curvature_flow",
     "average_scalar",
     "yamabe_quotient",
-    "YamabeOptions",
     "YamabeEstimate",
     "estimate_yamabe_constant",
     "SobolevConstants",
@@ -166,101 +167,65 @@ def yamabe_quotient(manifold: DiscretizedManifold, v: np.ndarray) -> float:
     return _energy(manifold, v) / denom**2
 
 
-@dataclass(frozen=True)
-class YamabeOptions:
-    max_iter: int = 300
-    grad_tol: float = 1e-10
-    step_init: float = 1.0
-    backtrack: float = 0.5
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 40
-    multistart: int = 0     # extra seeded perturbation starts on top of v = 1
-    seed: int = 0
-
-
 @dataclass
 class YamabeEstimate:
-    """Upper bound on the Yamabe constant from gradient descent.
+    """Upper bound on the Yamabe constant from nonlinear inverse iteration.
 
     The minimization runs over rotationally symmetric competitors only, so
-    the true constant may be smaller; ``value`` is an upper bound by the
-    line-search contract Q(v_k+1) <= Q(v_k).
+    the true constant may be smaller.  ``value`` is the Rayleigh quotient of
+    ``minimizer``, the iterate with the least quotient, so it bounds the
+    discrete constant from above.
     """
 
     value: float
     minimizer: np.ndarray
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)
 
 
-def _descend(manifold, v0, opts) -> YamabeEstimate:
-    p = critical_exponent(manifold.n)
-    mu = manifold.mu_weights
-
-    v = v0 / lp_norm(v0, p, mu)
-    q = _energy(manifold, v)
-    history = [q]
-    step = opts.step_init
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        # mu-weighted gradient of Q at a p-normalized point
-        grad = 2.0 * (
-            _conformal_laplacian(manifold, v) - q * np.abs(v) ** (p - 2.0) * v
-        )
-        gnorm2 = float(np.sum(mu * grad * grad))
-        if gnorm2 <= opts.grad_tol**2:
-            converged = True
-            break
-        alpha = step
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            trial = v - alpha * grad
-            tn = lp_norm(trial, p, mu)
-            if tn > 0.0:
-                trial = trial / tn
-                q_trial = _energy(manifold, trial)
-                if q_trial <= q - opts.armijo_slope * alpha * gnorm2:
-                    v, q = trial, q_trial
-                    history.append(q)
-                    step = alpha * 1.5
-                    accepted = True
-                    break
-            alpha *= opts.backtrack
-        if not accepted:
-            # line search exhausted: flat to machine precision
-            converged = True
-            break
-    return YamabeEstimate(
-        value=min(history), minimizer=v, iterations=it, converged=converged,
-        history=history,
-    )
+# largest sup-norm change of the L^p-normalized iterate, relative to its max,
+# that counts as a fixed point; rounding alone moves it ~1e-12 at M=8192, gamma=2
+_FIXED_POINT_TOL = 1e-10
 
 
-def estimate_yamabe_constant(
-    manifold: DiscretizedManifold, opts: YamabeOptions = YamabeOptions()
-) -> YamabeEstimate:
-    """Projected gradient descent on the Rayleigh quotient.
+def estimate_yamabe_constant(manifold: DiscretizedManifold, max_iter: int = 300) -> YamabeEstimate:
+    """Nonlinear inverse iteration for ``L0 v = Y v^{p-1}``, ``p = 2n/(n-2)``.
 
-    Starts from the constant field (deterministic); optional multistart
-    adds seeded smooth perturbations and keeps the best run.  The recorded
-    quotient sequence is non-increasing.
+    Starting from the constant field, each iteration solves ``L0 w = v^{p-1}``
+    once, with ``L0 = S0 - kappa Lap`` built from the cached Laplacian bands,
+    and normalizes w in L^p.  This is Petviashvili's method; the normalization
+    makes its stabilizing factor unnecessary.  The iteration converges when an
+    iterate moves by at most ``_FIXED_POINT_TOL`` of its maximum.  It stops
+    unconverged at ``max_iter``, at a singular L0, at an iterate that is not
+    positive, and at a quotient that is not positive: L0 is positive definite
+    only when Y > 0, and only then has positive solutions.
     """
-    best = _descend(manifold, np.ones(manifold.node_count), opts)
-    if opts.multistart > 0:
-        rng = np.random.default_rng(opts.seed)
-        xi = manifold.nodes / manifold.x_max
-        for _ in range(opts.multistart):
-            coeff = rng.uniform(-0.3, 0.3, size=3)
-            v0 = 1.0 + coeff[0] * xi + coeff[1] * xi**2 + coeff[2] * np.sin(
-                math.pi * xi
-            )
-            v0 = np.maximum(v0, 0.05)
-            cand = _descend(manifold, v0, opts)
-            if cand.value < best.value:
-                best = cand
-    return best
+    n = manifold.n
+    p, mu, k = critical_exponent(n), manifold.mu_weights, kappa(n)
+    lap = manifold.laplacian_bands
+    l0 = TridiagonalOperator(sub=-k * lap.sub, diag=manifold.S0 - k * lap.diag,
+                             sup=-k * lap.sup)
+    v = np.ones(manifold.node_count)
+    v /= lp_norm(v, p, mu)
+    value, minimizer = yamabe_quotient(manifold, v), v
+    it, converged = 0, False
+    while it < max_iter and value > 0.0 and not converged:
+        it += 1
+        try:
+            w = _solve_tridiagonal(l0, v ** (p - 1.0))
+        except np.linalg.LinAlgError:
+            break
+        # NaN fails both comparisons
+        if not (np.minimum.reduce(w) > 0.0 and np.maximum.reduce(w) < math.inf):
+            break
+        w /= lp_norm(w, p, mu)
+        q = yamabe_quotient(manifold, w)
+        if q < value:
+            value, minimizer = q, w
+        converged = bool(np.maximum.reduce(np.abs(w - v))
+                         <= _FIXED_POINT_TOL * np.maximum.reduce(w))
+        v = w
+    return YamabeEstimate(value=value, minimizer=minimizer, iterations=it, converged=converged)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from yflow.auxfn import DEFAULT_SEED, catalogue_ids, find_counterexample, run_ca
 from yflow.bounds import refinement_ratio, run_monitors
 from yflow.flow import FlowConfig, FlowState, checkpoint, restore, run, step
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
-from yflow.yamabe import YamabeOptions, estimate_yamabe_constant
+from yflow.yamabe import estimate_yamabe_constant
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -138,7 +138,7 @@ def test_criterion_06_scalar_bounds(mixed256, mixed512):
 def test_criterion_07_yamabe_estimate():
     m = build_manifold(sphere(3), RadialGrid(M=512, gamma=2.0))
     t0 = time.monotonic()
-    est = estimate_yamabe_constant(m, YamabeOptions(max_iter=200))
+    est = estimate_yamabe_constant(m, max_iter=200)
     elapsed = time.monotonic() - t0
     ok = 0.98 * RHO_SPHERE <= est.value <= 1.0 * RHO_SPHERE * (1 + 1e-9)
     ok = ok and elapsed < 10.0
@@ -165,7 +165,7 @@ def test_criterion_09_parabolic_sobolev(perturbed512):
     man = perturbed512.manifold
     led = perturbed512.ledger
     if led.A_T is None:
-        est = estimate_yamabe_constant(man, YamabeOptions(max_iter=200))
+        est = estimate_yamabe_constant(man, max_iter=200)
         led.attach_sobolev(man, est.value)
     res = bounds.check_parabolic_sobolev(perturbed512, samples=20)
     ok = res.applicable and res.passed and len(res.rows) == 20

@@ -23,7 +23,7 @@ from yflow.bounds import (
 )
 from yflow.flow import FlowConfig, run
 from yflow.geometry import HYPOTHESES, RadialGrid, build_manifold, cone, perturbed_sphere, sphere
-from yflow.yamabe import YamabeOptions, estimate_yamabe_constant
+from yflow.yamabe import estimate_yamabe_constant
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ def test_parabolic_sobolev_needs_constants(sphere_run):
 
 def test_parabolic_sobolev_holds(mixed_run):
     man = mixed_run.manifold
-    est = estimate_yamabe_constant(man, YamabeOptions(max_iter=150))
+    est = estimate_yamabe_constant(man, max_iter=150)
     mixed_run.ledger.attach_sobolev(man, est.value)
     res = check_parabolic_sobolev(mixed_run, samples=20)
     assert res.applicable and res.passed
@@ -216,7 +216,7 @@ def test_parabolic_sobolev_constant_field_case(mixed_run):
     led = mixed_run.ledger
     if led.B_T is None:
         man = mixed_run.manifold
-        est = estimate_yamabe_constant(man, YamabeOptions(max_iter=150))
+        est = estimate_yamabe_constant(man, max_iter=150)
         led.attach_sobolev(man, est.value)
     assert led.B_T > 1.0
 

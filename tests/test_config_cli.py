@@ -263,6 +263,9 @@ CONFIGS = {
     "sphere": SPHERE_CFG,
     "beta_1": SPHERE_CFG + "moser.beta = 1.0\n",
     "kmax_9": SPHERE_CFG + "moser.k_max = 9\n",
+    "p_nan": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,nan"),
+    "T_inf": SPHERE_CFG.replace("flow.T = 0.05", "flow.T = inf"),
+    "multistart": SPHERE_CFG + "yamabe.multistart = 3\n",
 }
 
 
@@ -286,12 +289,18 @@ CONFIGS = {
     (["run", "--config", "{beta_1}"], 2, "config error: chain exponent beta must exceed 1"),
     (["audit", "--config", "{kmax_9}"], 2, "config error: k_max must lie in [1, 8]"),
     (["yamabe", "--config", "{beta_1}"], 2, "config error: chain exponent beta must exceed 1"),
+    (["run", "--config", "{p_nan}"], 2, "config error: monitor exponent p = nan must be >= 2"),
+    # audit and yamabe never run the flow, so a T that is accepted cannot hang them
+    (["audit", "--config", "{T_inf}"], 2, "config error: T_final must be positive and finite"),
+    (["yamabe", "--config", "{T_inf}"], 2, "config error: T_final must be positive and finite"),
+    (["yamabe", "--config", "{multistart}"], 2, "unknown key 'yamabe.multistart'"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
         "moser-kmax-0", "moser-kmax-9", "moser-beta-half", "moser-config-beta-1",
         "moser-config-kmax-9", "run-config-beta-1", "audit-config-kmax-9",
-        "yamabe-config-beta-1"])
+        "yamabe-config-beta-1", "run-config-p-nan", "audit-config-T-inf",
+        "yamabe-config-T-inf", "yamabe-config-multistart"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code

@@ -17,7 +17,6 @@ from yflow.discretization import (
     dirichlet_form,
     gradient,
     h1_norm,
-    integrate,
     kappa,
     laplacian,
     lp_norm,
@@ -30,18 +29,26 @@ def test_constants_are_harmonic(sphere256):
     assert np.max(np.abs(laplacian(sphere256, ones))) <= 1e-12
 
 
+def _apply(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
+    """The matrix-vector product of the bands, row by row."""
+    out = op.diag * f
+    out[1:] += op.sub[1:] * f[:-1]
+    out[:-1] += op.sup[:-1] * f[1:]
+    return out
+
+
 def test_tridiagonal_rows_annihilate_constants(sphere64):
     op = TridiagonalOperator.laplacian(sphere64)
     scale = np.abs(op.diag) + np.abs(op.sub) + np.abs(op.sup)
-    assert np.max(np.abs(op.row_sums()) / scale) <= 1e-12
+    assert np.max(np.abs(op.sub + op.diag + op.sup) / scale) <= 1e-12
     ones = np.ones(sphere64.node_count)
-    assert np.max(np.abs(op.apply(ones))) <= 1e-9 * scale.max()
+    assert np.max(np.abs(_apply(op, ones))) <= 1e-9 * scale.max()
 
 
 def test_tridiagonal_apply_matches_laplacian(sphere64):
     op = TridiagonalOperator.laplacian(sphere64)
     f = np.sin(3.0 * sphere64.nodes)
-    assert np.allclose(op.apply(f), laplacian(sphere64, f), rtol=1e-12, atol=1e-12)
+    assert np.allclose(_apply(op, f), laplacian(sphere64, f), rtol=1e-12, atol=1e-12)
 
 
 def test_sphere_eigenfunction_second_order():
@@ -91,7 +98,7 @@ def test_integration_by_parts_exact(sphere256):
         a, b = rng.integers(1, 6, size=2)
         f = np.sin(a * x) + 0.2 * np.cos(b * x)
         g = np.cos(b * x) - 0.1 * np.sin(a * x)
-        lhs = integrate(laplacian(sphere256, f) * g, sphere256.mu_weights)
+        lhs = float(np.sum(sphere256.mu_weights * (laplacian(sphere256, f) * g)))
         rhs = -dirichlet_form(sphere256, f, g)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
@@ -101,8 +108,8 @@ def test_laplacian_symmetry(sphere256):
     f = np.sin(2 * x) + 0.3 * x
     g = np.cos(3 * x)
     mu = sphere256.mu_weights
-    lhs = integrate(laplacian(sphere256, f) * g, mu)
-    rhs = integrate(f * laplacian(sphere256, g), mu)
+    lhs = float(np.sum(mu * (laplacian(sphere256, f) * g)))
+    rhs = float(np.sum(mu * (f * laplacian(sphere256, g))))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 

@@ -159,6 +159,16 @@ def test_flow_config_validation():
         FlowConfig(T_final=1.0, cfl=1.5)
 
 
+@pytest.mark.parametrize("fields", [
+    {"T_final": math.inf}, {"T_final": math.nan},
+    {"T_final": 1.0, "vol_tol": math.nan}, {"T_final": 1.0, "positivity_floor": math.nan},
+], ids=["T-inf", "T-nan", "vol-tol-nan", "floor-nan"])
+def test_flow_config_rejects_non_finite(fields):
+    # an infinite horizon never ends; a NaN tolerance passes every check
+    with pytest.raises(ValueError):
+        FlowConfig(**fields)
+
+
 # --- checkpointing ---------------------------------------------------------
 
 
@@ -215,6 +225,28 @@ def test_restore_rejects_altered_grid(tmp_path):
     other_cfg = FlowConfig(T_final=0.3, dt_init=1e-3, dt_max=2e-3)
     with pytest.raises(CheckpointError, match="hash mismatch"):
         restore(path, m, other_cfg)
+
+
+def test_restore_reports_hash_mismatch_offset(tmp_path):
+    m, cfg = _mini_setup()
+    path = str(tmp_path / "s.ckpt")
+    checkpoint(FlowState.initial(m), path, m, cfg, dt_next=1e-3, step_index=0)
+    # the hash line follows the 9-byte "YFLOW v1" header
+    with pytest.raises(CheckpointError, match="hash mismatch at byte 9 "):
+        restore(path, build_manifold(perturbed_sphere(0.1), RadialGrid(M=64)), cfg)
+
+
+def test_restore_reports_node_count_mismatch_offset(tmp_path):
+    m, cfg = _mini_setup()
+    path = tmp_path / "s.ckpt"
+    checkpoint(FlowState.initial(m), str(path), m, cfg, dt_next=1e-3, step_index=0)
+    lines = path.read_bytes().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(b"nodes "))
+    lines[index] = b"nodes 17\n"
+    path.write_bytes(b"".join(lines))
+    offset = sum(map(len, lines[:index]))
+    with pytest.raises(CheckpointError, match=rf"node count 17 at byte {offset} does not match"):
+        restore(str(path), m, cfg)
 
 
 def test_restore_reports_truncation_offset(tmp_path):

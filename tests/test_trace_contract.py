@@ -60,6 +60,7 @@ ON_PATH = (
     "discretization.TridiagonalOperator.solve",
     "yamabe.scalar_curvature_flow",
     "yamabe.average_scalar",
+    "yamabe.estimate_yamabe_constant",
 )
 
 
