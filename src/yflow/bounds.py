@@ -547,9 +547,11 @@ def _cylinder_norm(ts: np.ndarray, vals: np.ndarray, q: float, t_lo: float) -> f
 
 
 def check_chain_parameters(beta: float, k_max: int) -> None:
-    """Raise ValueError unless ``beta > 1`` and ``1 <= k_max <= 8``."""
+    """Raise ValueError unless ``1 < beta < inf`` and ``1 <= k_max <= 8``."""
     if not beta > 1.0:
         raise ValueError(f"chain exponent beta must exceed 1 (got {beta:g})")
+    if beta == math.inf:
+        raise ValueError(f"chain exponent beta must be finite (got {beta:g})")
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max must lie in [1, 8] (got {k_max})")
 

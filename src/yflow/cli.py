@@ -11,22 +11,21 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import auxfn, bounds
-from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario
-from .flow import SolverAbort, Trajectory, run
+from .config import ConfigError, ScenarioConfig, load_scenario, parse_kv
+from .flow import RECORD_COLUMNS, SolverAbort, Trajectory, run
 from .geometry import DiscretizedManifold, GeometryError, audit_assumptions
 from .yamabe import estimate_yamabe_constant
 
-# (timeseries.csv column, Trajectory column, plotted to <column>.svg)
-TIMESERIES_COLUMNS = (
-    ("t", "t", False), ("dt", "dt", False),
-    ("rho", "rho", True), ("vol", "vol", True),
-    ("min_u", "min_u", True), ("max_u", "max_u", True),
-    ("min_S", "min_S", True), ("max_S", "max_S", True),
-    ("s_minus_l2", "s_minus_l2", False), ("s_minus_linf", "s_minus_linf", False),
-    ("energy_S_rho", "energy", True),
+# (timeseries.csv column, Trajectory column, plotted to <column>.svg): the
+# record columns, energy headed energy_S_rho; t, dt and the (S - rho)_- norms
+# are not plotted
+TIMESERIES_COLUMNS = tuple(
+    ("energy_S_rho" if f == "energy" else f, f,
+     f not in ("t", "dt", "s_minus_l2", "s_minus_linf"))
+    for f in RECORD_COLUMNS
 )
 
 EXIT_OK = 0
@@ -76,15 +75,16 @@ def _plot_columns(cols, plot_dir: str) -> None:
                           col, os.path.join(plot_dir, f"{col}.svg"))
 
 
-def _load(path: str, text: Optional[str] = None):
-    """(scenario, manifold) of a config file, parsed from ``text`` when given.
+def _load(path: str, overrides: Optional[Dict[str, str]] = None):
+    """(scenario, manifold) of a config file, ``overrides`` replacing its values.
 
-    Prints one ``config error:`` line and returns None when either is invalid.
+    Prints one ``config error:`` line and returns None when either is invalid
+    or a file the profile names (``tabulated``) cannot be read.
     """
     try:
-        cfg = load_scenario(path) if text is None else parse_scenario(text, source=path)
+        cfg = load_scenario(path, overrides)
         return cfg, cfg.build()
-    except (ConfigError, GeometryError) as exc:
+    except (ConfigError, GeometryError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
 
@@ -136,39 +136,44 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
 
 
 def cmd_run(args) -> int:
-    if (loaded := _load(args.config)) is None:
+    overrides = {} if args.seed is None else {"seed": str(args.seed)}
+    if (loaded := _load(args.config, overrides)) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
-    if args.seed is not None:
-        cfg.seed = args.seed
     base_out = args.out or cfg.output_dir or os.path.join(_out_root(), "out")
 
     if args.sweep:
         key, _, items = args.sweep.partition("=")
+        key = key.strip()
         values = [v for v in items.split(",") if v]
         if not key or not values:
             print("sweep error: sweep needs PARAM=a,b,c", file=sys.stderr)
             return EXIT_CONFIG
-        return _run_sweep(args.config, key.strip(), values, base_out, args.quiet, args.seed)
+        try:
+            for val in values:      # an unknown key or unreadable value ends here, once
+                parse_kv("", overrides={key: val})
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        return _run_sweep(args.config, key, values, overrides, base_out, args.quiet)
     return _scenario_run(cfg, manifold, base_out, args.quiet)
 
 
-def _run_sweep(config_path: str, key: str, values: List[str], base_out: str,
-               quiet: bool, seed: Optional[int]) -> int:
-    """One worker per value; a worker that raises counts as a solver abort."""
+def _run_sweep(config_path: str, key: str, values: List[str], overrides: Dict[str, str],
+               base_out: str, quiet: bool) -> int:
+    """One worker per value; a worker that raises counts as a solver abort.
+
+    A worker's overrides are ``overrides`` (``--seed``) and its sweep value,
+    which wins when the sweep key is ``seed`` too.
+    """
     import concurrent.futures as cf
 
-    with open(config_path, "r", encoding="utf-8") as fh:
-        base_text = fh.read()
-    if seed is not None:
-        base_text = _override_key(base_text, "seed", str(seed))
     worst = EXIT_OK
     with cf.ProcessPoolExecutor() as pool:
         jobs = []
         for val in values:
             out = os.path.join(base_out, f"{key}={val}")
-            text = _override_key(base_text, key, val)
-            jobs.append((out, pool.submit(_sweep_job, config_path, text, out)))
+            jobs.append((out, pool.submit(_sweep_job, config_path, {**overrides, key: val}, out)))
         for out, fut in jobs:
             try:
                 code = fut.result()
@@ -182,23 +187,8 @@ def _run_sweep(config_path: str, key: str, values: List[str], base_out: str,
     return worst
 
 
-def _override_key(text: str, key: str, value: str) -> str:
-    lines = []
-    replaced = False
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        if "=" in body and body.split("=", 1)[0].strip() == key:
-            lines.append(f"{key} = {value}")
-            replaced = True
-        else:
-            lines.append(line)
-    if not replaced:
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_job(config_path: str, config_text: str, out_dir: str) -> int:
-    if (loaded := _load(config_path, config_text)) is None:
+def _sweep_job(config_path: str, overrides: Dict[str, str], out_dir: str) -> int:
+    if (loaded := _load(config_path, overrides)) is None:
         return EXIT_CONFIG
     return _scenario_run(*loaded, out_dir, quiet=True)
 

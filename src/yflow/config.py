@@ -3,15 +3,18 @@
 Dotted keys address sections (``flow.T``, ``grid.M``); ``#`` starts a
 comment; unknown keys are errors so typos surface as exit-code-2 parse
 failures with a line and column.  The format is deliberately flat for
-diff-friendliness.
+diff-friendliness.  Each key is read once, by its reader in ``_KNOWN_KEYS``,
+and its value goes straight to a keyword argument of the profile function,
+``RadialGrid`` or ``FlowConfig``, or to a ``ScenarioConfig`` field; a key the
+file leaves out takes the default declared there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from .bounds import MONITOR_NAMES, check_chain_parameters
+from .bounds import MONITOR_NAMES, P_DEFAULT, check_chain_parameters
 from .flow import FlowConfig
 from .geometry import DiscretizedManifold, RadialGrid, WarpedProfile, build_manifold, make_profile
 
@@ -29,74 +32,21 @@ class ConfigError(ValueError):
         )
 
 
-_KNOWN_KEYS = {
-    "profile.name": str,
-    "profile.eps": float,
-    "profile.a": float,
-    "profile.cap_radius": float,
-    "profile.x_max": float,
-    "profile.path": str,
-    "manifold.n": int,
-    "grid.M": int,
-    "grid.gamma": float,
-    "flow.T": float,
-    "flow.cfl": float,
-    "flow.dt_init": float,
-    "flow.dt_min": float,
-    "flow.dt_max": float,
-    "flow.vol_tol": float,
-    "flow.positivity_floor": float,
-    "flow.checkpoint_every": int,
-    "flow.snapshot_every": int,
-    "monitors.enable": str,
-    "monitors.p": str,
-    "monitors.samples": int,
-    "audit.q": float,
-    "yamabe.max_iter": int,
-    "moser.beta": float,
-    "moser.k_max": int,
-    "output.dir": str,
-    "output.plots": str,
-    "seed": int,
-}
-
-
-def parse_kv(text: str, source: str = "<config>") -> Dict[str, object]:
-    """Parse the flat key = value format, validating keys and types."""
-    values: Dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
-        if "=" not in body:
-            col = len(body) - len(body.lstrip()) + 1
-            raise ConfigError(f"expected 'key = value', got {body.strip()!r}",
-                              lineno, col)
-        key_part, val_part = body.split("=", 1)
-        key = key_part.strip()
-        val = val_part.strip()
-        col = body.index("=") + 1
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", lineno, 1)
-        if key in values:
-            raise ConfigError(f"duplicate key {key!r}", lineno, 1)
-        caster = _KNOWN_KEYS[key]
-        try:
-            values[key] = caster(val)
-        except ValueError:
+def _monitor_list(spec: str) -> Tuple[str, ...]:
+    if spec == "all":
+        return MONITOR_NAMES
+    if spec == "none":
+        return ()
+    names = tuple(tok.strip() for tok in spec.split(",") if tok.strip())
+    for name in names:
+        if name not in MONITOR_NAMES:
             raise ConfigError(
-                f"cannot parse value {val!r} for {key!r} as {caster.__name__}",
-                lineno, col + 1,
-            ) from None
-    return values
+                f"unknown monitor {name!r} (known: {', '.join(MONITOR_NAMES)})"
+            )
+    return names
 
 
-def _section(kv: Dict[str, object], name: str) -> Dict[str, object]:
-    """The keys of one dotted section, without the section prefix."""
-    return {k.split(".", 1)[1]: v for k, v in kv.items() if k.startswith(name + ".")}
-
-
-def _parse_p_list(spec: str) -> Tuple[float, ...]:
+def _exponent_list(spec: str) -> Tuple[float, ...]:
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
@@ -114,6 +64,89 @@ def _parse_p_list(spec: str) -> Tuple[float, ...]:
     return tuple(out)
 
 
+def _boolean(spec: str) -> bool:
+    flag = spec.lower()
+    if flag not in ("true", "false", "0", "1", "yes", "no"):
+        raise ConfigError(f"output.plots must be boolean-like, got {flag!r}")
+    return flag in ("true", "1", "yes")
+
+
+# key -> (reader, part, keyword).  The value reader(text) is the keyword
+# argument of the profile function that profile.name names (part "profile"),
+# of RadialGrid ("grid") or of FlowConfig ("flow"), or the ScenarioConfig
+# field ("scenario") of that name.
+_KNOWN_KEYS = {
+    "profile.name": (str, "profile", "name"),
+    "profile.eps": (float, "profile", "eps"),
+    "profile.a": (float, "profile", "a"),
+    "profile.cap_radius": (float, "profile", "cap_radius"),
+    "profile.x_max": (float, "profile", "x_max"),
+    "profile.path": (str, "profile", "path"),
+    "manifold.n": (int, "profile", "n"),
+    "grid.M": (int, "grid", "M"),
+    "grid.gamma": (float, "grid", "gamma"),
+    "flow.T": (float, "flow", "T_final"),
+    "flow.cfl": (float, "flow", "cfl"),
+    "flow.dt_init": (float, "flow", "dt_init"),
+    "flow.dt_min": (float, "flow", "dt_min"),
+    "flow.dt_max": (float, "flow", "dt_max"),
+    "flow.vol_tol": (float, "flow", "vol_tol"),
+    "flow.positivity_floor": (float, "flow", "positivity_floor"),
+    "flow.checkpoint_every": (int, "flow", "checkpoint_every"),
+    "flow.snapshot_every": (int, "flow", "snapshot_every"),
+    "monitors.enable": (_monitor_list, "scenario", "monitors"),
+    "monitors.p": (_exponent_list, "scenario", "p_values"),
+    "monitors.samples": (int, "scenario", "sobolev_samples"),
+    "audit.q": (float, "scenario", "audit_q"),
+    "yamabe.max_iter": (int, "scenario", "yamabe_max_iter"),
+    "moser.beta": (float, "scenario", "moser_beta"),
+    "moser.k_max": (int, "scenario", "moser_k_max"),
+    "output.dir": (str, "scenario", "output_dir"),
+    "output.plots": (_boolean, "scenario", "plots"),
+    "seed": (int, "scenario", "seed"),
+}
+
+
+def _read(key: str, text: str, line: int = 0, column: int = 0) -> object:
+    """``text`` read as the value of ``key``; ``line`` (0: none) and ``column`` locate it."""
+    if key not in _KNOWN_KEYS:
+        raise ConfigError(f"unknown key {key!r}", line, 1)
+    reader = _KNOWN_KEYS[key][0]
+    try:
+        return reader(text)
+    except ConfigError:         # a reader's own message, which names the key
+        raise
+    except ValueError:
+        kind = reader.__name__.strip("_").replace("_", " ")
+        raise ConfigError(f"cannot parse value {text!r} for {key!r} as {kind}",
+                          line, column) from None
+
+
+def parse_kv(text: str, overrides: Optional[Mapping[str, str]] = None) -> Dict[str, object]:
+    """Parse the flat key = value format, validating keys and types.
+
+    ``overrides`` maps keys to value texts that replace the file's values,
+    as ``--seed`` and ``--sweep`` give them; their errors cite no line.
+    """
+    values: Dict[str, object] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0]
+        if not body.strip():
+            continue
+        if "=" not in body:
+            col = len(body) - len(body.lstrip()) + 1
+            raise ConfigError(f"expected 'key = value', got {body.strip()!r}",
+                              lineno, col)
+        key_part, val_part = body.split("=", 1)
+        key = key_part.strip()
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r}", lineno, 1)
+        values[key] = _read(key, val_part.strip(), lineno, body.index("=") + 2)
+    for key, val in (overrides or {}).items():
+        values[key] = _read(key, val.strip())
+    return values
+
+
 @dataclass
 class ScenarioConfig:
     """Everything one scenario run needs, resolved and validated."""
@@ -122,7 +155,7 @@ class ScenarioConfig:
     grid: RadialGrid
     flow: FlowConfig
     monitors: Tuple[str, ...] = MONITOR_NAMES
-    p_values: Tuple[float, ...] = (2.0, 4.0, 8.0, math.inf)
+    p_values: Tuple[float, ...] = P_DEFAULT
     sobolev_samples: int = 20
     audit_q: Optional[float] = None
     yamabe_max_iter: int = 300
@@ -132,69 +165,35 @@ class ScenarioConfig:
     plots: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        check_chain_parameters(self.moser_beta, self.moser_k_max)
+        if self.audit_q is not None and not self.audit_q > 0.0:
+            raise ConfigError(f"audit.q must be positive, got {self.audit_q:g}")
+
     def build(self) -> DiscretizedManifold:
         return build_manifold(self.profile, self.grid)
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_scenario(path: str, overrides: Optional[Mapping[str, str]] = None) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return parse_scenario(text, source=path)
+    return parse_scenario(text, overrides)
 
 
-def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Resolve and validate the text of a scenario file."""
-    kv = parse_kv(text, source=source)
-
-    prof_params = _section(kv, "profile")
-    name = prof_params.pop("name", None)
-    if name is None:
+def parse_scenario(text: str, overrides: Optional[Mapping[str, str]] = None) -> ScenarioConfig:
+    """Resolve and validate the text of a scenario file; see ``parse_kv`` for ``overrides``."""
+    args = {"profile": {}, "grid": {}, "flow": {}, "scenario": {}}
+    for key, value in parse_kv(text, overrides).items():
+        _, part, keyword = _KNOWN_KEYS[key]
+        args[part][keyword] = value
+    if "name" not in args["profile"]:
         raise ConfigError("missing required key 'profile.name'")
-    n = int(kv.get("manifold.n", 3))
-    flow_params = _section(kv, "flow")     # FlowConfig's own defaults fill the rest
     try:
-        profile = make_profile(str(name), n=n, **prof_params)
-        grid = RadialGrid(M=int(kv.get("grid.M", 256)),
-                          gamma=float(kv.get("grid.gamma", 1.0)))
-        flow = FlowConfig(T_final=float(flow_params.pop("T", 1.0)), **flow_params)
-        check_chain_parameters(kv.get("moser.beta", 2.0), kv.get("moser.k_max", 6))
+        return ScenarioConfig(profile=make_profile(**args["profile"]),
+                              grid=RadialGrid(**args["grid"]), flow=FlowConfig(**args["flow"]),
+                              **args["scenario"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    enable = str(kv.get("monitors.enable", "all")).strip()
-    if enable == "all":
-        monitors = MONITOR_NAMES
-    elif enable in ("none", ""):
-        monitors = ()
-    else:
-        monitors = tuple(tok.strip() for tok in enable.split(",") if tok.strip())
-        for mname in monitors:
-            if mname not in MONITOR_NAMES:
-                raise ConfigError(
-                    f"unknown monitor {mname!r} (known: {', '.join(MONITOR_NAMES)})"
-                )
-
-    plots_raw = str(kv.get("output.plots", "false")).strip().lower()
-    if plots_raw not in ("true", "false", "0", "1", "yes", "no"):
-        raise ConfigError(f"output.plots must be boolean-like, got {plots_raw!r}")
-    if not kv.get("audit.q", 1.0) > 0.0:
-        raise ConfigError(f"audit.q must be positive, got {kv['audit.q']:g}")
-
-    return ScenarioConfig(
-        profile=profile,
-        grid=grid,
-        flow=flow,
-        monitors=monitors,
-        p_values=_parse_p_list(str(kv.get("monitors.p", "2,4,8,inf"))),
-        sobolev_samples=int(kv.get("monitors.samples", 20)),
-        audit_q=kv.get("audit.q"),
-        yamabe_max_iter=int(kv.get("yamabe.max_iter", 300)),
-        moser_beta=float(kv.get("moser.beta", 2.0)),
-        moser_k_max=int(kv.get("moser.k_max", 6)),
-        output_dir=kv.get("output.dir"),
-        plots=plots_raw in ("true", "1", "yes"),
-        seed=int(kv.get("seed", 0)),
-    )

@@ -55,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowConfig:
-    T_final: float
+    T_final: float = 1.0
     cfl: float = 0.9
     dt_init: float = 1e-3
     dt_min: float = 1e-9

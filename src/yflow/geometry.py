@@ -17,6 +17,7 @@ as predicates on that manifold; :func:`audit_assumptions` renders them.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -181,7 +182,7 @@ class RadialGrid:
     tips shrink like ``(1/M)^gamma`` and ``gamma = 1`` gives a uniform grid.
     """
 
-    M: int
+    M: int = 256
     gamma: float = 1.0
 
     def __post_init__(self):
@@ -636,23 +637,26 @@ def tabulated(path: str, n: int = 3, tip_left: Optional[Tip] = None,
     )
 
 
-_PROFILE_FACTORIES = {
-    "sphere": lambda n, params: sphere(n=n),
-    "perturbed_sphere": lambda n, params: perturbed_sphere(float(params["eps"]), n=n),
-    "cone": lambda n, params: cone(float(params["a"]), n=n,
-                                   x_max=float(params.get("x_max", 1.0))),
-    "capped_cone": lambda n, params: capped_cone(
-        float(params["a"]), float(params["cap_radius"]), n=n
-    ),
-    "tabulated": lambda n, params: tabulated(str(params["path"]), n=n),
-}
+_PROFILES = {f.__name__: f for f in (sphere, perturbed_sphere, cone, capped_cone, tabulated)}
 
 
-def make_profile(name: str, n: int = 3, **params) -> WarpedProfile:
-    """Look up a profile by its config-file name."""
+def make_profile(name: str, **params) -> WarpedProfile:
+    """The profile function ``name`` (a config file's profile.name) called with ``params``.
+
+    ``params`` are checked against the function's signature first, so an
+    unknown or a missing parameter is a GeometryError.
+    """
     try:
-        factory = _PROFILE_FACTORIES[name]
+        factory = _PROFILES[name]
     except KeyError:
-        known = ", ".join(sorted(_PROFILE_FACTORIES))
+        known = ", ".join(sorted(_PROFILES))
         raise GeometryError(f"unknown profile {name!r} (known: {known})") from None
-    return factory(n, params)
+    takes = inspect.signature(factory).parameters
+    for key in params:
+        if key not in takes:
+            raise GeometryError(f"profile {name!r} takes no parameter {key!r} "
+                                f"(it takes {', '.join(takes)})")
+    for key, param in takes.items():
+        if param.default is param.empty and key not in params:
+            raise GeometryError(f"profile {name!r} needs parameter {key!r}")
+    return factory(**params)

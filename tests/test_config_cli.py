@@ -88,6 +88,49 @@ def test_load_scenario_monitor_subset(tmp_path):
                              name="bad.cfg"))
 
 
+def test_readme_lists_every_scenario_key_with_its_default():
+    # README's "Scenario keys" table: the keys of config._KNOWN_KEYS in order,
+    # each with its reader's name, the default that parse_scenario or the
+    # profile functions resolve, and the keyword or field it goes to
+    import inspect
+    from pathlib import Path
+
+    from yflow import config, geometry
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index("| Key | Type | Default | Goes to |") + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert [key.strip("`") for key, *_ in rows] == list(config._KNOWN_KEYS)
+
+    cfg = config.parse_scenario("profile.name = sphere\n")
+    owners = {"grid": ("RadialGrid({})", cfg.grid), "flow": ("FlowConfig({})", cfg.flow),
+              "scenario": ("ScenarioConfig.{}", cfg)}
+    for key, kind, default, goes_to in rows:
+        reader, part, keyword = config._KNOWN_KEYS[key.strip("`")]
+        assert kind == reader.__name__.strip("_").replace("_", " ")
+        if part == "profile":
+            functions = ({"make_profile": geometry.make_profile} if keyword == "name"
+                         else geometry._PROFILES)
+            takers = {f"{name}({keyword})": inspect.signature(f).parameters[keyword].default
+                      for name, f in functions.items()
+                      if keyword in inspect.signature(f).parameters}
+        else:
+            target, owner = owners[part]
+            takers = {target.format(keyword): getattr(owner, keyword)}
+        assert goes_to.split(", ") == [f"`{t}`" for t in takers]
+        (value,) = set(takers.values())
+        if value is inspect.Parameter.empty:
+            assert default == "required"
+        elif value is None:
+            assert default == "—"
+        else:
+            assert reader(default) == value
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -266,6 +309,13 @@ CONFIGS = {
     "p_nan": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,nan"),
     "T_inf": SPHERE_CFG.replace("flow.T = 0.05", "flow.T = inf"),
     "multistart": SPHERE_CFG + "yamabe.multistart = 3\n",
+    "beta_inf": SPHERE_CFG + "moser.beta = inf\n",
+    "no_eps": SPHERE_CFG.replace("= sphere", "= perturbed_sphere"),
+    "cone_eps": CONE_CFG + "profile.eps = 0.1\n",
+    "x_max_nan": SPHERE_CFG.replace("= sphere", "= perturbed_sphere\nprofile.eps = 0.1")
+    + "profile.x_max = nan\n",
+    "p_abc": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,abc"),
+    "no_phi_file": "profile.name = tabulated\nprofile.path = no-such-dir/phi.txt\n",
 }
 
 
@@ -294,13 +344,37 @@ CONFIGS = {
     (["audit", "--config", "{T_inf}"], 2, "config error: T_final must be positive and finite"),
     (["yamabe", "--config", "{T_inf}"], 2, "config error: T_final must be positive and finite"),
     (["yamabe", "--config", "{multistart}"], 2, "unknown key 'yamabe.multistart'"),
+    (["moser", "--config", "{sphere}", "--beta", "inf"], 2,
+     "yflow moser: chain exponent beta must be finite (got inf)"),
+    (["run", "--config", "{beta_inf}"], 2,
+     "config error: chain exponent beta must be finite (got inf)"),
+    (["audit", "--config", "{beta_inf}"], 2, "config error: chain exponent beta must be finite"),
+    (["run", "--config", "{no_eps}"], 2,
+     "config error: profile 'perturbed_sphere' needs parameter 'eps'"),
+    (["run", "--config", "{cone_eps}"], 2,
+     "config error: profile 'cone' takes no parameter 'eps' (it takes a, n, x_max)"),
+    (["run", "--config", "{x_max_nan}"], 2,
+     "config error: profile 'perturbed_sphere' takes no parameter 'x_max'"),
+    # a sweep value is read before any worker starts; its error cites no line
+    (["run", "--quiet", "--config", "{sphere}", "--sweep", "grid.M=abc"], 2,
+     "config error: cannot parse value 'abc' for 'grid.M' as int"),
+    (["run", "--quiet", "--config", "{sphere}", "--sweep", "bogus.key=1"], 2,
+     "config error: unknown key 'bogus.key'"),
+    (["run", "--config", "{p_abc}"], 2,
+     "config error: line 10, column 13: cannot parse value '2,abc' for 'monitors.p' "
+     "as exponent list"),
+    (["audit", "--config", "{no_phi_file}"], 2,
+     "No such file or directory: 'no-such-dir/phi.txt'"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
         "moser-kmax-0", "moser-kmax-9", "moser-beta-half", "moser-config-beta-1",
         "moser-config-kmax-9", "run-config-beta-1", "audit-config-kmax-9",
         "yamabe-config-beta-1", "run-config-p-nan", "audit-config-T-inf",
-        "yamabe-config-T-inf", "yamabe-config-multistart"])
+        "yamabe-config-T-inf", "yamabe-config-multistart", "moser-beta-inf",
+        "run-config-beta-inf", "audit-config-beta-inf", "run-config-no-eps",
+        "run-config-cone-eps", "run-config-x-max-nan", "run-sweep-unreadable-value",
+        "run-sweep-unknown-key", "run-config-p-abc", "audit-config-no-phi-file"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -414,6 +488,16 @@ def test_sweep_passes_seed_to_workers(tmp_path, capsys):
     single = (tmp_path / "single" / "monitors.csv").read_bytes()
     assert (tmp_path / "sweep" / "grid.M=64" / "monitors.csv").read_bytes() == single
     assert (tmp_path / "seedless" / "grid.M=64" / "monitors.csv").read_bytes() != single
+
+
+def test_sweep_seed_wins_over_the_seed_flag(tmp_path, capsys):
+    cfg = _write(tmp_path, PERTURBED_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "single"), "--quiet",
+                 "--seed", "7"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "sweep"), "--quiet",
+                 "--seed", "5", "--sweep", "seed=7"]) == 0
+    assert ((tmp_path / "sweep" / "seed=7" / "monitors.csv").read_bytes()
+            == (tmp_path / "single" / "monitors.csv").read_bytes())
 
 
 def test_crashing_sweep_worker_exits_three(tmp_path, capsys, monkeypatch):

@@ -154,6 +154,10 @@ def test_make_profile_registry():
     assert make_profile("cone", a=0.8).tip_left.slope == 0.8
     with pytest.raises(GeometryError, match="unknown profile"):
         make_profile("torus")
+    with pytest.raises(GeometryError, match="profile 'cone' takes no parameter 'eps'"):
+        make_profile("cone", a=0.8, eps=0.1)
+    with pytest.raises(GeometryError, match="profile 'perturbed_sphere' needs parameter 'eps'"):
+        make_profile("perturbed_sphere")
 
 
 # --- audit -----------------------------------------------------------------
