@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .discretization import _gradient, _laplacian, lp_norm
-from .geometry import AuditCheck, DiscretizedManifold, hypothesis_verdicts
+from .geometry import AuditCheck, DiscretizedManifold, lq_exponent
 
 __all__ = [
     "BoundLedger",
@@ -67,7 +67,7 @@ class BoundLedger:
     s0_inf: float = math.nan
     s0_lq: float = math.nan
     s0_plus_ln2: float = math.nan
-    hypotheses: Dict[str, AuditCheck] = field(default_factory=dict)   # at q = n^2/(2(n-2))
+    hypotheses: Dict[str, AuditCheck] = field(default_factory=dict)   # the manifold's own
     sup_u: float = -math.inf
     inf_u: float = math.inf
     y_est: Optional[float] = None
@@ -78,17 +78,16 @@ class BoundLedger:
     violations: List[tuple] = field(default_factory=list)
 
     @classmethod
-    def from_manifold(cls, manifold: DiscretizedManifold, ps=P_DEFAULT) -> "BoundLedger":
+    def from_manifold(cls, manifold: DiscretizedManifold) -> "BoundLedger":
         s0 = manifold.S0
         mu = manifold.mu_weights
-        n = manifold.n
         sm = np.maximum(-s0, 0.0)
         led = cls()
-        led.s0_minus_lp = {p: lp_norm(sm, p, mu) for p in ps}
+        led.s0_minus_lp = {p: lp_norm(sm, p, mu) for p in P_DEFAULT}
         led.s0_inf = float(s0.min())
-        led.hypotheses = hypothesis_verdicts(manifold, n * n / (2.0 * (n - 2.0)))
+        led.hypotheses = manifold.hypotheses
         led.s0_lq = led.hypotheses["s0_lq_finite"].value    # lp_norm(s0, q, mu), bit for bit
-        led.s0_plus_ln2 = lp_norm(np.maximum(s0, 0.0), n / 2.0, mu)
+        led.s0_plus_ln2 = lp_norm(np.maximum(s0, 0.0), manifold.n / 2.0, mu)
         return led
 
     def attach_sobolev(self, manifold: DiscretizedManifold, y_est: float) -> None:
@@ -340,7 +339,7 @@ def _late_sup_abs_s(traj) -> float:
 def _s_high_norm_time_integral(traj) -> float:
     """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2))."""
     n = traj.manifold.n
-    q = n * n / (2.0 * (n - 2.0))
+    q = lq_exponent(n)
     vals = [v ** ((n - 2.0) / n) for v in _lp_rows(traj, lambda r: traj.S[r], q).tolist()]
     return float(np.trapezoid(vals, traj.snap_t))
 

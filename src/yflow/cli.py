@@ -92,7 +92,7 @@ def _load(path: str, overrides: Optional[Dict[str, str]] = None):
 def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: str,
                   quiet: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    report = audit_assumptions(manifold, cfg.audit_q)
+    report = audit_assumptions(manifold)
     if not quiet or not report.ok:
         print(report, file=sys.stderr)
 
@@ -105,7 +105,8 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
         return EXIT_SOLVER
 
     ledger = traj.ledger
-    if "parabolic_sobolev" in cfg.monitors and ledger.hypotheses["s0_bounded"].passed:
+    if "parabolic_sobolev" in cfg.monitors and all(
+            ledger.hypotheses[name].passed for name in bounds.REQUIRES["parabolic_sobolev"]):
         est = estimate_yamabe_constant(manifold, max_iter=cfg.yamabe_max_iter)
         if est.value > 0.0:
             ledger.attach_sobolev(manifold, est.value)
@@ -146,8 +147,8 @@ def cmd_run(args) -> int:
         key, _, items = args.sweep.partition("=")
         key = key.strip()
         values = [v for v in items.split(",") if v]
-        if not key or not values:
-            print("sweep error: sweep needs PARAM=a,b,c", file=sys.stderr)
+        if not key or not values or len(set(values)) < len(values):   # one directory per value
+            print("sweep error: sweep needs PARAM=a,b,c with distinct values", file=sys.stderr)
             return EXIT_CONFIG
         try:
             for val in values:      # an unknown key or unreadable value ends here, once
@@ -197,7 +198,7 @@ def cmd_audit(args) -> int:
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
-    report = audit_assumptions(manifold, cfg.audit_q)
+    report = audit_assumptions(manifold)
     print(report)
     print("monitors that require each hypothesis")
     for check in report.checks:

@@ -97,7 +97,6 @@ _KNOWN_KEYS = {
     "monitors.enable": (_monitor_list, "scenario", "monitors"),
     "monitors.p": (_exponent_list, "scenario", "p_values"),
     "monitors.samples": (int, "scenario", "sobolev_samples"),
-    "audit.q": (float, "scenario", "audit_q"),
     "yamabe.max_iter": (int, "scenario", "yamabe_max_iter"),
     "moser.beta": (float, "scenario", "moser_beta"),
     "moser.k_max": (int, "scenario", "moser_k_max"),
@@ -141,7 +140,8 @@ def parse_kv(text: str, overrides: Optional[Mapping[str, str]] = None) -> Dict[s
         key = key_part.strip()
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno, 1)
-        values[key] = _read(key, val_part.strip(), lineno, body.index("=") + 2)
+        # the value is cited at its first character, past '=' and its blanks
+        values[key] = _read(key, val_part.strip(), lineno, len(body) - len(val_part.lstrip()) + 1)
     for key, val in (overrides or {}).items():
         values[key] = _read(key, val.strip())
     return values
@@ -157,7 +157,6 @@ class ScenarioConfig:
     monitors: Tuple[str, ...] = MONITOR_NAMES
     p_values: Tuple[float, ...] = P_DEFAULT
     sobolev_samples: int = 20
-    audit_q: Optional[float] = None
     yamabe_max_iter: int = 300
     moser_beta: float = 2.0
     moser_k_max: int = 6
@@ -167,8 +166,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_chain_parameters(self.moser_beta, self.moser_k_max)
-        if self.audit_q is not None and not self.audit_q > 0.0:
-            raise ConfigError(f"audit.q must be positive, got {self.audit_q:g}")
 
     def build(self) -> DiscretizedManifold:
         return build_manifold(self.profile, self.grid)

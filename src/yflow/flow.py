@@ -35,7 +35,7 @@ import numpy as np
 
 from .discretization import TridiagonalOperator, critical_exponent, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
-from .yamabe import FlowState, _unit_volume, average_scalar
+from .yamabe import FlowState, VolumeError, _unit_volume, average_scalar
 
 __all__ = [
     "FlowConfig",
@@ -357,19 +357,21 @@ def restore(
     """Read a checkpoint; returns (state, dt_next, step_index).
 
     Refuses files whose configuration hash does not match the given
-    manifold and flow configuration.  A line that cannot be read, and a
-    hash or node count that does not match, is reported with its byte offset.
+    manifold and flow configuration.  A line that cannot be read, holds a
+    value no run resumes from (t < 0, dt <= 0, step < 0, u <= 0, or one not
+    finite), or has a hash or node count that does not match is reported with
+    its byte offset; a u off the unit-volume slice with that of its first line.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
         if header.rstrip(b"\n") != b"YFLOW v1":
             raise CheckpointError(f"{path}: bad header at byte 0: {header!r}")
-        offset = len(header)
+        at = offset = len(header)      # at: where the line last read starts
 
-        def field(key: str, cast=str):
-            """The value of the next line, ``<key> <value>``, as ``cast`` reads it."""
-            nonlocal offset
-            raw = fh.readline()
+        def field(key: str, cast=str, valid=lambda value: True):
+            """The value of the next line, ``<key> <value>``, read by ``cast``; ``valid`` holds."""
+            nonlocal at, offset
+            at, raw = offset, fh.readline()
             if not raw:
                 raise CheckpointError(f"{path}: unexpected end of file at byte {offset}")
             text = raw.decode("utf-8", errors="replace").rstrip("\n")
@@ -378,6 +380,8 @@ def restore(
                 raise CheckpointError(f"{path}: expected '{key} ...' at byte {offset}, got {text!r}")
             try:
                 value = cast(parts[1])
+                if not valid(value):
+                    raise ValueError
             except ValueError:
                 raise CheckpointError(
                     f"{path}: malformed {key!r} field at byte {offset}: {parts[1]!r}"
@@ -385,7 +389,6 @@ def restore(
             offset += len(raw)
             return value
 
-        at = offset
         found, expected = field("hash"), config_hash(manifold, config)
         if found != expected:
             raise CheckpointError(
@@ -393,15 +396,20 @@ def restore(
                 f"(file {found[:12]}..., current {expected[:12]}...); "
                 "the checkpoint belongs to a different manifold or flow setup"
             )
-        t, dt_next, step_index = field("t", float), field("dt", float), field("step", int)
-        at = offset
+        t = field("t", float, lambda v: 0.0 <= v < math.inf)
+        dt_next = field("dt", float, lambda v: 0.0 < v < math.inf)
+        step_index = field("step", int, lambda v: v >= 0)
         nodes = field("nodes", int)
         if nodes != manifold.node_count:
             raise CheckpointError(
                 f"{path}: node count {nodes} at byte {at} does not match the manifold "
                 f"({manifold.node_count})"
             )
-        u = np.array([field("u", float) for _ in range(nodes)])
+        u_at = offset
+        u = np.array([field("u", float, lambda v: 0.0 < v < math.inf) for _ in range(nodes)])
 
-    state = FlowState.from_u(manifold, u, t)
+    try:
+        state = FlowState.from_u(manifold, u, t)
+    except VolumeError as exc:
+        raise CheckpointError(f"{path}: the u lines from byte {u_at}: {exc}") from None
     return state, dt_next, step_index

@@ -12,7 +12,7 @@ radial grid, quadrature weights for the background measure
 ``d(mu) = omega_{n-1} phi^{n-1} dx``, and the background scalar curvature
 field.  Construction normalizes the total volume to one by a homothety;
 curvature scales accordingly.  ``HYPOTHESES`` holds the paper's hypotheses
-as predicates on that manifold; :func:`audit_assumptions` renders them.
+as predicates, which each manifold decides once; :func:`audit_assumptions` renders them.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ __all__ = [
     "AuditReport",
     "build_manifold",
     "scalar_curvature_g0",
-    "hypothesis_verdicts",
+    "lq_exponent",
     "audit_assumptions",
     "sphere",
     "perturbed_sphere",
@@ -247,6 +247,11 @@ class DiscretizedManifold:
 
         return TridiagonalOperator.laplacian(self)
 
+    @functools.cached_property
+    def hypotheses(self) -> dict:
+        """Name -> :class:`AuditCheck` of every ``HYPOTHESES`` entry, in table order."""
+        return {name: AuditCheck(name, *pred(self)) for name, pred in HYPOTHESES.items()}
+
     def spec_string(self) -> str:
         return f"{self.profile.spec_string()}|M={self.grid.M}|gamma={self.grid.gamma:.17g}"
 
@@ -359,15 +364,22 @@ def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManif
 # the paper's hypotheses and their audit
 
 
-def _divergent_tips(manifold: DiscretizedManifold, q: float) -> list:
+def lq_exponent(n: int) -> float:
+    """The exponent ``q = n^2/(2(n-2))`` of the paper's hypothesis ``S0 in L^q``."""
+    return n * n / (2.0 * (n - 2.0))
+
+
+def _divergent_tips(manifold: DiscretizedManifold) -> list:
     """Tips where ``|S0|^q ~ x^(-2q)`` is not integrable against ``x^(n-1)``."""
+    # 2q >= n always holds here; with a tip's codimension in place of n it need not
     return [tip for tip, coeff in manifold.cone_coefficients()
-            if abs(coeff) > 0.0 and 2.0 * q >= manifold.n]
+            if abs(coeff) > 0.0 and 2.0 * lq_exponent(manifold.n) >= manifold.n]
 
 
-def _s0_lq_finite(manifold: DiscretizedManifold, q: float):
+def _s0_lq_finite(manifold: DiscretizedManifold):
+    q = lq_exponent(manifold.n)
     lq_val = float(np.sum(manifold.mu_weights * np.abs(manifold.S0) ** q)) ** (1.0 / q)
-    ok = not _divergent_tips(manifold, q)
+    ok = not _divergent_tips(manifold)
     return ok, lq_val, f"quadrature value {lq_val:.6g}" + ("" if ok else " (divergent at tip)")
 
 
@@ -376,18 +388,18 @@ def _sup_verdict(values: np.ndarray, ok: bool, label: str, failure: str):
     return ok, worst, f"{label} = {worst:.6g}" + ("" if ok else f" (unbounded: {failure})")
 
 
-# hypothesis name -> predicate (manifold, q) -> (holds, value, reason).  Each
+# hypothesis name -> predicate (manifold) -> (holds, value, reason).  Each
 # verdict follows from the tips' leading 1/x^2 curvature coefficients
 # (n-1)(n-2)(1-a^2)/a^2, so refinement cannot change it; the value is measured
 # on this grid.  S0 is unbounded unless every coefficient vanishes, (S0)_-
 # when one is negative (a cone of slope a > 1).
 HYPOTHESES = {
-    "finite_volume": lambda m, q: (True, 1.0, "total volume normalized to 1"),
+    "finite_volume": lambda m: (True, 1.0, "total volume normalized to 1"),
     "s0_lq_finite": _s0_lq_finite,
-    "s0_minus_bounded": lambda m, q: _sup_verdict(
+    "s0_minus_bounded": lambda m: _sup_verdict(
         np.maximum(-m.S0, 0.0), all(c >= 0.0 for _, c in m.cone_coefficients()),
         "max (S0)_- over nodes", "cone slope > 1"),
-    "s0_bounded": lambda m, q: _sup_verdict(
+    "s0_bounded": lambda m: _sup_verdict(
         np.abs(m.S0), all(c == 0.0 for _, c in m.cone_coefficients()),
         "max |S0| over nodes", "cone slope != 1"),
 }
@@ -401,11 +413,6 @@ class AuditCheck:
     passed: bool
     value: float
     detail: str
-
-
-def hypothesis_verdicts(manifold: DiscretizedManifold, q: float) -> dict:
-    """Name -> :class:`AuditCheck` of every HYPOTHESES entry, in table order."""
-    return {name: AuditCheck(name, *pred(manifold, q)) for name, pred in HYPOTHESES.items()}
 
 
 @dataclass
@@ -435,21 +442,17 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit_assumptions(manifold: DiscretizedManifold, q: Optional[float] = None) -> AuditReport:
-    """The HYPOTHESES table as a report: one check per hypothesis, in order.
+def audit_assumptions(manifold: DiscretizedManifold) -> AuditReport:
+    """The manifold's ``hypotheses`` as a report: one check per hypothesis, in order.
 
-    ``q`` defaults to ``n^2 / (2(n-2))``.  The tips' leading curvature
+    The exponent is ``q = lq_exponent(n)``.  The tips' leading curvature
     coefficients decide each verdict (see ``HYPOTHESES``), with the value
     on this grid reported for context; each tip where the L^q integral
     diverges under refinement adds a warning.
     """
-    n = manifold.n
-    if q is None:
-        q = n * n / (2.0 * (n - 2.0))
-    if not q > 0.0:
-        raise GeometryError("audit exponent q must be positive")
-    report = AuditReport(q=q, checks=list(hypothesis_verdicts(manifold, q).values()))
-    for tip in _divergent_tips(manifold, q):
+    n, q = manifold.n, lq_exponent(manifold.n)
+    report = AuditReport(q=q, checks=list(manifold.hypotheses.values()))
+    for tip in _divergent_tips(manifold):
         report.warnings.append(
             f"{tip.describe()} tip: |S0|^q ~ x^(-2q) against weight x^(n-1); "
             f"exponent n-1-2q = {n - 1 - 2 * q:g} <= -1, so the L^{q:g} "
@@ -588,11 +591,15 @@ def tabulated(path: str, n: int = 3, tip_left: Optional[Tip] = None,
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ConstructionError(f"{path}:{lineno}: expected two columns")
-            xs.append(float(parts[0]))
-            ps.append(float(parts[1]))
+            try:            # a ValueError unless the line is two numbers
+                x, phi = map(float, body.split())
+                if not (math.isfinite(x) and math.isfinite(phi)):
+                    raise ValueError
+            except ValueError:
+                raise ConstructionError(
+                    f"{path}:{lineno}: expected two finite numbers, got {body!r}") from None
+            xs.append(x)
+            ps.append(phi)
     if len(xs) < 8:
         raise ConstructionError(f"{path}: need at least 8 samples")
     xs_a = np.asarray(xs)
@@ -620,8 +627,6 @@ def tabulated(path: str, n: int = 3, tip_left: Optional[Tip] = None,
     if tip_right is None:
         d = max(x_max - float(xs_a[-2]), 1e-12)
         tip_right = classify(float(xs_a[-2]), d) if ps_a[-1] <= 0 else OPEN_END
-        if ps_a[-1] > 0.05 * float(ps_a.max()):
-            tip_right = OPEN_END
 
     import hashlib
 

@@ -30,7 +30,7 @@ from .discretization import (
     kappa,
     lp_norm,
 )
-from .geometry import HYPOTHESES, DiscretizedManifold
+from .geometry import DiscretizedManifold
 
 __all__ = [
     "PositivityError",
@@ -255,10 +255,10 @@ def sobolev_constants(
     if not (inf_u > 0.0 and sup_u >= inf_u):
         raise ValueError("need sup_u >= inf_u > 0")
     A0 = kappa(manifold.n) / y_est
-    s0_bounded, s0_sup, _ = HYPOTHESES["s0_bounded"](manifold, None)    # needs no q
-    if not s0_bounded:
+    s0_bounded = manifold.hypotheses["s0_bounded"]
+    if not s0_bounded.passed:
         return SobolevConstants(A0=A0, B0=None, A_T=None, B_T=None)
-    B0 = s0_sup / y_est
+    B0 = s0_bounded.value / y_est
     ratio = sup_u / inf_u
     A_T = A0 * ratio**2
     B_T = B0 * sup_u**2 / inf_u ** critical_exponent(manifold.n)

@@ -22,7 +22,15 @@ from yflow.bounds import (
     run_monitors,
 )
 from yflow.flow import FlowConfig, run
-from yflow.geometry import HYPOTHESES, RadialGrid, build_manifold, cone, perturbed_sphere, sphere
+from yflow.geometry import (
+    HYPOTHESES,
+    RadialGrid,
+    audit_assumptions,
+    build_manifold,
+    cone,
+    perturbed_sphere,
+    sphere,
+)
 from yflow.yamabe import estimate_yamabe_constant
 
 
@@ -47,6 +55,18 @@ def test_ledger_from_manifold(sphere256):
     assert all(verdict.passed for verdict in led.hypotheses.values())
     # q = 4.5 norm of a constant field is the constant itself (unit volume)
     assert led.s0_lq == pytest.approx(float(sphere256.S0.max()), rel=1e-7)
+
+
+def test_audit_and_ledger_read_one_verdict_table():
+    # cone(0.8): S0 ~ +1/x^2 at the tip, outside L^q and unbounded
+    m = build_manifold(cone(0.8), RadialGrid(M=48))
+    report = audit_assumptions(m)
+    traj = run(m, FlowConfig(T_final=1e-4, dt_init=2e-5, dt_max=2e-5))
+    ledger = list(traj.ledger.hypotheses.values())
+    assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in ledger]
+    assert not traj.ledger.hypotheses["s0_lq_finite"].passed
+    # one evaluation per manifold: the audit's checks are the ledger's verdicts
+    assert all(a is b for a, b in zip(report.checks, ledger, strict=True))
 
 
 def test_mixed_profile_really_mixed(mixed_run):

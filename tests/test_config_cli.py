@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,11 +206,26 @@ def test_negative_tabulated_phi_exits_two(argv, tmp_path, monkeypatch, capfd):
     assert "phi must be positive" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["run", "audit"])
-def test_nonpositive_audit_exponent_exits_two(command, tmp_path, capsys):
-    cfg = _write(tmp_path, SPHERE_CFG + "audit.q = -1\n")
-    assert main([command, "--config", cfg]) == 2
-    assert "audit.q must be positive" in capsys.readouterr().err
+def test_run_decides_each_hypothesis_once(tmp_path, monkeypatch, capsys):
+    # the audit, the ledger, the Yamabe gate and the Sobolev constants all read
+    # the verdicts; each HYPOTHESES predicate must still run once per run
+    from yflow import geometry
+
+    calls = dict.fromkeys(geometry.HYPOTHESES, 0)
+
+    def counted(name, predicate):
+        def wrapper(*args):
+            calls[name] += 1
+            return predicate(*args)
+        return wrapper
+
+    for name, predicate in list(geometry.HYPOTHESES.items()):
+        monkeypatch.setitem(geometry.HYPOTHESES, name, counted(name, predicate))
+    text = SPHERE_CFG.replace("= sphere", "= perturbed_sphere\nprofile.eps = 0.1")
+    cfg = _write(tmp_path, text + "monitors.enable = all\nmonitors.samples = 3\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "[pass] parabolic_sobolev" in capsys.readouterr().out.splitlines()
+    assert calls == dict.fromkeys(geometry.HYPOTHESES, 1)
 
 
 def test_audit_command(tmp_path, capsys):
@@ -300,6 +316,9 @@ def test_auxcheck_golden_output(capsys):
     assert capsys.readouterr().out == AUXCHECK_40K_SHARPNESS
 
 
+# tabulated profiles with a token that is not a finite number
+TABULATED = Path(__file__).resolve().parent / "data" / "tabulated"
+
 # exit-code table: argv, exit code, a fragment of the one stderr line; "{name}"
 # in argv is the path of the config file CONFIGS[name]
 CONFIGS = {
@@ -316,6 +335,10 @@ CONFIGS = {
     + "profile.x_max = nan\n",
     "p_abc": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,abc"),
     "no_phi_file": "profile.name = tabulated\nprofile.path = no-such-dir/phi.txt\n",
+    "M_padded": SPHERE_CFG.replace("grid.M = 64", "grid.M =    abc"),
+    "audit_q": SPHERE_CFG + "audit.q = 4.5\n",
+    "phi_word": f"profile.name = tabulated\nprofile.path = {TABULATED / 'word_token.txt'}\n",
+    "phi_nan_x": f"profile.name = tabulated\nprofile.path = {TABULATED / 'nan_abscissa.txt'}\n",
 }
 
 
@@ -361,10 +384,23 @@ CONFIGS = {
     (["run", "--quiet", "--config", "{sphere}", "--sweep", "bogus.key=1"], 2,
      "config error: unknown key 'bogus.key'"),
     (["run", "--config", "{p_abc}"], 2,
-     "config error: line 10, column 13: cannot parse value '2,abc' for 'monitors.p' "
+     "config error: line 10, column 14: cannot parse value '2,abc' for 'monitors.p' "
      "as exponent list"),
     (["audit", "--config", "{no_phi_file}"], 2,
      "No such file or directory: 'no-such-dir/phi.txt'"),
+    (["run", "--config", "{M_padded}"], 2,
+     "config error: line 4, column 13: cannot parse value 'abc' for 'grid.M' as int"),
+    (["run", "--config", "{audit_q}"], 2, "config error: line 11, column 1: unknown key 'audit.q'"),
+    (["audit", "--config", "{audit_q}"], 2, "config error: line 11, column 1: unknown key 'audit.q'"),
+    (["audit", "--config", "{phi_word}"], 2,
+     f"config error: {TABULATED / 'word_token.txt'}:3: expected two finite numbers, "
+     "got '0.5 zero'"),
+    (["audit", "--config", "{phi_nan_x}"], 2,
+     f"config error: {TABULATED / 'nan_abscissa.txt'}:3: expected two finite numbers, "
+     "got 'nan 0.48'"),
+    # both workers would write grid.M=32/
+    (["run", "--quiet", "--config", "{sphere}", "--sweep", "grid.M=32,32"], 2,
+     "sweep error: sweep needs PARAM=a,b,c with distinct values"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -374,7 +410,9 @@ CONFIGS = {
         "yamabe-config-T-inf", "yamabe-config-multistart", "moser-beta-inf",
         "run-config-beta-inf", "audit-config-beta-inf", "run-config-no-eps",
         "run-config-cone-eps", "run-config-x-max-nan", "run-sweep-unreadable-value",
-        "run-sweep-unknown-key", "run-config-p-abc", "audit-config-no-phi-file"])
+        "run-sweep-unknown-key", "run-config-p-abc", "audit-config-no-phi-file",
+        "run-config-M-padded", "run-config-audit-q", "audit-config-audit-q",
+        "audit-config-phi-word", "audit-config-phi-nan-x", "run-sweep-repeated-value"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code

@@ -262,8 +262,12 @@ def test_restore_reports_truncation_offset(tmp_path):
         restore(path, m, cfg)
 
 
+# the values after "nodes" are ones no run can resume from: a t that is not finite
+# and >= 0, a dt that is not finite and > 0, a negative step, a u that is not positive
 @pytest.mark.parametrize("key, bad", [
     ("t", "zero"), ("dt", "1e-3e"), ("step", "1.5"), ("nodes", "17.5"),
+    ("t", "nan"), ("t", "-1"), ("t", "inf"), ("dt", "-1"), ("dt", "0"), ("dt", "nan"),
+    ("step", "-1"), ("u", "nan"), ("u", "-1"), ("u", "0"), ("u", "inf"),
 ])
 def test_restore_reports_malformed_header_field_offset(tmp_path, key, bad):
     m, cfg = _mini_setup()
@@ -275,6 +279,19 @@ def test_restore_reports_malformed_header_field_offset(tmp_path, key, bad):
     path.write_bytes(b"".join(lines))
     offset = sum(map(len, lines[:index]))
     with pytest.raises(CheckpointError, match=rf"malformed '{key}' field at byte {offset}: '{bad}'"):
+        restore(str(path), m, cfg)
+
+
+def test_restore_reports_off_slice_volume_at_first_u_line(tmp_path):
+    m, cfg = _mini_setup()
+    path = tmp_path / "s.ckpt"
+    checkpoint(FlowState.initial(m), str(path), m, cfg, dt_next=1e-3, step_index=0)
+    lines = path.read_bytes().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith(b"u "))
+    lines[first + 10] = b"u 2\n"      # positive and finite, but the volume is no longer 1
+    path.write_bytes(b"".join(lines))
+    offset = sum(map(len, lines[:first]))
+    with pytest.raises(CheckpointError, match=rf"the u lines from byte {offset}: evolving volume"):
         restore(str(path), m, cfg)
 
 

@@ -164,14 +164,14 @@ def test_make_profile_registry():
 
 
 def test_audit_sphere_all_pass(sphere64):
-    rep = audit_assumptions(sphere64, q=4.5)
+    rep = audit_assumptions(sphere64)
     assert rep.ok
     assert not rep.warnings
 
 
 def test_audit_cone_lq_fails():
     m = build_manifold(cone(0.8), RadialGrid(M=64))
-    rep = audit_assumptions(m, q=4.5)
+    rep = audit_assumptions(m)
     assert not rep.ok
     failed = {c.name for c in rep.checks if not c.passed}
     # S0 ~ +1/x^2 at the tip: outside L^q and unbounded
@@ -192,7 +192,7 @@ def test_audit_cone_steep_slope_unbounded_negative():
 def test_audit_perturbed_sphere_passes():
     prof = perturbed_sphere(0.1)
     m = build_manifold(prof, RadialGrid(M=64))
-    rep = audit_assumptions(m, q=4.5)
+    rep = audit_assumptions(m)
     assert rep.ok
 
 
