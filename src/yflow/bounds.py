@@ -5,6 +5,9 @@ of initial-data constants): re-running monitors on a restored trajectory
 gives identical verdicts, and no monitor can alter the flow.  Monitors read
 the trajectory's columns; per-snapshot norms are row reductions over its
 (snapshots x nodes) arrays, taken a block of rows at a time (:func:`_row_sums`).
+The parabolic Sobolev monitor's separable test fields ``r(t) P(x)`` are summed
+instead as matrix products of each block with the stacked profiles, every
+column then scaled by its time factor (:func:`check_parabolic_sobolev`).
 
 Hypotheses: ``REQUIRES`` names those of ``geometry.HYPOTHESES`` that a monitor
 (or a group of its rows) needs; where the ledger's verdict on one is a failure,
@@ -158,30 +161,34 @@ def slack_epsilon(traj) -> float:
     return 10.0 * traj.manifold.h_max**2 + 10.0 * float(traj.dt.max())
 
 
-def _row_sums(traj, terms, reduce=np.sum) -> List[np.ndarray]:
-    """Per-snapshot ``reduce`` over the nodes of each array ``terms(rows)`` yields.
+def _row_sums(traj, terms, reduce=np.sum, rows=None) -> List[np.ndarray]:
+    """Per-snapshot ``reduce`` over the nodes of each array ``terms(block)`` yields.
 
-    ``terms`` maps a slice of snapshot rows to (rows x nodes) arrays; it runs on
+    ``terms`` maps a block of snapshot rows (a slice, or an index vector when
+    ``rows`` picks the rows to reduce) to (rows x nodes) arrays; it runs on
     blocks of about ``BLOCK_ELEMENTS`` entries, whose row sums equal each row's
     1-D ``np.sum`` bit for bit.  Roots, ``exp`` and ``sqrt`` are left to the
     caller's Python floats: an array power differs from the float one in the last bits.
     """
     count, nodes = traj.u.shape
-    rows = max(1, BLOCK_ELEMENTS // nodes)
+    if rows is not None:
+        count = rows.size
+    step = max(1, BLOCK_ELEMENTS // nodes)
     sums = []   # one vector per term, filled block by block
-    for lo in range(0, count, rows):
-        for k, a in enumerate(terms(slice(lo, lo + rows))):
+    for lo in range(0, count, step):
+        block = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+        for k, a in enumerate(terms(block)):
             if lo == 0:
                 sums.append(np.empty(count))
-            sums[k][lo:lo + rows] = reduce(a, axis=1)
+            sums[k][lo:lo + step] = reduce(a, axis=1)
     return sums
 
 
-def _lp_rows(traj, f, p: float) -> np.ndarray:
-    """Per-snapshot :func:`lp_norm` of ``f(rows)`` in the evolving measure, before its root."""
+def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
+    """Per-snapshot :func:`lp_norm` of ``f(block)`` in the evolving measure, before its root."""
     if p == math.inf:
-        return _row_sums(traj, lambda r: (np.abs(f(r)),), np.max)[0]
-    return _row_sums(traj, lambda r: (traj.gvol_weights[r] * np.abs(f(r)) ** p,))[0]
+        return _row_sums(traj, lambda r: (np.abs(f(r)),), np.max, rows)[0]
+    return _row_sums(traj, lambda r: (traj.gvol_weights[r] * np.abs(f(r)) ** p,), rows=rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +215,11 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     if base is None:
         base = lp_norm(np.maximum(-traj.manifold.S0, 0.0), p, traj.manifold.mu_weights)
     n = traj.manifold.n
-    sums = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p)
+    # a row with S >= 0 has S_- = 0 and lhs 0.0; only the others are reduced
+    sums = np.zeros(traj.snap_t.size)
+    neg = np.flatnonzero(~(traj.S.min(axis=1) >= 0.0))
+    if neg.size:
+        sums[neg] = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p, neg)
     for t, v in zip(traj.snap_t.tolist(), sums.tolist()):
         growth = 1.0 if p == math.inf else math.exp(t * n * led.rho0 / (2.0 * p))
         res.add_upper(t, v if p == math.inf else v ** (1.0 / p), growth * base, eps, atol)
@@ -372,6 +383,12 @@ def _sample_spacetime_fields(traj, samples: int, seed: int):
     return fields
 
 
+def _grad_weights(man, u_rows: np.ndarray) -> np.ndarray:
+    """Face weights of ``w^2`` per snapshot row, with w = u averaged onto the faces."""
+    wf = 0.5 * (u_rows[:, :-1] + u_rows[:, 1:])
+    return man.face_weights * wf**2
+
+
 def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> MonitorResult:
     """Space-time Sobolev inequality with the flow-adapted constants.
 
@@ -379,6 +396,14 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     ``||f^2||_{L^{(n+2)/n}(M_T,g)} <= n/(n+2) (A_T ||grad f||^2 + B_T
     ||f||^2) + 2/(n+2) sup_t ||f(t)||^2`` is evaluated by quadrature over
     the trajectory's evolving measure.  Needs A(T), B(T) in the ledger.
+
+    Each snapshot contributes three sums per field: ``int |f|^{2q}``,
+    ``int w^2 |grad f|^2`` and ``int f^2``.  For a separable field
+    ``f = r(t) P(x)`` they are ``|r|^{2q} (gw @ |P|^{2q})``,
+    ``r^2 (fw @ (dP^2 / h))`` and ``r^2 (gw @ P^2)``: one matrix product per
+    block of snapshot rows for all such fields at once, each column then
+    scaled by its time factor.  A field with a (snapshots x nodes) profile
+    is summed elementwise through :func:`_row_sums`.
     """
     led = traj.ledger
     res = MonitorResult(monitor_id="parabolic_sobolev")
@@ -393,21 +418,44 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     ts, gw, u = traj.snap_t, traj.gvol_weights, traj.u
 
     fields = _sample_spacetime_fields(traj, samples, seed)
+    separable = [f for f in fields if f[2].ndim == 1]
+    full = [f for f in fields if f[2].ndim == 2]
 
-    def terms(r):   # three sums per field; the face weights of w^2 are shared
-        # int w^2 |grad f|^2 d(mu) with w = u averaged onto faces
-        wf = 0.5 * (u[r, :-1] + u[r, 1:])
-        fw_wf2 = man.face_weights * wf**2
-        for _, ramp, profile in fields:
-            fv = ramp[r, None] * (profile[r] if profile.ndim == 2 else profile)
+    # separable fields: their (nodes x fields) profile terms, three products per block
+    prof = np.stack([profile for _, _, profile in separable], axis=1)
+    dprof = np.diff(prof, axis=0)
+    node_pow = np.abs(prof) ** (2.0 * q)
+    face_sq = dprof * dprof / man.face_h[:, None]
+    node_sq = prof * prof
+    lhs_s, grad_s, l2_s = (np.empty((ts.size, len(separable))) for _ in range(3))
+    step = max(1, BLOCK_ELEMENTS // u.shape[1])
+    for lo in range(0, ts.size, step):
+        r = slice(lo, lo + step)
+        np.matmul(gw[r], node_pow, out=lhs_s[r])
+        np.matmul(_grad_weights(man, u[r]), face_sq, out=grad_s[r])
+        np.matmul(gw[r], node_sq, out=l2_s[r])
+    ramps = np.stack([ramp for _, ramp, _ in separable], axis=1)
+    lhs_s *= np.abs(ramps) ** (2.0 * q)
+    ramp_sq = ramps * ramps
+    grad_s *= ramp_sq
+    l2_s *= ramp_sq
+    sums = {name: (lhs_s[:, k], grad_s[:, k], l2_s[:, k])
+            for k, (name, _, _) in enumerate(separable)}
+
+    def terms(r):   # the other fields, elementwise; the face weights of w^2 are shared
+        fw = _grad_weights(man, u[r])
+        for _, ramp, profile in full:
+            fv = ramp[r, None] * profile[r]
             yield gw[r] * np.abs(fv) ** (2.0 * q)
             df = np.diff(fv, axis=1) / man.face_h
-            yield fw_wf2 * df * df * man.face_h
+            yield fw * df * df * man.face_h
             yield gw[r] * fv * fv
 
-    sums = _row_sums(traj, terms)
-    for k, (name, _, _) in enumerate(fields):
-        lhs_t, grad_t, l2_t = sums[3 * k:3 * k + 3]
+    flat = _row_sums(traj, terms)
+    sums.update((name, flat[3 * k:3 * k + 3]) for k, (name, _, _) in enumerate(full))
+
+    for name, _, _ in fields:
+        lhs_t, grad_t, l2_t = sums[name]
         lhs = float(np.trapezoid(lhs_t, ts)) ** (1.0 / q)
         rhs = (
             n / (n + 2.0)

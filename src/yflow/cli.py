@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from . import auxfn, bounds
+from . import bounds
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_kv
 from .flow import RECORD_COLUMNS, SolverAbort, Trajectory, run
 from .geometry import DiscretizedManifold, GeometryError, audit_assumptions
@@ -220,6 +220,10 @@ def cmd_yamabe(args) -> int:
 
 
 def cmd_auxcheck(args) -> int:
+    from . import auxfn     # imported here: no other subcommand needs the catalogue
+
+    if args.seed is None:
+        args.seed = auxfn.DEFAULT_SEED
     for flag, value, least in (("--samples", args.samples, 1), ("--seed", args.seed, 0)):
         if value < least:
             print(f"yflow auxcheck: {flag} must be an integer >= {least} (got {value})",
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     aux_p = sub.add_parser("auxcheck", help="sample the inequality catalogue")
     aux_p.add_argument("--ineq", default=None, metavar="I1,I2,...")
     aux_p.add_argument("--samples", type=int, default=100_000)
-    aux_p.add_argument("--seed", type=int, default=auxfn.DEFAULT_SEED)
+    aux_p.add_argument("--seed", type=int, default=None)     # None: auxfn.DEFAULT_SEED
     aux_p.add_argument("--sharpness", action="store_true",
                        help="also probe just outside the validity regions")
     aux_p.set_defaults(func=cmd_auxcheck)

@@ -233,6 +233,15 @@ def _record_of(state: FlowState, step_index: int, dt: float) -> tuple:
     return row, max(s_max - rho, rho - s_min)
 
 
+def _ended(t: float, T: float, step_index: int) -> bool:
+    """Whether a run at time t after ``step_index`` steps has reached T.
+
+    Each step rounds the summed t by at most half an ulp of T, so a remainder
+    of at most ``step_index`` ulps is rounding, not a step still to take.
+    """
+    return T - t <= step_index * math.ulp(T)
+
+
 def _snapshot(buffer: array, step_index: int, state: FlowState) -> None:
     """Append one snapshot row: step, t and the node values of u, S and gvol_weights."""
     buffer.extend((step_index, state.t))
@@ -275,7 +284,7 @@ def run(
     records.extend(row)
     _snapshot(snapshots, k, state)
 
-    while state.t < T * (1.0 - 1e-14):
+    while not _ended(state.t, T, k):
         dt_cap = config.cfl * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
         dt_eff = min(dt_nominal, dt_cap, T - state.t)
 
@@ -298,7 +307,7 @@ def run(
         k += 1
         row, reaction = _record_of(state, k, dt_eff)
         records.extend(row)
-        if k % config.snapshot_every == 0 or state.t >= T * (1.0 - 1e-14):
+        if k % config.snapshot_every == 0 or _ended(state.t, T, k):
             _snapshot(snapshots, k, state)
 
         dt_nominal = min(dt_nominal * 1.2, config.dt_max)
@@ -358,9 +367,11 @@ def restore(
 
     Refuses files whose configuration hash does not match the given
     manifold and flow configuration.  A line that cannot be read, holds a
-    value no run resumes from (t < 0, dt <= 0, step < 0, u <= 0, or one not
-    finite), or has a hash or node count that does not match is reported with
-    its byte offset; a u off the unit-volume slice with that of its first line.
+    value no run resumes from (t < 0 or past ``T_final``, dt outside
+    [``dt_min``, ``dt_max``], step < 0, u <= 0, or one not finite), or has a
+    hash or node count that does not match is reported with its byte offset;
+    a u off the unit-volume slice with that of its first line.  A t at
+    ``T_final`` is a finished run's last checkpoint.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -396,8 +407,8 @@ def restore(
                 f"(file {found[:12]}..., current {expected[:12]}...); "
                 "the checkpoint belongs to a different manifold or flow setup"
             )
-        t = field("t", float, lambda v: 0.0 <= v < math.inf)
-        dt_next = field("dt", float, lambda v: 0.0 < v < math.inf)
+        t = field("t", float, lambda v: 0.0 <= v <= config.T_final)
+        dt_next = field("dt", float, lambda v: config.dt_min <= v <= config.dt_max)
         step_index = field("step", int, lambda v: v >= 0)
         nodes = field("nodes", int)
         if nodes != manifold.node_count:

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,13 +145,32 @@ def test_run_sphere_exit_zero(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "timeseries.csv"))
     assert os.path.exists(os.path.join(out, "monitors.csv"))
     assert os.path.exists(os.path.join(out, "ledger.txt"))
-    header = open(os.path.join(out, "timeseries.csv")).readline().strip()
+    header = Path(out, "timeseries.csv").read_text().splitlines()[0]
     assert header == ("t,dt,rho,vol,min_u,max_u,min_S,max_S,"
                       "s_minus_l2,s_minus_linf,energy_S_rho")
     # rho column constant for the round sphere
-    rows = open(os.path.join(out, "timeseries.csv")).read().splitlines()[1:]
+    rows = Path(out, "timeseries.csv").read_text().splitlines()[1:]
     rhos = [float(r.split(",")[2]) for r in rows]
     assert max(rhos) - min(rhos) <= 1e-8 * rhos[0]
+
+
+ONE_STEP_RUN = """
+import sys
+from yflow.cli import main
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+print(code, "yflow.auxfn" in sys.modules)
+"""
+
+
+def test_run_does_not_import_auxfn(tmp_path):
+    # only `yflow auxcheck` needs the inequality catalogue
+    cfg = _write(tmp_path, SPHERE_CFG.replace("flow.T = 0.05", "flow.T = 1e-3"))
+    env = dict(os.environ, PYTHONPATH=str(Path(yflow.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", ONE_STEP_RUN, cfg, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert len((tmp_path / "out" / "timeseries.csv").read_text().splitlines()) == 3
 
 
 def test_run_emits_byte_identical_csv(tmp_path, capsys):
@@ -157,8 +178,8 @@ def test_run_emits_byte_identical_csv(tmp_path, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["run", "--config", cfg, "--out", out1, "--quiet"]) == 0
     assert main(["run", "--config", cfg, "--out", out2, "--quiet"]) == 0
-    blob1 = open(os.path.join(out1, "timeseries.csv"), "rb").read()
-    blob2 = open(os.path.join(out2, "timeseries.csv"), "rb").read()
+    blob1 = Path(out1, "timeseries.csv").read_bytes()
+    blob2 = Path(out2, "timeseries.csv").read_bytes()
     assert blob1 == blob2
 
 
@@ -437,13 +458,13 @@ def test_plot_command(tmp_path, capsys):
     assert code == 0
     made = sorted(os.listdir(plots))
     assert "rho.svg" in made and "energy_S_rho.svg" in made
-    blob = open(os.path.join(plots, "rho.svg"), "rb").read()
+    blob = Path(plots, "rho.svg").read_bytes()
     assert blob.startswith(b"<svg")
     # deterministic bytes
     code = main(["plot", os.path.join(out, "timeseries.csv"),
                  "--out", str(tmp_path / "plots2")])
     assert code == 0
-    blob2 = open(str(tmp_path / "plots2" / "rho.svg"), "rb").read()
+    blob2 = (tmp_path / "plots2" / "rho.svg").read_bytes()
     assert blob == blob2
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -254,7 +256,7 @@ def test_restore_reports_truncation_offset(tmp_path):
     state = FlowState.initial(m)
     path = str(tmp_path / "s.ckpt")
     checkpoint(state, path, m, cfg, dt_next=1e-3, step_index=0)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     cut = len(blob) - 40
     with open(path, "wb") as fh:
         fh.write(blob[:cut])
@@ -262,12 +264,14 @@ def test_restore_reports_truncation_offset(tmp_path):
         restore(path, m, cfg)
 
 
-# the values after "nodes" are ones no run can resume from: a t that is not finite
-# and >= 0, a dt that is not finite and > 0, a negative step, a u that is not positive
+# the values after "nodes" are ones no run can resume from: a t outside [0, T_final],
+# a dt outside [dt_min, dt_max] (1e-9 and 2e-3 here), a negative step, a u that is not
+# positive, or any of them not finite
 @pytest.mark.parametrize("key, bad", [
     ("t", "zero"), ("dt", "1e-3e"), ("step", "1.5"), ("nodes", "17.5"),
     ("t", "nan"), ("t", "-1"), ("t", "inf"), ("dt", "-1"), ("dt", "0"), ("dt", "nan"),
     ("step", "-1"), ("u", "nan"), ("u", "-1"), ("u", "0"), ("u", "inf"),
+    ("t", "10"), ("dt", "5"), ("dt", "1e-12"),
 ])
 def test_restore_reports_malformed_header_field_offset(tmp_path, key, bad):
     m, cfg = _mini_setup()
@@ -293,6 +297,28 @@ def test_restore_reports_off_slice_volume_at_first_u_line(tmp_path):
     offset = sum(map(len, lines[:first]))
     with pytest.raises(CheckpointError, match=rf"the u lines from byte {offset}: evolving volume"):
         restore(str(path), m, cfg)
+
+
+@pytest.mark.parametrize("k", [20, 2000, 10_000])
+def test_fixed_dt_run_takes_k_steps_to_k_dt(tmp_path, k):
+    # t summed over k steps misses T = k dt by rounding; no sliver step may follow
+    m = build_manifold(perturbed_sphere(0.1), RadialGrid(M=16))
+    dt = 1e-3
+    cfg = FlowConfig(T_final=k * dt, dt_init=dt, dt_max=dt, snapshot_every=k,
+                     checkpoint_every=k // 4)
+    full = run(m, cfg, checkpoint_dir=str(tmp_path))
+    assert full.step.tolist() == list(range(k + 1))
+    assert full.dt[1:].min() > 0.5 * dt
+    assert full.snap_step.tolist() == [0, k]
+    # resumed from its last two checkpoints, the run ends on the same step, bit for bit
+    for ckpt in (3 * k // 4, k):
+        state, dt0, k0 = restore(str(tmp_path / f"step{ckpt:08d}.ckpt"), m, cfg)
+        cont = run(m, cfg, initial_state=state, initial_dt=dt0, initial_step=k0,
+                   rho0=float(full.rho[0]))
+        assert cont.step.tolist() == list(range(ckpt, k + 1))
+        for col in ("t", "dt", "rho", "vol", "min_u", "max_u"):
+            assert np.array_equal(getattr(cont, col)[1:], getattr(full, col)[ckpt + 1:])
+        assert np.array_equal(cont.u[-1], full.u[-1])
 
 
 def test_config_hash_sensitivity():
