@@ -40,6 +40,20 @@ def traj4():
     return _dense_run(4)
 
 
+@pytest.fixture(scope="module")
+def positive_run():
+    # inf S0 > 0: scal_lower asserts its rational floor too
+    m = build_manifold(perturbed_sphere(0.1), RadialGrid(M=128, gamma=2.0))
+    return run(m, FlowConfig(T_final=0.05, dt_init=1e-3, dt_max=1e-3, snapshot_every=1))
+
+
+@pytest.fixture(scope="module")
+def dumbbell_run():
+    # E = int (S - rho)^2 dVol_g rises at first here, so the trend rows fail
+    m = build_manifold(perturbed_sphere(-0.7), RadialGrid(M=64, gamma=1.0))
+    return run(m, FlowConfig(T_final=0.05, dt_init=1e-3, dt_max=1e-3))
+
+
 def _rows(res):
     return [(r.t, r.lhs, r.rhs, r.verdict) for r in res.rows]
 
@@ -88,6 +102,65 @@ def test_s_upper(traj):
     integral = float(np.trapezoid(vals, traj.snap_t))
     assert bounds._s_high_norm_time_integral(traj) == integral
     assert rows[len(want) + 1][1] == integral
+
+
+def _scal_lower_reference(traj):
+    led = traj.ledger
+    s_min0 = led.s0_inf
+    floor = min(0.0, s_min0)
+    tol = bounds.slack_epsilon(traj) * (1.0 + abs(led.rho0))
+    want = []
+    for t, _, S, _ in _snapshots(traj):
+        lhs = float(S.min())
+        want.append((t, lhs, floor - tol, lhs >= floor - tol))
+        if s_min0 > 0.0:
+            bound = led.rho0 * s_min0 / (math.exp(led.rho0 * t) * (led.rho0 - s_min0) + s_min0)
+            want.append((t, lhs, bound - tol, lhs >= bound - tol))
+    return want
+
+
+def test_scal_lower(traj):
+    assert traj.ledger.s0_inf < 0.0
+    want = _scal_lower_reference(traj)
+    assert _rows(bounds.check_scal_lower(traj)) == want
+    assert len(want) == traj.snap_t.size
+
+
+def test_scal_lower_rational_branch(positive_run):
+    # two rows per snapshot, the floor row first
+    assert positive_run.ledger.s0_inf > 0.0
+    want = _scal_lower_reference(positive_run)
+    assert _rows(bounds.check_scal_lower(positive_run)) == want
+    assert len(want) == 2 * positive_run.snap_t.size
+    assert all(a[2] != b[2] for a, b in zip(want[::2], want[1::2]))
+
+
+def test_u_upper(traj):
+    led, n = traj.ledger, traj.manifold.n
+    C = 0.25 * (n - 2) * (led.s0_minus_lp[math.inf] + led.rho0)
+    eps = bounds.slack_epsilon(traj)
+    want = []
+    for t, max_u in zip(traj.t.tolist(), traj.max_u.tolist()):     # one row per record
+        bound = math.exp(C * t) * (1.0 + eps)
+        want.append((t, max_u, bound, max_u <= bound))
+    assert _rows(bounds.check_u_upper(traj)) == want
+    assert len(want) == traj.t.size
+
+
+def test_energy_decay_trend_rows(dumbbell_run):
+    window, trend_slack = 5, 1e-6
+    energies = dumbbell_run.energy
+    smooth = np.convolve(energies, np.ones(window) / window, mode="valid").tolist()
+    tsm = dumbbell_run.t[window - 1:].tolist()
+    want = []
+    for i in range(1, len(smooth)):
+        if not smooth[i] <= smooth[i - 1] + trend_slack * (1.0 + smooth[i - 1]):
+            want.append((tsm[i], smooth[i], smooth[i - 1], False))
+    assert want      # the run fails the trend
+    res = bounds.check_energy_decay(dumbbell_run)
+    assert not res.passed
+    assert [row for row in _rows(res) if not row[3]] == want
+    assert _rows(res)[:len(want)] == want
 
 
 def test_u_lower(traj):
