@@ -3,8 +3,9 @@
 Each monitor is a pure function of a finished trajectory (plus its ledger
 of initial-data constants): re-running monitors on a restored trajectory
 gives identical verdicts, and no monitor can alter the flow.  Monitors read
-the trajectory's columns; per-snapshot norms are row reductions over its
-(snapshots x nodes) arrays, taken a block of rows at a time (:func:`_row_sums`).
+the trajectory's columns and return their rows as columns (:class:`MonitorResult`);
+per-snapshot norms are row reductions over its (snapshots x nodes) arrays,
+taken a block of rows at a time (:func:`_row_sums`).
 The parabolic Sobolev monitor's separable test fields ``r(t) P(x)`` are summed
 instead as matrix products of each block with the stacked profiles, every
 column then scaled by its time factor (:func:`check_parabolic_sobolev`).
@@ -35,7 +36,6 @@ from .geometry import AuditCheck, DiscretizedManifold, lq_exponent
 
 __all__ = [
     "BoundLedger",
-    "MonitorRow",
     "MonitorResult",
     "check_s_minus_decay",
     "check_scal_lower",
@@ -127,30 +127,39 @@ class BoundLedger:
 
 
 @dataclass
-class MonitorRow:
-    t: float
-    lhs: float
-    rhs: float
-    margin: float           # slack remaining; negative means violated
-    verdict: bool
-
-
-@dataclass
 class MonitorResult:
+    """A monitor's rows as columns: row i compares ``lhs[i]`` with ``rhs[i]`` at ``t[i]``.
+
+    ``verdict[i]`` decides the row, and the monitor passes when every row does.
+    ``margin`` is ``rhs - lhs``: >= 0 on a passing upper-bound row, but <= 0 on a
+    passing lower-bound row (``scal_lower``, ``u_lower``), and a refinement row's
+    rhs is only the band's upper edge.
+    """
+
     monitor_id: str
     applicable: bool = True
-    passed: bool = True
-    rows: List[MonitorRow] = field(default_factory=list)
+    t: np.ndarray = field(default_factory=lambda: np.empty(0))
+    lhs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rhs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    verdict: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     notes: List[str] = field(default_factory=list)
 
-    def add(self, t: float, lhs: float, rhs: float, verdict: bool) -> None:
-        self.rows.append(MonitorRow(t, lhs, rhs, rhs - lhs, verdict))
-        if not verdict:
-            self.passed = False
+    @property
+    def passed(self) -> bool:
+        return bool(self.verdict.all())
 
-    def add_upper(self, t: float, lhs: float, rhs: float, eps: float,
-                  atol: float = 0.0) -> bool:
-        """Row asserting ``lhs <= rhs (1 + eps) + atol``; returns its verdict."""
+    @property
+    def margin(self) -> np.ndarray:
+        return self.rhs - self.lhs
+
+    def add(self, t, lhs, rhs, verdict) -> None:
+        """Append rows: scalars or arrays, broadcast to one shape and read in C order."""
+        for name, col in zip(("t", "lhs", "rhs", "verdict"),
+                             np.broadcast_arrays(t, lhs, rhs, verdict)):
+            setattr(self, name, np.append(getattr(self, name), col))
+
+    def add_upper(self, t, lhs, rhs, eps: float, atol: float = 0.0):
+        """Rows asserting ``lhs <= rhs (1 + eps) + atol``; returns their verdicts."""
         bound = rhs * (1.0 + eps) + atol
         ok = lhs <= bound
         self.add(t, lhs, bound, ok)
@@ -167,8 +176,8 @@ def _row_sums(traj, terms, reduce=np.sum, rows=None) -> List[np.ndarray]:
     ``terms`` maps a block of snapshot rows (a slice, or an index vector when
     ``rows`` picks the rows to reduce) to (rows x nodes) arrays; it runs on
     blocks of about ``BLOCK_ELEMENTS`` entries, whose row sums equal each row's
-    1-D ``np.sum`` bit for bit.  Roots, ``exp`` and ``sqrt`` are left to the
-    caller's Python floats: an array power differs from the float one in the last bits.
+    1-D ``np.sum`` bit for bit.  Roots and ``exp`` are left to the caller
+    (:func:`_each`): array ones differ from the float ones in the last bits.
     """
     count, nodes = traj.u.shape
     if rows is not None:
@@ -189,6 +198,11 @@ def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
     if p == math.inf:
         return _row_sums(traj, lambda r: (np.abs(f(r)),), np.max, rows)[0]
     return _row_sums(traj, lambda r: (traj.gvol_weights[r] * np.abs(f(r)) ** p,), rows=rows)[0]
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of each entry, a Python float: ``np.exp`` and array powers differ in the last bits."""
+    return np.array([f(v) for v in x.tolist()], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +230,13 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
         base = lp_norm(np.maximum(-traj.manifold.S0, 0.0), p, traj.manifold.mu_weights)
     n = traj.manifold.n
     # a row with S >= 0 has S_- = 0 and lhs 0.0; only the others are reduced
-    sums = np.zeros(traj.snap_t.size)
+    lhs = np.zeros(traj.snap_t.size)
     neg = np.flatnonzero(~(traj.S.min(axis=1) >= 0.0))
     if neg.size:
-        sums[neg] = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p, neg)
-    for t, v in zip(traj.snap_t.tolist(), sums.tolist()):
-        growth = 1.0 if p == math.inf else math.exp(t * n * led.rho0 / (2.0 * p))
-        res.add_upper(t, v if p == math.inf else v ** (1.0 / p), growth * base, eps, atol)
+        sums = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p, neg)
+        lhs[neg] = sums if p == math.inf else _each(lambda v: v ** (1.0 / p), sums)
+    growth = 1.0 if p == math.inf else _each(math.exp, traj.snap_t * n * led.rho0 / (2.0 * p))
+    res.add_upper(traj.snap_t, lhs, growth * base, eps, atol)
     return res
 
 
@@ -235,18 +249,17 @@ def check_scal_lower(traj) -> MonitorResult:
     """
     led = traj.ledger
     res = MonitorResult(monitor_id="scal_lower")
-    eps = slack_epsilon(traj)
+    tol = slack_epsilon(traj) * (1.0 + abs(led.rho0))
     s_min0 = led.s0_inf
-    floor = min(0.0, s_min0)
-    tol = eps * (1.0 + abs(led.rho0))
-    for t, lhs in zip(traj.snap_t.tolist(), traj.S.min(axis=1).tolist()):
-        res.add(t, lhs, floor - tol, lhs >= floor - tol)
-        if s_min0 > 0.0:
-            denom = math.exp(led.rho0 * t) * (led.rho0 - s_min0) + s_min0
-            bound = led.rho0 * s_min0 / denom
-            res.add(t, lhs, bound - tol, lhs >= bound - tol)
+    floors = [np.full(traj.snap_t.size, min(0.0, s_min0))]
     if s_min0 > 0.0:
+        growth = _each(math.exp, led.rho0 * traj.snap_t)
+        floors.append(led.rho0 * s_min0 / (growth * (led.rho0 - s_min0) + s_min0))
         res.notes.append("inf S0 > 0: rational positive-branch floor asserted as well")
+    # one column per floor: each snapshot's rows stay together, the constant floor first
+    rhs = np.stack(floors, axis=1) - tol
+    lhs = traj.S.min(axis=1)[:, None]
+    res.add(traj.snap_t[:, None], lhs, rhs, lhs >= rhs)
     return res
 
 
@@ -263,9 +276,7 @@ def check_u_upper(traj) -> MonitorResult:
     n = traj.manifold.n
     C = 0.25 * (n - 2) * (led.s0_minus_lp[math.inf] + led.rho0)
     res.notes.append(f"rate C = {C:.12g}")
-    eps = slack_epsilon(traj)
-    for t, max_u in zip(traj.t.tolist(), traj.max_u.tolist()):
-        res.add_upper(t, max_u, math.exp(C * t), eps)
+    res.add_upper(traj.t, traj.max_u, _each(math.exp, C * traj.t), slack_epsilon(traj))
     return res
 
 
@@ -295,9 +306,8 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
         u = traj.u
         lows = _row_sums(traj, lambda r: (-_laplacian(man, u[r]) + pfield * u[r],), np.min)[0]
         peaks = _row_sums(traj, lambda r: (np.abs(pfield * u[r]),), np.max)[0]
-        for t, lhs, peak in zip(traj.snap_t.tolist(), lows.tolist(), peaks.tolist()):
-            tol = eps * (1.0 + peak)
-            res.add(t, lhs, -tol, lhs >= -tol)
+        tol = eps * (1.0 + peaks)
+        res.add(traj.snap_t, lows, -tol, lows >= -tol)
 
     if refined is not None:
         _add_refinement(res, traj, refined, "inf_u")
@@ -320,16 +330,12 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     atol = 1e-10 * (1.0 + abs(led.rho0))
     p = n / 2.0
     sums = _lp_rows(traj, lambda r: np.maximum(traj.S[r], 0.0), p)
-    for t, v in zip(traj.snap_t.tolist(), sums.tolist()):
-        res.add_upper(t, v ** (1.0 / p), led.s0_plus_ln2, eps, atol)
+    res.add_upper(traj.snap_t, _each(lambda v: v ** (1.0 / p), sums), led.s0_plus_ln2, eps, atol)
 
-    late = _late_sup_abs_s(traj)
-    res.notes.append(f"sup over [T/2, T] of max|S| = {late:.12g}")
-    res.add(float(traj.t[-1]), late, math.inf, math.isfinite(late))
-
-    integral = _s_high_norm_time_integral(traj)
-    res.notes.append(f"time integral of high-Lq curvature norm = {integral:.12g}")
-    res.add(float(traj.t[-1]), integral, math.inf, math.isfinite(integral))
+    late, integral = ends = np.array([_late_sup_abs_s(traj), _s_high_norm_time_integral(traj)])
+    res.notes += [f"sup over [T/2, T] of max|S| = {late:.12g}",
+                  f"time integral of high-Lq curvature norm = {integral:.12g}"]
+    res.add(float(traj.t[-1]), ends, math.inf, np.isfinite(ends))
 
     if refined is not None:
         for quantity in ("late_sup_abs_s", "s_time_integral"):
@@ -351,7 +357,7 @@ def _s_high_norm_time_integral(traj) -> float:
     """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2))."""
     n = traj.manifold.n
     q = lq_exponent(n)
-    vals = [v ** ((n - 2.0) / n) for v in _lp_rows(traj, lambda r: traj.S[r], q).tolist()]
+    vals = _each(lambda v: v ** ((n - 2.0) / n), _lp_rows(traj, lambda r: traj.S[r], q))
     return float(np.trapezoid(vals, traj.snap_t))
 
 
@@ -454,16 +460,13 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     flat = _row_sums(traj, terms)
     sums.update((name, flat[3 * k:3 * k + 3]) for k, (name, _, _) in enumerate(full))
 
-    for name, _, _ in fields:
-        lhs_t, grad_t, l2_t = sums[name]
-        lhs = float(np.trapezoid(lhs_t, ts)) ** (1.0 / q)
-        rhs = (
-            n / (n + 2.0)
-            * (led.A_T * float(np.trapezoid(grad_t, ts)) + led.B_T * float(np.trapezoid(l2_t, ts)))
-            + 2.0 / (n + 2.0) * float(l2_t.max())
-        )
-        if not res.add_upper(float(ts[-1]), lhs, rhs, eps):
-            res.notes.append(f"violated by field {name}")
+    # per field: the time integrals of its three sums, and the sup of its L2 sum
+    lhs_i, grad_i, l2_i, l2_sup = np.array([
+        [*(np.trapezoid(col, ts) for col in sums[name]), sums[name][2].max()]
+        for name, _, _ in fields]).T
+    rhs = n / (n + 2.0) * (led.A_T * grad_i + led.B_T * l2_i) + 2.0 / (n + 2.0) * l2_sup
+    ok = res.add_upper(float(ts[-1]), _each(lambda v: v ** (1.0 / q), lhs_i), rhs, eps)
+    res.notes += [f"violated by field {name}" for (name, _, _), good in zip(fields, ok) if not good]
     return res
 
 
@@ -487,13 +490,11 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
         smooth = np.convolve(energies, kernel, mode="valid")
         tsm = traj.t[window - 1:]
         ok = smooth[1:] <= smooth[:-1] + trend_slack * (1.0 + smooth[:-1])
-        for i in (np.flatnonzero(~ok) + 1).tolist():
-            res.add(float(tsm[i]), float(smooth[i]), float(smooth[i - 1]), False)
-        if res.passed:
-            res.add(float(tsm[-1]), float(smooth[-1]), float(smooth[0]), True)
-    res.notes.append(
-        f"energy initial {energies[0]:.12g} final {energies[-1]:.12g}"
-    )
+        rise = np.flatnonzero(~ok) + 1
+        res.add(tsm[rise], smooth[rise], smooth[rise - 1], False)
+        if not rise.size:
+            res.add(tsm[-1], smooth[-1], smooth[0], True)
+    res.notes.append(f"energy initial {energies[0]:.12g} final {energies[-1]:.12g}")
 
     if _applies(res, led, "energy_decay/h1_ceiling"):
         man, u = traj.manifold, traj.u
@@ -506,8 +507,7 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
             yield man.mu_weights * g * g
 
         l2, g2 = _row_sums(traj, terms)
-        for t, a, b in zip(traj.snap_t.tolist(), l2.tolist(), g2.tolist()):
-            res.add_upper(t, math.sqrt(a + b), ceiling, eps)
+        res.add_upper(traj.snap_t, np.sqrt(l2 + g2), ceiling, eps)
     return res
 
 
@@ -625,14 +625,13 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
         conjugate_exponent=N,
         moser_exponent=q_hi / N,
     )
-    # the integrands of both exponents, each reduced once over the whole run
     ts, power = traj.snap_t, 2.0 * beta
-    vals_hi, vals_N = (
-        _row_sums(traj, lambda r: (
-            traj.gvol_weights[r] * np.maximum(traj.S[r], 0.0) ** (power * q),
-        ))[0]
-        for q in (q_hi, N)
-    )
+
+    def terms(r):   # the integrands of both exponents, in one pass over the run
+        gw, s_plus = traj.gvol_weights[r], np.maximum(traj.S[r], 0.0)
+        return gw * s_plus ** (power * q_hi), gw * s_plus ** (power * N)
+
+    vals_hi, vals_N = _row_sums(traj, terms)
     for k in range(1, k_max + 1):
         lhs = _cylinder_norm(ts, vals_hi, q_hi, tks[k])
         rhs = _cylinder_norm(ts, vals_N, N, tks[k - 1])
@@ -730,7 +729,8 @@ def run_monitors(
 ) -> List[MonitorResult]:
     """Results of the named monitors, in the order of ``names``.
 
-    Each failed row goes to ``traj.ledger.violations``, in the same order.
+    Each failed row goes to ``traj.ledger.violations`` as
+    ``(monitor_id, t, lhs, rhs, margin)``, in the same order.
     """
     out: List[MonitorResult] = []
     for name in names:
@@ -740,6 +740,7 @@ def run_monitors(
             raise ValueError(f"unknown monitor {name!r}") from None
         out.extend(call(traj, p_values=p_values, refined=refined,
                         samples=sobolev_samples, seed=seed))
-    traj.ledger.violations.extend((res.monitor_id, row.t, row.lhs, row.rhs, row.margin)
-                                  for res in out for row in res.rows if not row.verdict)
+    traj.ledger.violations.extend(
+        (res.monitor_id, *row) for res in out for row in zip(
+            *(col[~res.verdict].tolist() for col in (res.t, res.lhs, res.rhs, res.margin))))
     return out

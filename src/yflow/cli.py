@@ -51,15 +51,12 @@ def write_timeseries(traj: Trajectory, path: str) -> None:
 
 def write_monitors(results, path: str) -> None:
     lines = ["monitor_id,t,lhs,rhs,margin,verdict"]
-    for res in results:
+    for res in results:     # a result that is not applicable has no rows
         if not res.applicable:
             lines.append(f"{res.monitor_id},nan,nan,nan,nan,not_applicable")
-            continue
-        lines.extend(
-            "%s,%.17g,%.17g,%.17g,%.17g,%s" % (res.monitor_id, row.t, row.lhs, row.rhs,
-                                               row.margin, "pass" if row.verdict else "FAIL")
-            for row in res.rows
-        )
+        verdicts = ("pass" if ok else "FAIL" for ok in res.verdict.tolist())
+        lines.extend("%s,%.17g,%.17g,%.17g,%.17g,%s" % (res.monitor_id, *row) for row in zip(
+            res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.margin.tolist(), verdicts))
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 

@@ -64,6 +64,17 @@ def _exponent_list(spec: str) -> Tuple[float, ...]:
     return tuple(out)
 
 
+def _integer_from(least: int):
+    """Reader of an integer ``>= least``; a parse error names it by that range."""
+    def read(spec: str) -> int:
+        if (value := int(spec)) < least:
+            raise ValueError(spec)
+        return value
+
+    read.__name__ = f"int >= {least}"
+    return read
+
+
 def _boolean(spec: str) -> bool:
     flag = spec.lower()
     if flag not in ("true", "false", "0", "1", "yes", "no"):
@@ -92,17 +103,17 @@ _KNOWN_KEYS = {
     "flow.dt_max": (float, "flow", "dt_max"),
     "flow.vol_tol": (float, "flow", "vol_tol"),
     "flow.positivity_floor": (float, "flow", "positivity_floor"),
-    "flow.checkpoint_every": (int, "flow", "checkpoint_every"),
+    "flow.checkpoint_every": (_integer_from(0), "flow", "checkpoint_every"),
     "flow.snapshot_every": (int, "flow", "snapshot_every"),
     "monitors.enable": (_monitor_list, "scenario", "monitors"),
     "monitors.p": (_exponent_list, "scenario", "p_values"),
-    "monitors.samples": (int, "scenario", "sobolev_samples"),
-    "yamabe.max_iter": (int, "scenario", "yamabe_max_iter"),
+    "monitors.samples": (_integer_from(2), "scenario", "sobolev_samples"),   # const, u_along_run
+    "yamabe.max_iter": (_integer_from(0), "scenario", "yamabe_max_iter"),
     "moser.beta": (float, "scenario", "moser_beta"),
     "moser.k_max": (int, "scenario", "moser_k_max"),
     "output.dir": (str, "scenario", "output_dir"),
     "output.plots": (_boolean, "scenario", "plots"),
-    "seed": (int, "scenario", "seed"),
+    "seed": (_integer_from(0), "scenario", "seed"),
 }
 
 

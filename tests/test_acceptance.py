@@ -168,7 +168,7 @@ def test_criterion_09_parabolic_sobolev(perturbed512):
         est = estimate_yamabe_constant(man, max_iter=200)
         led.attach_sobolev(man, est.value)
     res = bounds.check_parabolic_sobolev(perturbed512, samples=20)
-    ok = res.applicable and res.passed and len(res.rows) == 20
+    ok = res.applicable and res.passed and res.t.size == 20
     report(9, "space-time Sobolev inequality on 20 sampled fields", ok,
            f"A(T)={led.A_T:.3g}, B(T)={led.B_T:.3g}")
 

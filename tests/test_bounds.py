@@ -81,15 +81,14 @@ def test_s_minus_decay_zero_initial(sphere_run):
     for p in (2.0, 4.0, 8.0, math.inf):
         res = check_s_minus_decay(sphere_run, p)
         assert res.applicable and res.passed
-        assert all(row.lhs <= 1e-10 * (1 + sphere_run.ledger.rho0) for row in res.rows)
+        assert all(res.lhs <= 1e-10 * (1 + sphere_run.ledger.rho0))
 
 
 def test_s_minus_decay_equality_at_zero(mixed_run):
     res = check_s_minus_decay(mixed_run, 2.0)
-    row0 = res.rows[0]
     led = mixed_run.ledger
     # at t = 0 the bound factor is exactly one
-    assert row0.lhs == pytest.approx(led.s0_minus_lp[2.0], rel=1e-12)
+    assert res.lhs[0] == pytest.approx(led.s0_minus_lp[2.0], rel=1e-12)
     assert res.passed
 
 
@@ -120,7 +119,7 @@ def test_u_upper_rate_value(mixed_run):
     want = 0.25 * (led.s0_minus_lp[math.inf] + led.rho0)
     assert any(f"{want:.12g}" in note for note in res.notes)
     # t = 0 row: max u = 1 <= 1
-    assert res.rows[0].lhs == pytest.approx(1.0, abs=1e-12)
+    assert res.lhs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_u_upper_not_applicable_for_steep_cone():
@@ -141,7 +140,7 @@ def test_energy_decay_notes_skipped_h1_ceiling_on_cone():
     res = check_energy_decay(traj)
     assert f"h1_ceiling rows skipped: s0_minus_bounded fails: {verdict.detail}" in res.notes
     # only the energy trend row; no per-snapshot H^1 rows
-    assert len(res.rows) == 1
+    assert res.t.size == 1
 
 
 def test_requires_names_monitors_and_hypotheses():
@@ -157,12 +156,12 @@ def test_gated_results_note_the_table_reason_on_steep_cone():
     traj = run(m, cfg)
     reason = f"s0_minus_bounded fails: {traj.ledger.hypotheses['s0_minus_bounded'].detail}"
     for res in (check_u_upper(traj), check_s_minus_decay(traj, math.inf)):
-        assert not res.applicable and res.notes == [reason] and res.rows == []
+        assert not res.applicable and res.notes == [reason] and res.t.size == 0
     assert check_s_minus_decay(traj, 2.0).applicable
     lower = check_u_lower(traj)
     assert lower.applicable and f"supersolution rows skipped: {reason}" in lower.notes
     # only the running-inf row; no supersolution rows
-    assert len(lower.rows) == 1
+    assert lower.t.size == 1
 
 
 def test_run_monitors_records_each_failed_row(mixed_run):
@@ -172,7 +171,8 @@ def test_run_monitors_records_each_failed_row(mixed_run):
     res = check_s_minus_decay(traj, 2.0)
     assert not res.passed and traj.ledger.violations == []
     (res,) = run_monitors(traj, names=("s_minus_decay",), p_values=(2.0,))
-    failed = [(res.monitor_id, r.t, r.lhs, r.rhs, r.margin) for r in res.rows if not r.verdict]
+    failed = [(res.monitor_id, t, lhs, rhs, rhs - lhs) for t, lhs, rhs, ok in zip(
+        res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.verdict.tolist()) if not ok]
     assert failed and traj.ledger.violations == failed
 
 
@@ -186,8 +186,7 @@ def test_u_lower_sphere_stays_one(sphere_run):
 def test_u_lower_supersolution_identity(sphere_run):
     # u = 1 and S0 >= 0 make the residual exactly the potential P >= 0
     res = check_u_lower(sphere_run)
-    sup_rows = [r for r in res.rows[1:]]
-    assert all(r.verdict for r in sup_rows)
+    assert all(res.verdict[1:])
 
 
 def test_u_lower_refinement_band(mixed_run):
@@ -204,13 +203,13 @@ def test_s_upper_monotone_ln2(mixed_run):
     res = check_s_upper(mixed_run)
     assert res.passed
     # t = 0: equality with factor one
-    assert res.rows[0].lhs == pytest.approx(mixed_run.ledger.s0_plus_ln2, rel=1e-12)
+    assert res.lhs[0] == pytest.approx(mixed_run.ledger.s0_plus_ln2, rel=1e-12)
 
 
 def test_s_upper_constant_on_sphere(sphere_run):
     res = check_s_upper(sphere_run)
     assert res.passed
-    lhs_vals = [r.lhs for r in res.rows[: sphere_run.snap_t.size]]
+    lhs_vals = res.lhs[: sphere_run.snap_t.size]
     assert np.allclose(lhs_vals, lhs_vals[0], rtol=1e-9)
 
 
@@ -227,7 +226,7 @@ def test_parabolic_sobolev_holds(mixed_run):
     mixed_run.ledger.attach_sobolev(man, est.value)
     res = check_parabolic_sobolev(mixed_run, samples=20)
     assert res.applicable and res.passed
-    assert len(res.rows) == 20
+    assert res.t.size == 20
 
 
 def test_parabolic_sobolev_constant_field_case(mixed_run):
@@ -322,9 +321,8 @@ def test_moser_chain_validation(sphere_run):
 def test_monitor_rows_pure(mixed_run):
     a = check_scal_lower(mixed_run)
     b = check_scal_lower(mixed_run)
-    assert [(r.t, r.lhs, r.rhs, r.verdict) for r in a.rows] == [
-        (r.t, r.lhs, r.rhs, r.verdict) for r in b.rows
-    ]
+    for col in ("t", "lhs", "rhs", "verdict"):
+        assert getattr(a, col).tolist() == getattr(b, col).tolist()
 
 
 def test_run_monitors_driver(mixed_run):
@@ -381,8 +379,8 @@ def test_margins_stable_under_joint_refinement():
                   check_s_upper):
         res_c, res_f = check(coarse), check(fine)
         assert res_c.passed and res_f.passed
-        m_c = min(r.margin / (1.0 + abs(r.rhs)) for r in res_c.rows)
-        m_f = min(r.margin / (1.0 + abs(r.rhs)) for r in res_f.rows)
+        m_c = min(m / (1.0 + abs(r)) for m, r in zip(res_c.margin.tolist(), res_c.rhs.tolist()))
+        m_f = min(m / (1.0 + abs(r)) for m, r in zip(res_f.margin.tolist(), res_f.rhs.tolist()))
         assert m_f >= 0.0
         # tightened slack shrinks margins; allow mild growth from genuine
         # solution change but no blow-up

@@ -62,7 +62,7 @@ def dumbbell_run():
 
 
 def _rows(res):
-    return [(r.t, r.lhs, r.rhs, r.verdict) for r in res.rows]
+    return list(zip(res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.verdict.tolist()))
 
 
 def _snapshots(traj):

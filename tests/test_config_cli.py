@@ -360,6 +360,10 @@ CONFIGS = {
     "audit_q": SPHERE_CFG + "audit.q = 4.5\n",
     "phi_word": f"profile.name = tabulated\nprofile.path = {TABULATED / 'word_token.txt'}\n",
     "phi_nan_x": f"profile.name = tabulated\nprofile.path = {TABULATED / 'nan_abscissa.txt'}\n",
+    "seed_negative": SPHERE_CFG + "seed = -3000\n",
+    "checkpoint_negative": SPHERE_CFG + "flow.checkpoint_every = -2\n",
+    "samples_1": SPHERE_CFG + "monitors.samples = 1\n",
+    "max_iter_negative": SPHERE_CFG + "yamabe.max_iter = -1\n",
 }
 
 
@@ -422,6 +426,17 @@ CONFIGS = {
     # both workers would write grid.M=32/
     (["run", "--quiet", "--config", "{sphere}", "--sweep", "grid.M=32,32"], 2,
      "sweep error: sweep needs PARAM=a,b,c with distinct values"),
+    # integer keys out of range are read as errors, before the flow runs
+    (["run", "--config", "{seed_negative}"], 2,
+     "config error: line 11, column 8: cannot parse value '-3000' for 'seed' as int >= 0"),
+    (["run", "--config", "{sphere}", "--seed", "-3000"], 2,
+     "config error: cannot parse value '-3000' for 'seed' as int >= 0"),
+    (["run", "--config", "{checkpoint_negative}"], 2,
+     "cannot parse value '-2' for 'flow.checkpoint_every' as int >= 0"),
+    (["run", "--config", "{samples_1}"], 2,
+     "cannot parse value '1' for 'monitors.samples' as int >= 2"),
+    (["yamabe", "--config", "{max_iter_negative}"], 2,
+     "cannot parse value '-1' for 'yamabe.max_iter' as int >= 0"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -433,7 +448,9 @@ CONFIGS = {
         "run-config-cone-eps", "run-config-x-max-nan", "run-sweep-unreadable-value",
         "run-sweep-unknown-key", "run-config-p-abc", "audit-config-no-phi-file",
         "run-config-M-padded", "run-config-audit-q", "audit-config-audit-q",
-        "audit-config-phi-word", "audit-config-phi-nan-x", "run-sweep-repeated-value"])
+        "audit-config-phi-word", "audit-config-phi-nan-x", "run-sweep-repeated-value",
+        "run-config-seed-negative", "run-seed-negative", "run-config-checkpoint-negative",
+        "run-config-samples-1", "yamabe-config-max-iter-negative"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -604,5 +621,6 @@ def test_csv_writers_format_like_fstrings(tmp_path):
     path = tmp_path / "monitors.csv"
     yflow.cli.write_monitors([res], str(path))
     assert path.read_text().splitlines()[1:] == [
-        f"probe,{r.t:.17g},{r.lhs:.17g},{r.rhs:.17g},{r.margin:.17g},"
-        f"{'pass' if r.verdict else 'FAIL'}" for r in res.rows]
+        f"probe,{t:.17g},{lhs:.17g},{rhs:.17g},{margin:.17g},{'pass' if ok else 'FAIL'}"
+        for t, lhs, rhs, margin, ok in zip(res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(),
+                                           res.margin.tolist(), res.verdict.tolist())]
