@@ -20,8 +20,9 @@ are the scale-reduced values.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -56,6 +57,8 @@ __all__ = [
 DEFAULT_SEED = 0x59463031
 
 _REL_TOL = 1e-12
+
+_CHUNK = 20_000     # samples a scan draws and checks per vectorized block
 
 
 class RegionError(ValueError):
@@ -800,11 +803,26 @@ def find_counterexample(
 
 
 def run_catalogue(ids=None, samples: int = 100_000, seed: int = DEFAULT_SEED):
-    """Exhaustively sample every requested inequality; returns table rows."""
-    rows = []
-    for ineq_id in ids or catalogue_ids():
-        rows.append(_scan(ineq_id, None, samples, seed, False, stop_early=False))
-    return rows
+    """Exhaustively sample every requested inequality; returns table rows.
+
+    Each scan draws from its own ``default_rng(seed)`` stream, so the rows do
+    not depend on where the scans run.  When two or more workers (one per
+    id, up to ``os.cpu_count()``) would each scan at least one ``_CHUNK``
+    block, the scans run on a process pool; the rows come back in the order
+    of ``ids``.
+    """
+    ids = list(ids or catalogue_ids())
+    for ineq_id in ids:
+        _inequality(ineq_id)    # an unknown id fails here, before any worker starts
+    scan = partial(_scan, sampler=None, budget=samples, seed=seed, out_of_region=False,
+                   stop_early=False)
+    workers = min(len(ids), os.cpu_count() or 1)
+    if workers < 2 or samples < _CHUNK:     # a pool would cost more than it saves
+        return [scan(ineq_id) for ineq_id in ids]
+    import concurrent.futures as cf     # imported here: a serial scan starts no pool
+
+    with cf.ProcessPoolExecutor(workers) as pool:
+        return list(pool.map(scan, ids))
 
 
 def _scan(ineq_id, sampler, budget, seed, out_of_region, stop_early) -> CatalogueRow:
@@ -818,9 +836,8 @@ def _scan(ineq_id, sampler, budget, seed, out_of_region, stop_early) -> Catalogu
     worst = math.inf
     violations = 0
     first: Optional[Violation] = None
-    chunk = 20_000
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(_CHUNK, remaining)
         remaining -= size
         b, L, nu, n, x = sampler(rng, size)
         lhs, rhs = _scale_reduced(ineq, b, L, nu, n, x)

@@ -159,7 +159,8 @@ def cmd_run(args) -> int:
 
 def _run_sweep(config_path: str, key: str, values: List[str], overrides: Dict[str, str],
                base_out: str, quiet: bool) -> int:
-    """One worker per value; a worker that raises counts as a solver abort.
+    """One job per value, on up to ``os.cpu_count()`` workers; a job that
+    raises counts as a solver abort.
 
     A worker's overrides are ``overrides`` (``--seed``) and its sweep value,
     which wins when the sweep key is ``seed`` too.
@@ -167,7 +168,7 @@ def _run_sweep(config_path: str, key: str, values: List[str], overrides: Dict[st
     import concurrent.futures as cf
 
     worst = EXIT_OK
-    with cf.ProcessPoolExecutor() as pool:
+    with cf.ProcessPoolExecutor(min(len(values), os.cpu_count() or 1)) as pool:
         jobs = []
         for val in values:
             out = os.path.join(base_out, f"{key}={val}")

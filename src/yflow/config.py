@@ -82,6 +82,11 @@ def _boolean(spec: str) -> bool:
     return flag in ("true", "1", "yes")
 
 
+# least value of each bounded integer ScenarioConfig field (the Sobolev fields
+# always include const and u_along_run); ScenarioConfig checks it, and so does
+# the scenario reader, which cites a file's value at its line and column
+_LEAST = {"sobolev_samples": 2, "yamabe_max_iter": 0, "seed": 0}
+
 # key -> (reader, part, keyword).  The value reader(text) is the keyword
 # argument of the profile function that profile.name names (part "profile"),
 # of RadialGrid ("grid") or of FlowConfig ("flow"), or the ScenarioConfig
@@ -107,13 +112,14 @@ _KNOWN_KEYS = {
     "flow.snapshot_every": (int, "flow", "snapshot_every"),
     "monitors.enable": (_monitor_list, "scenario", "monitors"),
     "monitors.p": (_exponent_list, "scenario", "p_values"),
-    "monitors.samples": (_integer_from(2), "scenario", "sobolev_samples"),   # const, u_along_run
-    "yamabe.max_iter": (_integer_from(0), "scenario", "yamabe_max_iter"),
+    "monitors.samples": (_integer_from(_LEAST["sobolev_samples"]), "scenario",
+                         "sobolev_samples"),
+    "yamabe.max_iter": (_integer_from(_LEAST["yamabe_max_iter"]), "scenario", "yamabe_max_iter"),
     "moser.beta": (float, "scenario", "moser_beta"),
     "moser.k_max": (int, "scenario", "moser_k_max"),
     "output.dir": (str, "scenario", "output_dir"),
     "output.plots": (_boolean, "scenario", "plots"),
-    "seed": (_integer_from(0), "scenario", "seed"),
+    "seed": (_integer_from(_LEAST["seed"]), "scenario", "seed"),
 }
 
 
@@ -176,6 +182,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in _LEAST.items():
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"{name} must be >= {least} (got {value})")
         check_chain_parameters(self.moser_beta, self.moser_k_max)
 
     def build(self) -> DiscretizedManifold:

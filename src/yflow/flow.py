@@ -74,6 +74,8 @@ class FlowConfig:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if not (self.vol_tol > 0.0 and self.positivity_floor > 0.0):
             raise ValueError("tolerances must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 

@@ -397,6 +397,9 @@ def test_per_run_matches_per_sample_lookup(b, nu, n, runs):
 
 
 def test_catalogue_rows_equal_per_sample_lookup(monkeypatch):
+    # one CPU keeps the scans in this process, where the patched _per_run is seen;
+    # pool workers that do not fork would import the unpatched one
+    monkeypatch.setattr(auxfn.os, "cpu_count", lambda: 1)
     rows = run_catalogue(["I9", "I11"], samples=60_000)
     monkeypatch.setattr(auxfn, "_per_run", _per_sample)
     assert rows == run_catalogue(["I9", "I11"], samples=60_000)
@@ -422,3 +425,56 @@ def test_scan_looks_up_once_per_parameter_group(monkeypatch, ineq_id, lookup_nam
     monkeypatch.setattr(auxfn, lookup_name, counting)
     assert find_counterexample(ineq_id, sampler=sampler, budget=40_000) is None
     assert len(calls) == sum(groups) < 100
+
+
+# --- the catalogue's scans on a process pool ----------------------------------
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every catalogue pool started, one entry per pool."""
+    import concurrent.futures as cf
+
+    sizes = []
+
+    class RecordingPool(cf.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pooled_catalogue_rows_equal_serial_rows(monkeypatch, pool_sizes):
+    # one full block and a partial one per scan; I9 and I11 look up located constants
+    ids = ["I2", "I9", "I11", "I12"]
+    samples = auxfn._CHUNK + 1234
+    monkeypatch.setattr(auxfn.os, "cpu_count", lambda: 3)
+    pooled = run_catalogue(ids, samples=samples, seed=5)
+    assert pool_sizes == [3]
+    monkeypatch.setattr(auxfn.os, "cpu_count", lambda: 1)
+    serial = run_catalogue(ids, samples=samples, seed=5)
+    assert pool_sizes == [3]
+    assert [r.ineq_id for r in pooled] == ids
+    assert pooled == serial
+    assert [r.worst_margin.hex() for r in pooled] == [r.worst_margin.hex() for r in serial]
+
+
+@pytest.mark.parametrize("cpus, samples", [
+    (2, auxfn._CHUNK - 1), (8, 5000), (1, 2 * auxfn._CHUNK),
+])
+def test_catalogue_stays_serial_below_two_workers_or_one_block(monkeypatch, pool_sizes,
+                                                                 cpus, samples):
+    monkeypatch.setattr(auxfn.os, "cpu_count", lambda: cpus)
+    assert len(run_catalogue(["I12", "LIMITS"], samples=samples)) == 2
+    assert len(run_catalogue(["I12"], samples=auxfn._CHUNK)) == 1
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_catalogue_rejects_unknown_id_before_any_scan(monkeypatch, pool_sizes, cpus):
+    monkeypatch.setattr(auxfn.os, "cpu_count", lambda: cpus)
+    with pytest.raises(ValueError, match=r"^unknown inequality 'I99' \(known: I1, I2, "):
+        run_catalogue(["I1", "I99"], samples=auxfn._CHUNK)
+    assert pool_sizes == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import yflow.cli
 from yflow.cli import main
-from yflow.config import ConfigError, load_scenario, parse_kv
+from yflow.config import ConfigError, load_scenario, parse_kv, parse_scenario
 
 SPHERE_CFG = """\
 # stock fixed-point scenario
@@ -89,6 +90,17 @@ def test_load_scenario_monitor_subset(tmp_path):
     with pytest.raises(ConfigError, match="unknown monitor"):
         load_scenario(_write(tmp_path, SPHERE_CFG + "monitors.enable = bogus\n",
                              name="bad.cfg"))
+
+
+@pytest.mark.parametrize("field, least", [
+    ("seed", 0), ("yamabe_max_iter", 0), ("sobolev_samples", 2),
+])
+def test_scenario_config_rejects_counts_below_their_range(field, least):
+    # the scenario reader checks these ranges too; a config built in Python must not skip them
+    cfg = parse_scenario(SPHERE_CFG)
+    assert getattr(dataclasses.replace(cfg, **{field: least}), field) == least
+    with pytest.raises(ValueError, match=f"^{field} must be >= {least} \\(got {least - 1}\\)$"):
+        dataclasses.replace(cfg, **{field: least - 1})
 
 
 def test_readme_lists_every_scenario_key_with_its_default():
@@ -337,6 +349,31 @@ def test_auxcheck_golden_output(capsys):
     assert capsys.readouterr().out == AUXCHECK_40K_SHARPNESS
 
 
+def test_auxcheck_golden_output_serial(monkeypatch, capsys):
+    # on one CPU the catalogue is scanned in this process, not on a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert main(["auxcheck", "--samples", "40000", "--sharpness"]) == 0
+    assert capsys.readouterr().out == AUXCHECK_40K_SHARPNESS
+
+
+CUT_AUXCHECK = """
+import sys
+from yflow.cli import main
+code = main(["auxcheck", "--samples", "1"])
+print(code, "concurrent.futures.process" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_cut_auxcheck_starts_no_process_pool():
+    # `auxcheck --samples 1` is the benchmark's set-up job: a pool would only add start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(yflow.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", CUT_AUXCHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "False"]
+    assert len(proc.stdout.splitlines()) == 15
+
+
 # tabulated profiles with a token that is not a finite number
 TABULATED = Path(__file__).resolve().parent / "data" / "tabulated"
 
@@ -524,6 +561,39 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     assert code == 0
     assert os.path.exists(os.path.join(out, "grid.M=48", "timeseries.csv"))
     assert os.path.exists(os.path.join(out, "grid.M=64", "timeseries.csv"))
+
+
+@pytest.mark.parametrize("cpus, values, workers", [
+    (64, "48,64", 2), (2, "32,48,64", 2), (1, "48,64", 1), (None, "48", 1),
+])
+def test_sweep_pool_has_one_worker_per_value_up_to_the_cpu_count(
+        cpus, values, workers, tmp_path, capsys, monkeypatch):
+    import concurrent.futures as cf
+
+    sizes = []
+
+    class RecordingPool:    # records its size and runs no job
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = cf.Future()
+            done.set_result(0)
+            return done
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = _write(tmp_path, SPHERE_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "sweep"),
+                 "--sweep", f"grid.M={values}"]) == 0
+    assert sizes == [workers]
+    assert capsys.readouterr().out.count(": exit 0") == len(values.split(","))
 
 
 def test_yflow_out_env_default(tmp_path, capsys, monkeypatch):

@@ -161,6 +161,13 @@ def test_flow_config_validation():
         FlowConfig(T_final=1.0, cfl=1.5)
 
 
+def test_flow_config_rejects_negative_checkpoint_every():
+    # 0 disables periodic checkpoints; a negative count must not write one every |k| steps
+    assert FlowConfig(checkpoint_every=0).checkpoint_every == 0
+    with pytest.raises(ValueError, match="^checkpoint_every must be >= 0$"):
+        FlowConfig(checkpoint_every=-2)
+
+
 @pytest.mark.parametrize("fields", [
     {"T_final": math.inf}, {"T_final": math.nan},
     {"T_final": 1.0, "vol_tol": math.nan}, {"T_final": 1.0, "positivity_floor": math.nan},

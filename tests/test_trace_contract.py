@@ -7,7 +7,9 @@ traced job calls it.  This runs cut ``long_flow``- and
 tracer.  The first checks that the flow's path keeps its traced names, with
 one curvature evaluation per state, one traced tridiagonal solve per step
 and one Laplacian band build per manifold; the second that every monitor, checkpoint and output writer the
-benchmark times still runs.
+benchmark times still runs.  The third traces ``auxcheck``: the tracer sees
+only the process it is installed in, so the catalogue's entry points must
+still be called there when the scans run on a process pool.
 """
 import importlib.util
 from pathlib import Path
@@ -87,17 +89,22 @@ def _tracer_class():
     return module.Tracer
 
 
+def _traced_main(argv):
+    """Exit code and per-name call counts of one traced ``yflow`` command."""
+    tracer = _tracer_class()().install()
+    try:
+        code = main(argv)
+    finally:
+        tracer.uninstall()
+    return code, {name: row["calls"] for name, row in tracer.table().items()}
+
+
 def _traced_calls(tmp_path, scenario: str):
     """Exit code and per-name call counts of one traced ``yflow run``."""
     cfg = tmp_path / "cut.cfg"
     cfg.write_text(scenario)
-    out = tmp_path / "out"
-    tracer = _tracer_class()().install()
-    try:
-        code = main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
-    finally:
-        tracer.uninstall()
-    return code, {name: row["calls"] for name, row in tracer.table().items()}
+    return _traced_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--quiet"])
 
 
 def test_traced_flow_job_call_counts(tmp_path):
@@ -121,3 +128,11 @@ def test_traced_dense_monitors_job_call_counts(tmp_path):
     assert [name for name in DENSE_ON_PATH if calls.get(name, 0) < 1] == []
     assert calls["flow.checkpoint"] == 4
     assert calls["bounds.check_s_minus_decay"] == 6
+
+
+def test_traced_catalogue_job_call_counts(capsys):
+    # 40000 samples is two scan blocks, so the 14 scans may run on a pool
+    code, calls = _traced_main(["auxcheck", "--samples", "40000", "--sharpness"])
+    assert code == 0
+    assert calls["auxfn.run_catalogue"] == 1
+    assert calls["auxfn.find_counterexample"] == 2
