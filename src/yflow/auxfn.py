@@ -448,10 +448,6 @@ def _region_pinned_nu(b, L, nu, n):
     return None
 
 
-def _region_limits(b, L, nu, n, x=None):
-    return None
-
-
 # samplers: draw (beta, L, nu, n, x); evaluation is scale-reduced later
 _BETA_RANGE = (1.0, 50.0)
 _L_RANGE = (1e-3, 1e3)
@@ -742,7 +738,7 @@ _register(_Inequality("I12", "psi_eps is a monotone convex positive-part surroga
 _register(_Inequality("I13", "(n/2) H - x G - (n-2)/4 phi^2 <= 0",
                       _region_all, _sides_I13, _sample_plain))
 _register(_Inequality("LIMITS", "G and H match their large-L power laws once L >= x",
-                      _region_limits, _sides_limits, _sample_limits))
+                      _region_all, _sides_limits, _sample_limits))
 
 
 def catalogue_ids():

@@ -1,8 +1,9 @@
 """A-posteriori monitors for the flow's quantitative bounds.
 
-Each monitor is a pure function of a finished trajectory (plus its ledger
-of initial-data constants): re-running monitors on a restored trajectory
-gives identical verdicts, and no monitor can alter the flow.  Monitors read
+Each monitor is a pure function of a finished trajectory (the Sobolev one also
+of a Yamabe estimate) that derives the constants of the initial data where it
+uses them: re-running monitors on a restored trajectory gives identical
+verdicts, and no monitor can alter the flow.  Monitors read
 the trajectory's columns and return their rows as columns (:class:`MonitorResult`);
 per-snapshot norms are row reductions over its (snapshots x nodes) arrays,
 taken a block of rows at a time (:func:`_row_sums`).
@@ -11,7 +12,7 @@ instead as matrix products of each block with the stacked profiles, every
 column then scaled by its time factor (:func:`check_parabolic_sobolev`).
 
 Hypotheses: ``REQUIRES`` names those of ``geometry.HYPOTHESES`` that a monitor
-(or a group of its rows) needs; where the ledger's verdict on one is a failure,
+(or a group of its rows) needs; where the manifold's verdict on one is a failure,
 the monitor is not applicable (the rows skipped), noting the table's reason.
 
 Slack discipline: inequalities with explicit constants are asserted with
@@ -21,21 +22,22 @@ sides (:meth:`MonitorResult.add_upper`).  Where the underlying constant is
 non-constructive, the monitor instead asserts refinement stability: the
 quantity's ratio between a run and its grid-doubled twin must land in
 [0.9, 1.1] (:func:`refinement_ratio`).  :func:`run_monitors` dispatches
-through one name -> call table, whose keys are ``MONITOR_NAMES``.
+through one name -> call table, whose keys are ``MONITOR_NAMES``, and
+:func:`describe_ledger` writes ``ledger.txt`` from a run and its results.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import astuple, dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
 from .discretization import _gradient, _laplacian, lp_norm
-from .geometry import AuditCheck, DiscretizedManifold, lq_exponent
+from .geometry import DiscretizedManifold, lq_exponent
+from .yamabe import sobolev_constants
 
 __all__ = [
-    "BoundLedger",
     "MonitorResult",
     "check_s_minus_decay",
     "check_scal_lower",
@@ -52,6 +54,8 @@ __all__ = [
     "make_cutoff",
     "refinement_ratio",
     "run_monitors",
+    "describe_ledger",
+    "s0_minus_norm",
     "MONITOR_NAMES",
     "REQUIRES",
 ]
@@ -61,69 +65,14 @@ REFINE_BAND = (0.9, 1.1)
 BLOCK_ELEMENTS = 2**13      # entries per block of a per-snapshot reduction (64 KiB)
 
 
-@dataclass
-class BoundLedger:
-    """Constants of the initial data plus running extrema of a flow run."""
+def s0_minus_norm(manifold: DiscretizedManifold, p: float) -> float:
+    """``||(S0)_-||_{L^p}`` in the background measure."""
+    return lp_norm(np.maximum(-manifold.S0, 0.0), p, manifold.mu_weights)
 
-    rho0: float = math.nan
-    s0_minus_lp: Dict[float, float] = field(default_factory=dict)
-    s0_inf: float = math.nan
-    s0_lq: float = math.nan
-    s0_plus_ln2: float = math.nan
-    hypotheses: Dict[str, AuditCheck] = field(default_factory=dict)   # the manifold's own
-    sup_u: float = -math.inf
-    inf_u: float = math.inf
-    y_est: Optional[float] = None
-    A0: Optional[float] = None
-    B0: Optional[float] = None
-    A_T: Optional[float] = None
-    B_T: Optional[float] = None
-    violations: List[tuple] = field(default_factory=list)
 
-    @classmethod
-    def from_manifold(cls, manifold: DiscretizedManifold) -> "BoundLedger":
-        s0 = manifold.S0
-        mu = manifold.mu_weights
-        sm = np.maximum(-s0, 0.0)
-        led = cls()
-        led.s0_minus_lp = {p: lp_norm(sm, p, mu) for p in P_DEFAULT}
-        led.s0_inf = float(s0.min())
-        led.hypotheses = manifold.hypotheses
-        led.s0_lq = led.hypotheses["s0_lq_finite"].value    # lp_norm(s0, q, mu), bit for bit
-        led.s0_plus_ln2 = lp_norm(np.maximum(s0, 0.0), manifold.n / 2.0, mu)
-        return led
-
-    def attach_sobolev(self, manifold: DiscretizedManifold, y_est: float) -> None:
-        from .yamabe import sobolev_constants
-
-        sc = sobolev_constants(manifold, y_est, self.sup_u, self.inf_u)
-        self.y_est = y_est
-        self.A0, self.B0, self.A_T, self.B_T = sc.A0, sc.B0, sc.A_T, sc.B_T
-
-    def describe(self) -> str:
-        def fmt(v):
-            if v is None:
-                return "unavailable"
-            return f"{v:.12g}"
-
-        lines = [
-            "bound ledger",
-            f"  rho0          = {fmt(self.rho0)}",
-            f"  inf S0        = {fmt(self.s0_inf)}",
-            f"  ||S0||_Lq     = {fmt(self.s0_lq)}  (q = n^2/(2(n-2)))",
-            f"  ||(S0)+||_n/2 = {fmt(self.s0_plus_ln2)}",
-        ]
-        for p in sorted(self.s0_minus_lp, key=lambda v: (v == math.inf, v)):
-            tag = "inf" if p == math.inf else f"{p:g}"
-            lines.append(f"  ||(S0)-||_L{tag} = {fmt(self.s0_minus_lp[p])}")
-        lines += [
-            f"  sup u / inf u = {fmt(self.sup_u)} / {fmt(self.inf_u)}",
-            f"  Y estimate    = {fmt(self.y_est)}",
-            f"  A0, B0        = {fmt(self.A0)}, {fmt(self.B0)}",
-            f"  A(T), B(T)    = {fmt(self.A_T)}, {fmt(self.B_T)}",
-            f"  violations    = {len(self.violations)}",
-        ]
-        return "\n".join(lines)
+def _s0_plus_norm(manifold: DiscretizedManifold) -> float:
+    """``||(S0)_+||_{L^{n/2}}`` in the background measure."""
+    return lp_norm(np.maximum(manifold.S0, 0.0), manifold.n / 2.0, manifold.mu_weights)
 
 
 @dataclass
@@ -200,6 +149,11 @@ def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
     return _row_sums(traj, lambda r: (traj.gvol_weights[r] * np.abs(f(r)) ** p,), rows=rows)[0]
 
 
+def _exponent_tag(p: float) -> str:
+    """``p`` as the shortest text that reads back as it: 2.0 -> "2", 2.5 -> "2.5", inf -> "inf"."""
+    return repr(float(p)).removesuffix(".0")
+
+
 def _each(f, x: np.ndarray) -> np.ndarray:
     """``f`` of each entry, a Python float: ``np.exp`` and array powers differ in the last bits."""
     return np.array([f(v) for v in x.tolist()], dtype=float)
@@ -219,15 +173,12 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     """
     if p != math.inf and not 2.0 <= p:
         raise ValueError("p must lie in [2, inf]")
-    led = traj.ledger
-    res = MonitorResult(monitor_id=f"s_minus_decay_p{'inf' if p == math.inf else int(p)}")
-    if not _applies(res, led, res.monitor_id):
+    res = MonitorResult(monitor_id=f"s_minus_decay_p{_exponent_tag(p)}")
+    if not _applies(res, traj, res.monitor_id):
         return res
     eps = slack_epsilon(traj)
-    atol = 1e-10 * (1.0 + abs(led.rho0))
-    base = led.s0_minus_lp.get(p)
-    if base is None:
-        base = lp_norm(np.maximum(-traj.manifold.S0, 0.0), p, traj.manifold.mu_weights)
+    atol = 1e-10 * (1.0 + abs(traj.rho0))
+    base = s0_minus_norm(traj.manifold, p)
     n = traj.manifold.n
     # a row with S >= 0 has S_- = 0 and lhs 0.0; only the others are reduced
     lhs = np.zeros(traj.snap_t.size)
@@ -235,7 +186,7 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     if neg.size:
         sums = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p, neg)
         lhs[neg] = sums if p == math.inf else _each(lambda v: v ** (1.0 / p), sums)
-    growth = 1.0 if p == math.inf else _each(math.exp, traj.snap_t * n * led.rho0 / (2.0 * p))
+    growth = 1.0 if p == math.inf else _each(math.exp, traj.snap_t * n * traj.rho0 / (2.0 * p))
     res.add_upper(traj.snap_t, lhs, growth * base, eps, atol)
     return res
 
@@ -247,14 +198,14 @@ def check_scal_lower(traj) -> MonitorResult:
     rational-in-time floor
     ``rho0 s_min / (exp(rho0 t)(rho0 - s_min) + s_min)`` is asserted too.
     """
-    led = traj.ledger
+    rho0 = traj.rho0
     res = MonitorResult(monitor_id="scal_lower")
-    tol = slack_epsilon(traj) * (1.0 + abs(led.rho0))
-    s_min0 = led.s0_inf
+    tol = slack_epsilon(traj) * (1.0 + abs(rho0))
+    s_min0 = float(traj.manifold.S0.min())
     floors = [np.full(traj.snap_t.size, min(0.0, s_min0))]
     if s_min0 > 0.0:
-        growth = _each(math.exp, led.rho0 * traj.snap_t)
-        floors.append(led.rho0 * s_min0 / (growth * (led.rho0 - s_min0) + s_min0))
+        growth = _each(math.exp, rho0 * traj.snap_t)
+        floors.append(rho0 * s_min0 / (growth * (rho0 - s_min0) + s_min0))
         res.notes.append("inf S0 > 0: rational positive-branch floor asserted as well")
     # one column per floor: each snapshot's rows stay together, the constant floor first
     rhs = np.stack(floors, axis=1) - tol
@@ -269,12 +220,11 @@ def check_u_upper(traj) -> MonitorResult:
     ``max u(t) <= exp(C t)`` with the explicit rate
     ``C = (n-2)/4 (||(S0)_-||_inf + rho0)``; needs bounded (S0)_-.
     """
-    led = traj.ledger
     res = MonitorResult(monitor_id="u_upper")
-    if not _applies(res, led, res.monitor_id):
+    if not _applies(res, traj, res.monitor_id):
         return res
     n = traj.manifold.n
-    C = 0.25 * (n - 2) * (led.s0_minus_lp[math.inf] + led.rho0)
+    C = 0.25 * (n - 2) * (s0_minus_norm(traj.manifold, math.inf) + traj.rho0)
     res.notes.append(f"rate C = {C:.12g}")
     res.add_upper(traj.t, traj.max_u, _each(math.exp, C * traj.t), slack_epsilon(traj))
     return res
@@ -289,7 +239,6 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
     supersolution property behind the uniform lower bound); (iii) given a
     grid-doubled twin run, ``inf u`` must be refinement-stable.
     """
-    led = traj.ledger
     man = traj.manifold
     n = man.n
     res = MonitorResult(monitor_id="u_lower")
@@ -299,9 +248,9 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
     res.add(float(traj.t[-1]), inf_u, 0.0, inf_u > 0.0)
     res.notes.append(f"running inf u = {inf_u:.12g}")
 
-    if _applies(res, led, "u_lower/supersolution"):
+    if _applies(res, traj, "u_lower/supersolution"):
         pfield = (n - 2) / (4.0 * (n - 1)) * (
-            man.S0 + led.sup_u ** (4.0 / (n - 2)) * led.s0_minus_lp[math.inf]
+            man.S0 + _sup_u(traj) ** (4.0 / (n - 2)) * s0_minus_norm(man, math.inf)
         )
         u = traj.u
         lows = _row_sums(traj, lambda r: (-_laplacian(man, u[r]) + pfield * u[r],), np.min)[0]
@@ -323,14 +272,14 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     when a grid-doubled twin is supplied (their constants are
     non-constructive, so no explicit level is asserted).
     """
-    led = traj.ledger
     n = traj.manifold.n
     res = MonitorResult(monitor_id="s_upper")
     eps = slack_epsilon(traj)
-    atol = 1e-10 * (1.0 + abs(led.rho0))
+    atol = 1e-10 * (1.0 + abs(traj.rho0))
     p = n / 2.0
     sums = _lp_rows(traj, lambda r: np.maximum(traj.S[r], 0.0), p)
-    res.add_upper(traj.snap_t, _each(lambda v: v ** (1.0 / p), sums), led.s0_plus_ln2, eps, atol)
+    res.add_upper(traj.snap_t, _each(lambda v: v ** (1.0 / p), sums),
+                  _s0_plus_norm(traj.manifold), eps, atol)
 
     late, integral = ends = np.array([_late_sup_abs_s(traj), _s_high_norm_time_integral(traj)])
     res.notes += [f"sup over [T/2, T] of max|S| = {late:.12g}",
@@ -345,6 +294,10 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
 
 def _inf_u(traj) -> float:
     return float(traj.min_u.min())
+
+
+def _sup_u(traj) -> float:
+    return float(traj.max_u.max())
 
 
 def _late_sup_abs_s(traj) -> float:
@@ -395,13 +348,15 @@ def _grad_weights(man, u_rows: np.ndarray) -> np.ndarray:
     return man.face_weights * wf**2
 
 
-def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> MonitorResult:
+def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 20,
+                            seed: int = 2024) -> MonitorResult:
     """Space-time Sobolev inequality with the flow-adapted constants.
 
     For each sampled field f the inequality
     ``||f^2||_{L^{(n+2)/n}(M_T,g)} <= n/(n+2) (A_T ||grad f||^2 + B_T
     ||f||^2) + 2/(n+2) sup_t ||f(t)||^2`` is evaluated by quadrature over
-    the trajectory's evolving measure.  Needs A(T), B(T) in the ledger.
+    the trajectory's evolving measure, with the constants that
+    ``sobolev_constants`` draws from a positive Yamabe estimate ``y_est``.
 
     Each snapshot contributes three sums per field: ``int |f|^{2q}``,
     ``int w^2 |grad f|^2`` and ``int f^2``.  For a separable field
@@ -411,13 +366,12 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     scaled by its time factor.  A field with a (snapshots x nodes) profile
     is summed elementwise through :func:`_row_sums`.
     """
-    led = traj.ledger
     res = MonitorResult(monitor_id="parabolic_sobolev")
-    missing = led.A_T is None or led.B_T is None
-    if not _applies(res, led, res.monitor_id,
-                    "Sobolev constants unavailable (no Yamabe estimate)" if missing else None):
+    missing = "Sobolev constants unavailable (no Yamabe estimate)" if y_est is None else None
+    if not _applies(res, traj, res.monitor_id, missing):
         return res
     man = traj.manifold
+    sc = sobolev_constants(man, y_est, _sup_u(traj), _inf_u(traj))
     n = man.n
     eps = slack_epsilon(traj)
     q = (n + 2.0) / n
@@ -464,7 +418,7 @@ def check_parabolic_sobolev(traj, samples: int = 20, seed: int = 2024) -> Monito
     lhs_i, grad_i, l2_i, l2_sup = np.array([
         [*(np.trapezoid(col, ts) for col in sums[name]), sums[name][2].max()]
         for name, _, _ in fields]).T
-    rhs = n / (n + 2.0) * (led.A_T * grad_i + led.B_T * l2_i) + 2.0 / (n + 2.0) * l2_sup
+    rhs = n / (n + 2.0) * (sc.A_T * grad_i + sc.B_T * l2_i) + 2.0 / (n + 2.0) * l2_sup
     ok = res.add_upper(float(ts[-1]), _each(lambda v: v ** (1.0 / q), lhs_i), rhs, eps)
     res.notes += [f"violated by field {name}" for (name, _, _), good in zip(fields, ok) if not good]
     return res
@@ -482,7 +436,6 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
     the explicit ceiling ``(n+2)/4 (rho0 + ||(S0)_-||_inf)``, which needs
     bounded (S0)_-.
     """
-    led = traj.ledger
     res = MonitorResult(monitor_id="energy_decay")
     energies = traj.energy
     if energies.size > window:
@@ -496,9 +449,9 @@ def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> Moni
             res.add(tsm[-1], smooth[-1], smooth[0], True)
     res.notes.append(f"energy initial {energies[0]:.12g} final {energies[-1]:.12g}")
 
-    if _applies(res, led, "energy_decay/h1_ceiling"):
+    if _applies(res, traj, "energy_decay/h1_ceiling"):
         man, u = traj.manifold, traj.u
-        ceiling = 0.25 * (man.n + 2) * (led.rho0 + led.s0_minus_lp[math.inf])
+        ceiling = 0.25 * (man.n + 2) * (traj.rho0 + s0_minus_norm(man, math.inf))
         eps = slack_epsilon(traj)
 
         def terms(r):   # the two sums of h1_norm
@@ -680,8 +633,8 @@ _MONITORS = {
     "u_upper": lambda traj, **_: [check_u_upper(traj)],
     "u_lower": lambda traj, refined, **_: [check_u_lower(traj, refined=refined)],
     "s_upper": lambda traj, refined, **_: [check_s_upper(traj, refined=refined)],
-    "parabolic_sobolev": lambda traj, samples, seed, **_: [
-        check_parabolic_sobolev(traj, samples=samples, seed=seed)
+    "parabolic_sobolev": lambda traj, y_est, samples, seed, **_: [
+        check_parabolic_sobolev(traj, y_est=y_est, samples=samples, seed=seed)
     ],
     "energy_decay": lambda traj, **_: [check_energy_decay(traj)],
 }
@@ -698,15 +651,14 @@ REQUIRES = {
 }
 
 
-def _applies(res: MonitorResult, ledger: BoundLedger, gated: str,
-             unavailable: Optional[str] = None) -> bool:
+def _applies(res: MonitorResult, traj, gated: str, unavailable: Optional[str] = None) -> bool:
     """Whether each hypothesis ``REQUIRES[gated]`` names holds, and no reason is ``unavailable``.
 
     If not, the first failure's reason becomes a note: a gated monitor is
     then not applicable, a gated "<monitor>/<rows>" group only skipped.
     """
-    failed = [ledger.hypotheses[name] for name in REQUIRES.get(gated, ())
-              if not ledger.hypotheses[name].passed]
+    hypotheses = traj.manifold.hypotheses
+    failed = [hypotheses[name] for name in REQUIRES.get(gated, ()) if not hypotheses[name].passed]
     reason = f"{failed[0].name} fails: {failed[0].detail}" if failed else unavailable
     if reason is None:
         return True
@@ -726,11 +678,11 @@ def run_monitors(
     refined=None,
     sobolev_samples: int = 20,
     seed: int = 2024,
+    y_est: Optional[float] = None,
 ) -> List[MonitorResult]:
     """Results of the named monitors, in the order of ``names``.
 
-    Each failed row goes to ``traj.ledger.violations`` as
-    ``(monitor_id, t, lhs, rhs, margin)``, in the same order.
+    ``y_est``, a positive Yamabe estimate, gives the Sobolev monitor its constants.
     """
     out: List[MonitorResult] = []
     for name in names:
@@ -738,9 +690,33 @@ def run_monitors(
             call = _MONITORS[name]
         except KeyError:
             raise ValueError(f"unknown monitor {name!r}") from None
-        out.extend(call(traj, p_values=p_values, refined=refined,
+        out.extend(call(traj, p_values=p_values, refined=refined, y_est=y_est,
                         samples=sobolev_samples, seed=seed))
-    traj.ledger.violations.extend(
-        (res.monitor_id, *row) for res in out for row in zip(
-            *(col[~res.verdict].tolist() for col in (res.t, res.lhs, res.rhs, res.margin))))
     return out
+
+
+def describe_ledger(traj, results: List[MonitorResult], y_est: Optional[float] = None) -> str:
+    """The text of ``ledger.txt``; its Sobolev constants are those of ``y_est``, if given."""
+    def fmt(v):
+        return "unavailable" if v is None else f"{v:.12g}"
+
+    man = traj.manifold
+    sup_u, inf_u = _sup_u(traj), _inf_u(traj)
+    sobolev = ((None,) * 4 if y_est is None
+               else astuple(sobolev_constants(man, y_est, sup_u, inf_u)))  # A0, B0, A_T, B_T
+    lines = [
+        "bound ledger",
+        f"  rho0          = {fmt(traj.rho0)}",
+        f"  inf S0        = {fmt(float(man.S0.min()))}",
+        f"  ||S0||_Lq     = {fmt(man.hypotheses['s0_lq_finite'].value)}  (q = n^2/(2(n-2)))",
+        f"  ||(S0)+||_n/2 = {fmt(_s0_plus_norm(man))}",
+    ]
+    lines += [f"  ||(S0)-||_L{_exponent_tag(p)} = {fmt(s0_minus_norm(man, p))}" for p in P_DEFAULT]
+    lines += [
+        f"  sup u / inf u = {fmt(sup_u)} / {fmt(inf_u)}",
+        f"  Y estimate    = {fmt(y_est)}",
+        "  A0, B0        = {}, {}".format(*map(fmt, sobolev[:2])),
+        "  A(T), B(T)    = {}, {}".format(*map(fmt, sobolev[2:])),
+        f"  violations    = {sum(np.count_nonzero(~r.verdict) for r in results)}",  # failed rows
+    ]
+    return "\n".join(lines)

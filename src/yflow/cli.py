@@ -101,22 +101,22 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
             print(f"last valid checkpoint: {exc.checkpoint_path}", file=sys.stderr)
         return EXIT_SOLVER
 
-    ledger = traj.ledger
+    y_est = None
     if "parabolic_sobolev" in cfg.monitors and all(
-            ledger.hypotheses[name].passed for name in bounds.REQUIRES["parabolic_sobolev"]):
+            manifold.hypotheses[name].passed for name in bounds.REQUIRES["parabolic_sobolev"]):
         est = estimate_yamabe_constant(manifold, max_iter=cfg.yamabe_max_iter)
         if est.value > 0.0:
-            ledger.attach_sobolev(manifold, est.value)
+            y_est = est.value
 
     results = bounds.run_monitors(
         traj, names=cfg.monitors, p_values=cfg.p_values,
-        sobolev_samples=cfg.sobolev_samples, seed=cfg.seed + 2024,
+        sobolev_samples=cfg.sobolev_samples, seed=cfg.seed + 2024, y_est=y_est,
     )
 
     write_timeseries(traj, os.path.join(out_dir, "timeseries.csv"))
     write_monitors(results, os.path.join(out_dir, "monitors.csv"))
     with open(os.path.join(out_dir, "ledger.txt"), "w", encoding="utf-8") as fh:
-        fh.write(ledger.describe() + "\n")
+        fh.write(bounds.describe_ledger(traj, results, y_est) + "\n")
     if cfg.plots:
         cols = {col: getattr(traj, f) for col, f, _ in TIMESERIES_COLUMNS}
         _plot_columns(cols, os.path.join(out_dir, "plots"))

@@ -186,6 +186,10 @@ class ScenarioConfig:
             if (value := getattr(self, name)) < least:
                 raise ValueError(f"{name} must be >= {least} (got {value})")
         check_chain_parameters(self.moser_beta, self.moser_k_max)
+        # each entry names its own monitor results
+        for key, values in (("monitors.enable", self.monitors), ("monitors.p", self.p_values)):
+            if twice := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ValueError(f"{key} lists {twice[0]} twice")
 
     def build(self) -> DiscretizedManifold:
         return build_manifold(self.profile, self.grid)

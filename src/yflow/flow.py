@@ -174,7 +174,7 @@ RECORD_COLUMNS = ("t", "dt", "rho", "vol", "min_u", "max_u", "min_S", "max_S",
 
 @dataclass
 class Trajectory:
-    """One run stored as columns.
+    """One run stored as columns, with its time-zero average curvature ``rho0``.
 
     Per accepted step, the starting state first: ``step`` and the float
     columns named in ``RECORD_COLUMNS``.  Per stored snapshot: the
@@ -184,7 +184,7 @@ class Trajectory:
 
     manifold: DiscretizedManifold
     config: FlowConfig
-    ledger: object
+    rho0: float
     step: np.ndarray
     t: np.ndarray
     dt: np.ndarray
@@ -263,16 +263,12 @@ def run(
 
     Passing ``initial_state``/``initial_dt``/``initial_step`` resumes a
     checkpointed run; with identical configuration the continuation is
-    bit-identical to the uninterrupted trajectory.  ``rho0`` overrides the
-    ledger's time-zero average curvature on resumed runs (by default the
-    value at the starting state is used).  The ledger's sup and inf of u are
-    the extrema of the ``max_u`` and ``min_u`` columns.
+    bit-identical to the uninterrupted trajectory.  ``rho0``, which a resumed
+    run passes on, defaults to the starting state's rho.
     """
-    from .bounds import BoundLedger
-
     state = initial_state if initial_state is not None else FlowState.initial(manifold)
-    ledger = BoundLedger.from_manifold(manifold)
-    ledger.rho0 = state.rho if rho0 is None else rho0
+    if rho0 is None:
+        rho0 = float(state.rho)
     # growable row-major buffers, one row per record and per snapshot
     records, snapshots = array("d"), array("d")
 
@@ -322,11 +318,9 @@ def run(
     # step indices stay below 2^53, so the float buffers hold them exactly
     rec = np.frombuffer(records).reshape(-1, 1 + len(RECORD_COLUMNS)).T.copy()
     snap = np.frombuffer(snapshots).reshape(-1, 2 + 3 * manifold.node_count)
-    traj = Trajectory(manifold, config, ledger, rec[0].astype(np.int64), *rec[1:],
+    traj = Trajectory(manifold, config, rho0, rec[0].astype(np.int64), *rec[1:],
                       snap[:, 0].astype(np.int64), snap[:, 1].copy(),
                       *snap[:, 2:].reshape(len(snap), 3, -1).transpose(1, 0, 2))
-    ledger.sup_u = float(traj.max_u.max())
-    ledger.inf_u = float(traj.min_u.min())
     traj.validate()
     return traj
 

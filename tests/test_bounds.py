@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 
@@ -7,7 +6,6 @@ import pytest
 
 from yflow import bounds
 from yflow.bounds import (
-    BoundLedger,
     check_energy_decay,
     check_parabolic_sobolev,
     check_s_minus_decay,
@@ -16,11 +14,14 @@ from yflow.bounds import (
     check_u_lower,
     check_u_upper,
     cutoff_times,
+    describe_ledger,
     make_cutoff,
     moser_chain,
     refinement_ratio,
     run_monitors,
+    s0_minus_norm,
 )
+from yflow.discretization import lp_norm
 from yflow.flow import FlowConfig, run
 from yflow.geometry import (
     HYPOTHESES,
@@ -31,7 +32,7 @@ from yflow.geometry import (
     perturbed_sphere,
     sphere,
 )
-from yflow.yamabe import estimate_yamabe_constant
+from yflow.yamabe import estimate_yamabe_constant, sobolev_constants
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +49,28 @@ def mixed_run():
     return run(m, cfg)
 
 
-def test_ledger_from_manifold(sphere256):
-    led = BoundLedger.from_manifold(sphere256)
-    assert led.s0_inf == pytest.approx(float(sphere256.S0.min()))
-    assert led.s0_minus_lp[math.inf] == 0.0
-    assert all(verdict.passed for verdict in led.hypotheses.values())
+@pytest.fixture(scope="module")
+def mixed_y_est(mixed_run):
+    return estimate_yamabe_constant(mixed_run.manifold, max_iter=150).value
+
+
+def _ledger_values(text):
+    """The values of the ``name = value`` lines of a ledger text, by name."""
+    pairs = (line.split(" = ", 1) for line in text.splitlines()[1:])
+    return {name.strip(): value for name, value in pairs}
+
+
+def test_ledger_from_manifold(sphere_run):
+    values = _ledger_values(describe_ledger(sphere_run, []))
+    man = sphere_run.manifold
+    assert float(values["inf S0"]) == pytest.approx(float(man.S0.min()), rel=1e-11)
+    assert values["||(S0)-||_Linf"] == "0" and s0_minus_norm(man, math.inf) == 0.0
+    assert all(verdict.passed for verdict in man.hypotheses.values())
     # q = 4.5 norm of a constant field is the constant itself (unit volume)
-    assert led.s0_lq == pytest.approx(float(sphere256.S0.max()), rel=1e-7)
+    lq = float(values["||S0||_Lq"].split()[0])
+    assert lq == pytest.approx(float(man.S0.max()), rel=1e-7)
+    assert float(values["rho0"]) == pytest.approx(sphere_run.rho0, rel=1e-11)
+    assert values["Y estimate"] == "unavailable" and values["violations"] == "0"
 
 
 def test_audit_and_ledger_read_one_verdict_table():
@@ -62,18 +78,18 @@ def test_audit_and_ledger_read_one_verdict_table():
     m = build_manifold(cone(0.8), RadialGrid(M=48))
     report = audit_assumptions(m)
     traj = run(m, FlowConfig(T_final=1e-4, dt_init=2e-5, dt_max=2e-5))
-    ledger = list(traj.ledger.hypotheses.values())
-    assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in ledger]
-    assert not traj.ledger.hypotheses["s0_lq_finite"].passed
-    # one evaluation per manifold: the audit's checks are the ledger's verdicts
-    assert all(a is b for a, b in zip(report.checks, ledger, strict=True))
+    verdicts = list(traj.manifold.hypotheses.values())
+    assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in verdicts]
+    assert not traj.manifold.hypotheses["s0_lq_finite"].passed
+    # one evaluation per manifold: the audit's checks are the monitors' verdicts
+    assert all(a is b for a, b in zip(report.checks, verdicts, strict=True))
 
 
 def test_mixed_profile_really_mixed(mixed_run):
-    led = mixed_run.ledger
-    assert led.s0_inf < 0.0
-    assert led.s0_minus_lp[math.inf] > 0.0
-    assert led.hypotheses["s0_minus_bounded"].passed
+    man = mixed_run.manifold
+    assert man.S0.min() < 0.0
+    assert s0_minus_norm(man, math.inf) > 0.0
+    assert man.hypotheses["s0_minus_bounded"].passed
 
 
 def test_s_minus_decay_zero_initial(sphere_run):
@@ -81,20 +97,26 @@ def test_s_minus_decay_zero_initial(sphere_run):
     for p in (2.0, 4.0, 8.0, math.inf):
         res = check_s_minus_decay(sphere_run, p)
         assert res.applicable and res.passed
-        assert all(res.lhs <= 1e-10 * (1 + sphere_run.ledger.rho0))
+        assert all(res.lhs <= 1e-10 * (1 + sphere_run.rho0))
 
 
 def test_s_minus_decay_equality_at_zero(mixed_run):
     res = check_s_minus_decay(mixed_run, 2.0)
-    led = mixed_run.ledger
     # at t = 0 the bound factor is exactly one
-    assert res.lhs[0] == pytest.approx(led.s0_minus_lp[2.0], rel=1e-12)
+    assert res.lhs[0] == pytest.approx(s0_minus_norm(mixed_run.manifold, 2.0), rel=1e-12)
     assert res.passed
 
 
 def test_s_minus_decay_invalid_p(sphere_run):
     with pytest.raises(ValueError):
         check_s_minus_decay(sphere_run, 1.5)
+
+
+@pytest.mark.parametrize("p, tag", [(2.0, "2"), (2, "2"), (2.5, "2.5"), (3.0, "3"),
+                                    (2.0000001, "2.0000001"), (math.inf, "inf")])
+def test_s_minus_decay_id_names_its_exponent(sphere_run, p, tag):
+    # a non-integer exponent gets its own id; integer ones and inf keep theirs
+    assert check_s_minus_decay(sphere_run, p).monitor_id == f"s_minus_decay_p{tag}"
 
 
 def test_scal_lower_sphere(sphere_run):
@@ -105,18 +127,15 @@ def test_scal_lower_sphere(sphere_run):
 
 
 def test_scal_lower_rational_bound_t0_value(sphere_run):
-    led = sphere_run.ledger
-    t0_bound = led.rho0 * led.s0_inf / (
-        math.exp(0.0) * (led.rho0 - led.s0_inf) + led.s0_inf
-    )
-    assert t0_bound == pytest.approx(led.s0_inf, rel=1e-12)
+    rho0, s0_inf = sphere_run.rho0, float(sphere_run.manifold.S0.min())
+    t0_bound = rho0 * s0_inf / (math.exp(0.0) * (rho0 - s0_inf) + s0_inf)
+    assert t0_bound == pytest.approx(s0_inf, rel=1e-12)
 
 
 def test_u_upper_rate_value(mixed_run):
     res = check_u_upper(mixed_run)
     assert res.applicable and res.passed
-    led = mixed_run.ledger
-    want = 0.25 * (led.s0_minus_lp[math.inf] + led.rho0)
+    want = 0.25 * (s0_minus_norm(mixed_run.manifold, math.inf) + mixed_run.rho0)
     assert any(f"{want:.12g}" in note for note in res.notes)
     # t = 0 row: max u = 1 <= 1
     assert res.lhs[0] == pytest.approx(1.0, abs=1e-12)
@@ -135,7 +154,7 @@ def test_energy_decay_notes_skipped_h1_ceiling_on_cone():
     m = build_manifold(cone(1.5), RadialGrid(M=32))
     cfg = FlowConfig(T_final=5e-4, dt_init=1e-5, dt_max=1e-5, snapshot_every=10)
     traj = run(m, cfg)
-    verdict = traj.ledger.hypotheses["s0_minus_bounded"]
+    verdict = traj.manifold.hypotheses["s0_minus_bounded"]
     assert not verdict.passed
     res = check_energy_decay(traj)
     assert f"h1_ceiling rows skipped: s0_minus_bounded fails: {verdict.detail}" in res.notes
@@ -154,7 +173,7 @@ def test_gated_results_note_the_table_reason_on_steep_cone():
     m = build_manifold(cone(1.5), RadialGrid(M=32))
     cfg = FlowConfig(T_final=5e-4, dt_init=1e-5, dt_max=1e-5, snapshot_every=10)
     traj = run(m, cfg)
-    reason = f"s0_minus_bounded fails: {traj.ledger.hypotheses['s0_minus_bounded'].detail}"
+    reason = f"s0_minus_bounded fails: {traj.manifold.hypotheses['s0_minus_bounded'].detail}"
     for res in (check_u_upper(traj), check_s_minus_decay(traj, math.inf)):
         assert not res.applicable and res.notes == [reason] and res.t.size == 0
     assert check_s_minus_decay(traj, 2.0).applicable
@@ -164,16 +183,20 @@ def test_gated_results_note_the_table_reason_on_steep_cone():
     assert lower.t.size == 1
 
 
-def test_run_monitors_records_each_failed_row(mixed_run):
-    # a forged zero ceiling for ||(S0)_-||_L2 fails the rows where S_- is not zero
-    traj = dataclasses.replace(mixed_run, ledger=copy.deepcopy(mixed_run.ledger))
-    traj.ledger.s0_minus_lp[2.0] = 0.0
-    res = check_s_minus_decay(traj, 2.0)
-    assert not res.passed and traj.ledger.violations == []
-    (res,) = run_monitors(traj, names=("s_minus_decay",), p_values=(2.0,))
-    failed = [(res.monitor_id, t, lhs, rhs, rhs - lhs) for t, lhs, rhs, ok in zip(
-        res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.verdict.tolist()) if not ok]
-    assert failed and traj.ledger.violations == failed
+def test_run_monitors_records_each_failed_row(mixed_run, mixed_y_est):
+    # a forged, very negative rho0 drops the u and H^1 ceilings below the run's values
+    traj = dataclasses.replace(mixed_run, rho0=-100.0)
+    results = run_monitors(traj, y_est=mixed_y_est)
+    failed = {res.monitor_id: int(np.count_nonzero(~res.verdict)) for res in results}
+    assert failed["u_upper"] > 0 and failed["energy_decay"] > 0
+    text = describe_ledger(traj, results, mixed_y_est)
+    assert _ledger_values(text)["violations"] == str(sum(failed.values()))
+    assert _ledger_values(text)["rho0"] == "-100"
+    # run_monitors leaves the run alone: the same results again, and none failed on it
+    again = run_monitors(traj, y_est=mixed_y_est)
+    assert [r.verdict.tolist() for r in again] == [r.verdict.tolist() for r in results]
+    ok = run_monitors(mixed_run, y_est=mixed_y_est)
+    assert _ledger_values(describe_ledger(mixed_run, ok, mixed_y_est))["violations"] == "0"
 
 
 def test_u_lower_sphere_stays_one(sphere_run):
@@ -203,7 +226,9 @@ def test_s_upper_monotone_ln2(mixed_run):
     res = check_s_upper(mixed_run)
     assert res.passed
     # t = 0: equality with factor one
-    assert res.lhs[0] == pytest.approx(mixed_run.ledger.s0_plus_ln2, rel=1e-12)
+    man = mixed_run.manifold
+    s0_plus_ln2 = lp_norm(np.maximum(man.S0, 0.0), man.n / 2.0, man.mu_weights)
+    assert res.lhs[0] == pytest.approx(s0_plus_ln2, rel=1e-12)
 
 
 def test_s_upper_constant_on_sphere(sphere_run):
@@ -214,30 +239,26 @@ def test_s_upper_constant_on_sphere(sphere_run):
 
 
 def test_parabolic_sobolev_needs_constants(sphere_run):
-    # ledger without Sobolev constants: not applicable, never a failure
+    # no Yamabe estimate, no Sobolev constants: not applicable, never a failure
     res = check_parabolic_sobolev(sphere_run)
     assert not res.applicable
     assert res.notes == ["Sobolev constants unavailable (no Yamabe estimate)"]
 
 
-def test_parabolic_sobolev_holds(mixed_run):
-    man = mixed_run.manifold
-    est = estimate_yamabe_constant(man, max_iter=150)
-    mixed_run.ledger.attach_sobolev(man, est.value)
-    res = check_parabolic_sobolev(mixed_run, samples=20)
+def test_parabolic_sobolev_holds(mixed_run, mixed_y_est):
+    res = check_parabolic_sobolev(mixed_run, y_est=mixed_y_est, samples=20)
     assert res.applicable and res.passed
     assert res.t.size == 20
 
 
-def test_parabolic_sobolev_constant_field_case(mixed_run):
+def test_parabolic_sobolev_constant_field_case(mixed_run, mixed_y_est):
     # f = 1: lhs = T^{n/(n+2)}, rhs >= (n/(n+2)) B_T T + 2/(n+2); B_T >= 1
     # makes the verdict immediate, our constants are far larger
-    led = mixed_run.ledger
-    if led.B_T is None:
-        man = mixed_run.manifold
-        est = estimate_yamabe_constant(man, max_iter=150)
-        led.attach_sobolev(man, est.value)
-    assert led.B_T > 1.0
+    sc = sobolev_constants(mixed_run.manifold, mixed_y_est, float(mixed_run.max_u.max()),
+                           float(mixed_run.min_u.min()))
+    assert sc.B_T > 1.0
+    values = _ledger_values(describe_ledger(mixed_run, [], mixed_y_est))
+    assert values["A(T), B(T)"] == f"{sc.A_T:.12g}, {sc.B_T:.12g}"
 
 
 def test_energy_decay_sphere_zero(sphere_run):
@@ -256,8 +277,7 @@ def test_energy_decay_mixed(mixed_run):
 def test_h1_ceiling_at_t0(mixed_run):
     from yflow.discretization import h1_norm
 
-    led = mixed_run.ledger
-    ceiling = 0.25 * 5 * (led.rho0 + led.s0_minus_lp[math.inf])
+    ceiling = 0.25 * 5 * (mixed_run.rho0 + s0_minus_norm(mixed_run.manifold, math.inf))
     u0 = mixed_run.u[0]
     assert h1_norm(mixed_run.manifold, u0) <= ceiling
 
@@ -358,11 +378,10 @@ def test_run_monitors_keeps_order_and_rejects_unknown(mixed_run):
 
 
 def test_violations_recorded_on_failure(sphere_run):
-    # forge an impossible ceiling to confirm the plumbing records failures
-    led = sphere_run.ledger
-    before = len(led.violations)
+    # the ledger counts failed rows only: a passing monitor adds none
     res = check_s_minus_decay(sphere_run, 2.0)
-    assert res.passed and len(led.violations) == before
+    assert res.passed
+    assert _ledger_values(describe_ledger(sphere_run, [res]))["violations"] == "0"
 
 
 def test_margins_stable_under_joint_refinement():

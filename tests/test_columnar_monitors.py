@@ -16,6 +16,7 @@ from yflow import bounds
 from yflow.discretization import h1_norm, laplacian, lp_norm
 from yflow.flow import FlowConfig, run
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere
+from yflow.yamabe import sobolev_constants
 
 Y_EST = 40.0
 SOBOLEV_RTOL = 1e-12    # a reordered sum of <= 257 nonnegative terms moves by ~257 * 2^-53
@@ -25,9 +26,7 @@ def _dense_run(n):
     # mixed-sign S0, a snapshot every step: 141 rows of 257 nodes
     m = build_manifold(perturbed_sphere(0.25, n=n), RadialGrid(M=256, gamma=2.0))
     cfg = FlowConfig(T_final=0.14, dt_init=1e-3, dt_max=1e-3, snapshot_every=1)
-    tr = run(m, cfg)
-    tr.ledger.attach_sobolev(m, Y_EST)
-    return tr
+    return run(m, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +68,11 @@ def _snapshots(traj):
     return zip(traj.snap_t.tolist(), traj.u, traj.S, traj.gvol_weights)
 
 
+def _s0_minus(traj, p):
+    man = traj.manifold
+    return lp_norm(np.maximum(-man.S0, 0.0), p, man.mu_weights)
+
+
 def test_run_spans_several_blocks(traj):
     count, nodes = traj.u.shape
     assert count > 130
@@ -76,14 +80,14 @@ def test_run_spans_several_blocks(traj):
 
 
 def _s_minus_decay_reference(traj, p):
-    led, n = traj.ledger, traj.manifold.n
+    rho0, n = traj.rho0, traj.manifold.n
     eps = bounds.slack_epsilon(traj)
-    atol = 1e-10 * (1.0 + abs(led.rho0))
+    atol = 1e-10 * (1.0 + abs(rho0))
     want = []
     for t, _, S, gw in _snapshots(traj):
         lhs = lp_norm(np.maximum(-S, 0.0), p, gw)
-        growth = 1.0 if p == math.inf else math.exp(t * n * led.rho0 / (2.0 * p))
-        bound = growth * led.s0_minus_lp[p] * (1.0 + eps) + atol
+        growth = 1.0 if p == math.inf else math.exp(t * n * rho0 / (2.0 * p))
+        bound = growth * _s0_minus(traj, p) * (1.0 + eps) + atol
         want.append((t, lhs, bound, lhs <= bound))
     assert any(row[1] > 0.0 for row in want)
     assert any(row[1] == 0.0 for row in want)
@@ -103,13 +107,14 @@ def test_s_minus_decay_roots_while_s_is_negative(negative_run, p):
 
 
 def test_s_upper(traj):
-    led, n = traj.ledger, traj.manifold.n
+    man, n = traj.manifold, traj.manifold.n
     eps = bounds.slack_epsilon(traj)
-    atol = 1e-10 * (1.0 + abs(led.rho0))
+    atol = 1e-10 * (1.0 + abs(traj.rho0))
+    s0_plus_ln2 = lp_norm(np.maximum(man.S0, 0.0), n / 2.0, man.mu_weights)
     want = []
     for t, _, S, gw in _snapshots(traj):
         lhs = lp_norm(np.maximum(S, 0.0), n / 2.0, gw)
-        bound = led.s0_plus_ln2 * (1.0 + eps) + atol
+        bound = s0_plus_ln2 * (1.0 + eps) + atol
         want.append((t, lhs, bound, lhs <= bound))
     rows = _rows(bounds.check_s_upper(traj))
     assert rows[: len(want)] == want
@@ -123,22 +128,22 @@ def test_s_upper(traj):
 
 
 def _scal_lower_reference(traj):
-    led = traj.ledger
-    s_min0 = led.s0_inf
+    rho0 = traj.rho0
+    s_min0 = float(traj.manifold.S0.min())
     floor = min(0.0, s_min0)
-    tol = bounds.slack_epsilon(traj) * (1.0 + abs(led.rho0))
+    tol = bounds.slack_epsilon(traj) * (1.0 + abs(rho0))
     want = []
     for t, _, S, _ in _snapshots(traj):
         lhs = float(S.min())
         want.append((t, lhs, floor - tol, lhs >= floor - tol))
         if s_min0 > 0.0:
-            bound = led.rho0 * s_min0 / (math.exp(led.rho0 * t) * (led.rho0 - s_min0) + s_min0)
+            bound = rho0 * s_min0 / (math.exp(rho0 * t) * (rho0 - s_min0) + s_min0)
             want.append((t, lhs, bound - tol, lhs >= bound - tol))
     return want
 
 
 def test_scal_lower(traj):
-    assert traj.ledger.s0_inf < 0.0
+    assert traj.manifold.S0.min() < 0.0
     want = _scal_lower_reference(traj)
     assert _rows(bounds.check_scal_lower(traj)) == want
     assert len(want) == traj.snap_t.size
@@ -146,7 +151,7 @@ def test_scal_lower(traj):
 
 def test_scal_lower_rational_branch(positive_run):
     # two rows per snapshot, the floor row first
-    assert positive_run.ledger.s0_inf > 0.0
+    assert positive_run.manifold.S0.min() > 0.0
     want = _scal_lower_reference(positive_run)
     assert _rows(bounds.check_scal_lower(positive_run)) == want
     assert len(want) == 2 * positive_run.snap_t.size
@@ -154,8 +159,8 @@ def test_scal_lower_rational_branch(positive_run):
 
 
 def test_u_upper(traj):
-    led, n = traj.ledger, traj.manifold.n
-    C = 0.25 * (n - 2) * (led.s0_minus_lp[math.inf] + led.rho0)
+    n = traj.manifold.n
+    C = 0.25 * (n - 2) * (_s0_minus(traj, math.inf) + traj.rho0)
     eps = bounds.slack_epsilon(traj)
     want = []
     for t, max_u in zip(traj.t.tolist(), traj.max_u.tolist()):     # one row per record
@@ -182,11 +187,12 @@ def test_energy_decay_trend_rows(dumbbell_run):
 
 
 def test_u_lower(traj):
-    led, man = traj.ledger, traj.manifold
+    man = traj.manifold
     n = man.n
     eps = bounds.slack_epsilon(traj)
+    sup_u = float(traj.max_u.max())
     pfield = (n - 2) / (4.0 * (n - 1)) * (
-        man.S0 + led.sup_u ** (4.0 / (n - 2)) * led.s0_minus_lp[math.inf]
+        man.S0 + sup_u ** (4.0 / (n - 2)) * _s0_minus(traj, math.inf)
     )
     want = []
     for t, u, _, _ in _snapshots(traj):
@@ -197,8 +203,8 @@ def test_u_lower(traj):
 
 
 def test_energy_decay_h1_rows(traj):
-    led, man = traj.ledger, traj.manifold
-    ceiling = 0.25 * (man.n + 2) * (led.rho0 + led.s0_minus_lp[math.inf])
+    man = traj.manifold
+    ceiling = 0.25 * (man.n + 2) * (traj.rho0 + _s0_minus(traj, math.inf))
     bound = ceiling * (1.0 + bounds.slack_epsilon(traj))
     want = []
     for t, u, _, _ in _snapshots(traj):
@@ -231,7 +237,8 @@ def _sobolev_fields(traj, samples, seed):
 
 
 def _assert_sobolev_matches_reference(traj):
-    led, man = traj.ledger, traj.manifold
+    man = traj.manifold
+    sc = sobolev_constants(man, Y_EST, float(traj.max_u.max()), float(traj.min_u.min()))
     n = man.n
     q = (n + 2.0) / n
     eps = bounds.slack_epsilon(traj)
@@ -249,12 +256,12 @@ def _assert_sobolev_matches_reference(traj):
         lhs = float(np.trapezoid(lhs_t, ts)) ** (1.0 / q)
         rhs = (
             n / (n + 2.0)
-            * (led.A_T * float(np.trapezoid(grad_t, ts)) + led.B_T * float(np.trapezoid(l2_t, ts)))
+            * (sc.A_T * float(np.trapezoid(grad_t, ts)) + sc.B_T * float(np.trapezoid(l2_t, ts)))
             + 2.0 / (n + 2.0) * max(l2_t)
         )
         bound = rhs * (1.0 + eps)
         want.append((float(ts[-1]), lhs, bound, lhs <= bound))
-    res = bounds.check_parabolic_sobolev(traj, samples=6, seed=11)
+    res = bounds.check_parabolic_sobolev(traj, y_est=Y_EST, samples=6, seed=11)
     assert res.applicable
     got = _rows(res)
     assert len(got) == len(want)

@@ -214,16 +214,8 @@ def _write_profile(path, xs, phis):
     path.write_text("".join(f"{x:.17g} {p:.17g}\n" for x, p in zip(xs, phis)))
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--config", "bad.cfg", "--out", "o"],
-    ["run", "--config", "good.cfg", "--out", "o", "--sweep", "profile.path=bad.txt"],
-    ["audit", "--config", "bad.cfg"],
-    ["yamabe", "--config", "bad.cfg"],
-    ["moser", "--config", "bad.cfg"],
-], ids=["run", "run-sweep-worker", "audit", "yamabe", "moser"])
-def test_negative_tabulated_phi_exits_two(argv, tmp_path, monkeypatch, capfd):
-    # a tabulated phi that dips below zero parses but cannot be built
-    monkeypatch.chdir(tmp_path)
+def _write_tabulated_configs(tmp_path):
+    """good.cfg and bad.cfg: a tabulated phi, and one that dips below zero."""
     xs = np.linspace(0.0, np.pi, 33)
     _write_profile(tmp_path / "good.txt", xs, np.sin(xs))
     _write_profile(tmp_path / "bad.txt", xs,
@@ -233,15 +225,53 @@ def test_negative_tabulated_phi_exits_two(argv, tmp_path, monkeypatch, capfd):
             f"profile.name = tabulated\nprofile.path = {name}.txt\n"
             "grid.M = 32\nflow.T = 0.01\n"
         )
-    assert main(argv) == 2
-    err = capfd.readouterr().err
+
+
+def _assert_one_negative_phi_error(err):
     assert err.count("config error:") == 1
     assert "phi must be positive" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "bad.cfg", "--out", "o"],
+    ["audit", "--config", "bad.cfg"],
+    ["yamabe", "--config", "bad.cfg"],
+    ["moser", "--config", "bad.cfg"],
+], ids=["run", "audit", "yamabe", "moser"])
+def test_negative_tabulated_phi_exits_two(argv, tmp_path, monkeypatch, capsys):
+    # a tabulated phi that dips below zero parses but cannot be built
+    monkeypatch.chdir(tmp_path)
+    _write_tabulated_configs(tmp_path)
+    assert main(argv) == 2
+    _assert_one_negative_phi_error(capsys.readouterr().err)
+
+
+# `yflow` on a process pool of the start method argv[1] names
+CLI_WITH_START_METHOD = """
+import multiprocessing
+import sys
+multiprocessing.set_start_method(sys.argv[1])
+from yflow.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_negative_tabulated_phi_in_a_sweep_worker_exits_two(method, tmp_path):
+    # the worker builds the manifold; its one config error line reaches the run's stderr
+    _write_tabulated_configs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(yflow.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_WITH_START_METHOD, method, "run", "--config", "good.cfg",
+         "--out", "o", "--quiet", "--sweep", "profile.path=bad.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    _assert_one_negative_phi_error(proc.stderr)
+
+
 def test_run_decides_each_hypothesis_once(tmp_path, monkeypatch, capsys):
-    # the audit, the ledger, the Yamabe gate and the Sobolev constants all read
-    # the verdicts; each HYPOTHESES predicate must still run once per run
+    # the audit, the monitors, the Yamabe gate, the Sobolev constants and the
+    # ledger all read the verdicts; each HYPOTHESES predicate must still run once per run
     from yflow import geometry
 
     calls = dict.fromkeys(geometry.HYPOTHESES, 0)
@@ -401,6 +431,8 @@ CONFIGS = {
     "checkpoint_negative": SPHERE_CFG + "flow.checkpoint_every = -2\n",
     "samples_1": SPHERE_CFG + "monitors.samples = 1\n",
     "max_iter_negative": SPHERE_CFG + "yamabe.max_iter = -1\n",
+    "p_repeated": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,inf,2.0"),
+    "enable_repeated": SPHERE_CFG + "monitors.enable = u_upper,scal_lower,u_upper\n",
 }
 
 
@@ -474,6 +506,10 @@ CONFIGS = {
      "cannot parse value '1' for 'monitors.samples' as int >= 2"),
     (["yamabe", "--config", "{max_iter_negative}"], 2,
      "cannot parse value '-1' for 'yamabe.max_iter' as int >= 0"),
+    # each entry names its own monitor results, so a repeated one is an error
+    (["run", "--config", "{p_repeated}"], 2, "config error: monitors.p lists 2.0 twice"),
+    (["run", "--config", "{enable_repeated}"], 2,
+     "config error: monitors.enable lists u_upper twice"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -487,7 +523,8 @@ CONFIGS = {
         "run-config-M-padded", "run-config-audit-q", "audit-config-audit-q",
         "audit-config-phi-word", "audit-config-phi-nan-x", "run-sweep-repeated-value",
         "run-config-seed-negative", "run-seed-negative", "run-config-checkpoint-negative",
-        "run-config-samples-1", "yamabe-config-max-iter-negative"])
+        "run-config-samples-1", "yamabe-config-max-iter-negative", "run-config-p-repeated",
+        "run-config-enable-repeated"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -646,16 +683,23 @@ def test_sweep_seed_wins_over_the_seed_flag(tmp_path, capsys):
             == (tmp_path / "single" / "monitors.csv").read_bytes())
 
 
-def test_crashing_sweep_worker_exits_three(tmp_path, capsys, monkeypatch):
-    real = yflow.cli._scenario_run
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_crashing_sweep_worker_exits_three(method, tmp_path, capsys, monkeypatch):
+    import concurrent.futures as cf
+    import multiprocessing
 
-    def crash_at_48(cfg, manifold, out_dir, quiet):
-        if out_dir.endswith("grid.M=48"):
-            raise RuntimeError("injected crash")
-        return real(cfg, manifold, out_dir, quiet)
+    class CrashingPool(cf.ProcessPoolExecutor):
+        """A pool of the given start method whose job for grid.M=48 raises in the worker."""
 
-    # the fork start method carries the patch into the workers
-    monkeypatch.setattr(yflow.cli, "_scenario_run", crash_at_48)
+        def __init__(self, max_workers=None):
+            super().__init__(max_workers, mp_context=multiprocessing.get_context(method))
+
+        def submit(self, fn, *args):
+            if args[-1].endswith("grid.M=48"):      # the job's output directory
+                fn, args = exec, ("raise RuntimeError('injected crash')",)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", CrashingPool)
     cfg = _write(tmp_path, SPHERE_CFG)
     out = tmp_path / "sweep"
     code = main(["run", "--config", cfg, "--out", str(out), "--sweep", "grid.M=48,64"])

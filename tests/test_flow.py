@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 from pathlib import Path
 
@@ -23,6 +25,16 @@ from yflow.discretization import lp_norm
 from yflow.flow import _record_of
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
 from yflow.yamabe import FlowState
+
+
+def test_flow_does_not_import_the_monitors():
+    # the flow layer stands below the monitors: a run carries its rho0, not their constants
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, yflow.flow; print('yflow.bounds' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_round_sphere_is_stationary(sphere256):
@@ -221,6 +233,10 @@ def test_restore_then_step_matches_unbroken_run(tmp_path):
     for col in ("t", "dt", "rho"):
         assert np.array_equal(getattr(full, col)[tail], getattr(cont, col)[cont_tail])
     assert np.array_equal(full.u[-1], cont.u[-1])
+    # the bounds start from time zero: the given rho0, not the resumed state's rho
+    assert full.rho0 == full.rho[0] and cont.rho0 == full.rho0 != cont.rho[0]
+    assert run(m, cfg, initial_state=restored, initial_dt=dt0,
+               initial_step=k0).rho0 == cont.rho[0]
 
 
 def test_restore_rejects_altered_grid(tmp_path):
@@ -323,6 +339,7 @@ def test_fixed_dt_run_takes_k_steps_to_k_dt(tmp_path, k):
         cont = run(m, cfg, initial_state=state, initial_dt=dt0, initial_step=k0,
                    rho0=float(full.rho[0]))
         assert cont.step.tolist() == list(range(ckpt, k + 1))
+        assert cont.rho0 == full.rho0
         for col in ("t", "dt", "rho", "vol", "min_u", "max_u"):
             assert np.array_equal(getattr(cont, col)[1:], getattr(full, col)[ckpt + 1:])
         assert np.array_equal(cont.u[-1], full.u[-1])
