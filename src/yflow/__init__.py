@@ -12,7 +12,6 @@ from .geometry import (
     cone,
     make_profile,
     perturbed_sphere,
-    scalar_curvature_g0,
     sphere,
     tabulated,
 )

@@ -33,18 +33,6 @@ __all__ = [
     "Violation",
     "CatalogueRow",
     "DEFAULT_SEED",
-    "phi",
-    "G",
-    "H",
-    "f",
-    "F",
-    "tilde_phi",
-    "tilde_G",
-    "tilde_H",
-    "tilde_f",
-    "tilde_F",
-    "C_coefficient",
-    "psi_eps",
     "check_inequality",
     "find_counterexample",
     "run_catalogue",
@@ -88,10 +76,6 @@ def _check_x(x):
     if np.any(x < 0.0):
         raise ValueError("arguments x must be non-negative")
     return x
-
-
-def _maybe_scalar(val, like):
-    return float(val) if np.isscalar(like) or np.ndim(like) == 0 else val
 
 
 # --- base family -----------------------------------------------------------
@@ -184,74 +168,6 @@ def _tf(b, L, nu, n, x):
 
 def _tF(b, L, nu, n, x):
     return (x * _tf(b, L, nu, n, x)) ** (1.0 / (2.0 * b + 1.0))
-
-
-# --- public wrappers -------------------------------------------------------
-
-
-def phi(params: AuxParams, x):
-    return _maybe_scalar(_phi(params.beta, params.L, _check_x(x)), x)
-
-
-def G(params: AuxParams, x):
-    return _maybe_scalar(_G(params.beta, params.L, _check_x(x)), x)
-
-
-def H(params: AuxParams, x):
-    return _maybe_scalar(_H(params.beta, params.L, _check_x(x)), x)
-
-
-def f(params: AuxParams, x):
-    return _maybe_scalar(_f(params.beta, params.L, params.n, _check_x(x)), x)
-
-
-def F(params: AuxParams, x):
-    return _maybe_scalar(_F(params.beta, params.L, params.n, _check_x(x)), x)
-
-
-def _require_tilde(params: AuxParams) -> None:
-    if params.nu > params.n / 4.0:
-        raise ValueError(
-            f"tilde family needs nu <= n/4 (got nu={params.nu}, n={params.n})"
-        )
-
-
-def tilde_phi(params: AuxParams, x):
-    _require_tilde(params)
-    return _maybe_scalar(_tphi(params.beta, params.L, params.nu, _check_x(x)), x)
-
-
-def tilde_G(params: AuxParams, x):
-    _require_tilde(params)
-    return _maybe_scalar(_tG(params.beta, params.L, params.nu, _check_x(x)), x)
-
-
-def tilde_H(params: AuxParams, x):
-    _require_tilde(params)
-    return _maybe_scalar(_tH(params.beta, params.L, params.nu, _check_x(x)), x)
-
-
-def tilde_f(params: AuxParams, x):
-    _require_tilde(params)
-    return _maybe_scalar(_tf(params.beta, params.L, params.nu, params.n, _check_x(x)), x)
-
-
-def tilde_F(params: AuxParams, x):
-    _require_tilde(params)
-    return _maybe_scalar(_tF(params.beta, params.L, params.nu, params.n, _check_x(x)), x)
-
-
-def C_coefficient(beta: float, nu: float) -> float:
-    """The tilde family's branch-matching constant C_{beta, nu}."""
-    return float(_C_coeff(beta, nu))
-
-
-def psi_eps(eps: float, x):
-    """Smooth positive-part surrogate sqrt(x^2 + eps^2) - eps (x >= 0)."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    x = _check_x(x)
-    return _maybe_scalar(np.sqrt(x * x + eps * eps) - eps, x)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .discretization import _gradient, _laplacian, lp_norm
 from .geometry import DiscretizedManifold, lq_exponent
-from .yamabe import sobolev_constants
+from .yamabe import _volume_weights, sobolev_constants
 
 __all__ = [
     "MonitorResult",
@@ -62,6 +62,8 @@ __all__ = [
 
 P_DEFAULT = (2.0, 4.0, 8.0, math.inf)
 REFINE_BAND = (0.9, 1.1)
+TREND_WINDOW = 5            # energy records averaged per point of the energy_decay trend
+TREND_SLACK = 1e-6          # relative rise the trend tolerates between averaged points
 BLOCK_ELEMENTS = 2**13      # entries per block of a per-snapshot reduction (64 KiB)
 
 
@@ -146,7 +148,8 @@ def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
     """Per-snapshot :func:`lp_norm` of ``f(block)`` in the evolving measure, before its root."""
     if p == math.inf:
         return _row_sums(traj, lambda r: (np.abs(f(r)),), np.max, rows)[0]
-    return _row_sums(traj, lambda r: (traj.gvol_weights[r] * np.abs(f(r)) ** p,), rows=rows)[0]
+    return _row_sums(traj, lambda r: (_volume_weights(traj.manifold, traj.u[r])
+                                      * np.abs(f(r)) ** p,), rows=rows)[0]
 
 
 def _exponent_tag(p: float) -> str:
@@ -375,7 +378,7 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     n = man.n
     eps = slack_epsilon(traj)
     q = (n + 2.0) / n
-    ts, gw, u = traj.snap_t, traj.gvol_weights, traj.u
+    ts, u = traj.snap_t, traj.u
 
     fields = _sample_spacetime_fields(traj, samples, seed)
     separable = [f for f in fields if f[2].ndim == 1]
@@ -391,9 +394,10 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     step = max(1, BLOCK_ELEMENTS // u.shape[1])
     for lo in range(0, ts.size, step):
         r = slice(lo, lo + step)
-        np.matmul(gw[r], node_pow, out=lhs_s[r])
+        gw = _volume_weights(man, u[r])
+        np.matmul(gw, node_pow, out=lhs_s[r])
         np.matmul(_grad_weights(man, u[r]), face_sq, out=grad_s[r])
-        np.matmul(gw[r], node_sq, out=l2_s[r])
+        np.matmul(gw, node_sq, out=l2_s[r])
     ramps = np.stack([ramp for _, ramp, _ in separable], axis=1)
     lhs_s *= np.abs(ramps) ** (2.0 * q)
     ramp_sq = ramps * ramps
@@ -402,14 +406,14 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     sums = {name: (lhs_s[:, k], grad_s[:, k], l2_s[:, k])
             for k, (name, _, _) in enumerate(separable)}
 
-    def terms(r):   # the other fields, elementwise; the face weights of w^2 are shared
-        fw = _grad_weights(man, u[r])
+    def terms(r):   # the other fields, elementwise; both weights are shared
+        gw, fw = _volume_weights(man, u[r]), _grad_weights(man, u[r])
         for _, ramp, profile in full:
             fv = ramp[r, None] * profile[r]
-            yield gw[r] * np.abs(fv) ** (2.0 * q)
+            yield gw * np.abs(fv) ** (2.0 * q)
             df = np.diff(fv, axis=1) / man.face_h
             yield fw * df * df * man.face_h
-            yield gw[r] * fv * fv
+            yield gw * fv * fv
 
     flat = _row_sums(traj, terms)
     sums.update((name, flat[3 * k:3 * k + 3]) for k, (name, _, _) in enumerate(full))
@@ -428,21 +432,21 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
 # energy decay
 
 
-def check_energy_decay(traj, window: int = 5, trend_slack: float = 1e-6) -> MonitorResult:
+def check_energy_decay(traj) -> MonitorResult:
     """Decay of the curvature-normalization energy and the H^1 ceiling.
 
     ``int (S - rho)^2 dVol_g`` must be non-increasing in trend (after
-    averaging over `window` records), and ``||u||_{H^1}`` must stay below
-    the explicit ceiling ``(n+2)/4 (rho0 + ||(S0)_-||_inf)``, which needs
-    bounded (S0)_-.
+    averaging over ``TREND_WINDOW`` records, up to ``TREND_SLACK``), and
+    ``||u||_{H^1}`` must stay below the explicit ceiling
+    ``(n+2)/4 (rho0 + ||(S0)_-||_inf)``, which needs bounded (S0)_-.
     """
     res = MonitorResult(monitor_id="energy_decay")
     energies = traj.energy
-    if energies.size > window:
-        kernel = np.ones(window) / window
+    if energies.size > TREND_WINDOW:
+        kernel = np.ones(TREND_WINDOW) / TREND_WINDOW
         smooth = np.convolve(energies, kernel, mode="valid")
-        tsm = traj.t[window - 1:]
-        ok = smooth[1:] <= smooth[:-1] + trend_slack * (1.0 + smooth[:-1])
+        tsm = traj.t[TREND_WINDOW - 1:]
+        ok = smooth[1:] <= smooth[:-1] + TREND_SLACK * (1.0 + smooth[:-1])
         rise = np.flatnonzero(~ok) + 1
         res.add(tsm[rise], smooth[rise], smooth[rise - 1], False)
         if not rise.size:
@@ -581,7 +585,7 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
     ts, power = traj.snap_t, 2.0 * beta
 
     def terms(r):   # the integrands of both exponents, in one pass over the run
-        gw, s_plus = traj.gvol_weights[r], np.maximum(traj.S[r], 0.0)
+        gw, s_plus = _volume_weights(traj.manifold, traj.u[r]), np.maximum(traj.S[r], 0.0)
         return gw * s_plus ** (power * q_hi), gw * s_plus ** (power * N)
 
     vals_hi, vals_N = _row_sums(traj, terms)

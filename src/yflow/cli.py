@@ -61,11 +61,20 @@ def write_monitors(results, path: str) -> None:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _make_dir(path: str) -> bool:
+    """Make the directory ``path`` if it is missing; if that fails, one ``config error:`` line."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:      # a file at path or at one of its parents
+        print(f"config error: cannot create output directory {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _plot_columns(cols, plot_dir: str) -> None:
     """One SVG per plotted timeseries column; ``cols`` maps column to values."""
     from .svgplot import render_series
 
-    os.makedirs(plot_dir, exist_ok=True)
     for col, _, plotted in TIMESERIES_COLUMNS:
         if plotted:
             render_series(list(map(float, cols["t"])), list(map(float, cols[col])),
@@ -88,7 +97,8 @@ def _load(path: str, overrides: Optional[Dict[str, str]] = None):
 
 def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: str,
                   quiet: bool) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    if not _make_dir(out_dir):
+        return EXIT_CONFIG
     report = audit_assumptions(manifold)
     if not quiet or not report.ok:
         print(report, file=sys.stderr)
@@ -118,8 +128,9 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
     with open(os.path.join(out_dir, "ledger.txt"), "w", encoding="utf-8") as fh:
         fh.write(bounds.describe_ledger(traj, results, y_est) + "\n")
     if cfg.plots:
-        cols = {col: getattr(traj, f) for col, f, _ in TIMESERIES_COLUMNS}
-        _plot_columns(cols, os.path.join(out_dir, "plots"))
+        if not _make_dir(plot_dir := os.path.join(out_dir, "plots")):
+            return EXIT_CONFIG
+        _plot_columns({col: getattr(traj, f) for col, f, _ in TIMESERIES_COLUMNS}, plot_dir)
 
     failed = [r.monitor_id for r in results if r.applicable and not r.passed]
     if not quiet:
@@ -152,6 +163,8 @@ def cmd_run(args) -> int:
                 parse_kv("", overrides={key: val})
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if not _make_dir(base_out):     # once, not in every worker
             return EXIT_CONFIG
         return _run_sweep(args.config, key, values, overrides, base_out, args.quiet)
     return _scenario_run(cfg, manifold, base_out, args.quiet)
@@ -310,6 +323,8 @@ def cmd_plot(args) -> int:
         for name, value in zip(header, values):
             cols[name].append(value)
     out_dir = args.out or os.path.join(_out_root(), "plots")
+    if not _make_dir(out_dir):
+        return EXIT_CONFIG
     _plot_columns(cols, out_dir)
     print(f"wrote plots to {out_dir}")
     return EXIT_OK

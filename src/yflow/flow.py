@@ -19,8 +19,11 @@ for a fixed configuration; independent runs can execute concurrently.
 
 A run is stored as columns (:class:`Trajectory`): one vector per
 ``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
-array each for u, S and the volume weights.  ``run`` appends each row to a
-flat growable buffer and reshapes the buffers into columns at the end.
+array each for u and S.  The volume weights ``mu_weights * u**p`` of a
+snapshot are derived from its u where they are needed
+(``yamabe._volume_weights``), bit for bit those of its state.  ``run``
+appends each row to a flat growable buffer and reshapes the buffers into
+columns at the end.
 """
 from __future__ import annotations
 
@@ -33,9 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import TridiagonalOperator, critical_exponent, flow_exponent, lp_norm
+from .discretization import TridiagonalOperator, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
-from .yamabe import FlowState, VolumeError, _unit_volume, average_scalar
+from .yamabe import FlowState, VolumeError, _unit_volume, _volume_weights, average_scalar
 
 __all__ = [
     "FlowConfig",
@@ -161,9 +164,8 @@ def step(
         bad = int(np.argmax(u_new <= positivity_floor))
         raise StepRejected(dt, bad, float(u_new[bad]))
 
-    gvol = u_new ** critical_exponent(n)
-    gvol *= manifold.mu_weights
-    raw = FlowState(t=state.t + dt, u=u_new, S=None, rho=state.rho, gvol_weights=gvol)
+    raw = FlowState(t=state.t + dt, u=u_new, S=None, rho=state.rho,
+                    gvol_weights=_volume_weights(manifold, u_new))
     return renormalize_volume(manifold, raw) if renormalize else raw
 
 
@@ -179,7 +181,8 @@ class Trajectory:
     Per accepted step, the starting state first: ``step`` and the float
     columns named in ``RECORD_COLUMNS``.  Per stored snapshot: the
     ``snap_step`` and ``snap_t`` vectors and the (snapshots x nodes) arrays
-    ``u``, ``S`` and ``gvol_weights``, row-strided views of one buffer.
+    ``u`` and ``S``, row-strided views of one buffer.  A snapshot's volume
+    weights are ``mu_weights * u**p`` of its u, derived where they are used.
     """
 
     manifold: DiscretizedManifold
@@ -201,19 +204,22 @@ class Trajectory:
     snap_t: np.ndarray
     u: np.ndarray
     S: np.ndarray
-    gvol_weights: np.ndarray
 
     def validate(self) -> None:
-        """Check times, snapshot volumes, and the final rho against the Dirichlet form."""
+        """Check times, volumes, and the final rho against the Dirichlet form.
+
+        The ``vol`` column holds every accepted state's volume, the snapshots' included.
+        """
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        off = np.abs(np.sum(self.gvol_weights, axis=1) - 1.0) > self.config.vol_tol
+        off = np.abs(self.vol - 1.0) > self.config.vol_tol
         if off.any():
-            t = self.snap_t[off.argmax()]
-            raise ValueError(f"snapshot at t={t:g} violates volume tolerance")
+            t = self.t[off.argmax()]
+            raise ValueError(f"state at t={t:g} violates volume tolerance")
         rho = self.rho[-1]
         dirichlet = average_scalar(self.manifold, self.u[-1])
-        scale = float(np.add.reduce(self.gvol_weights[-1] * np.abs(self.S[-1])))
+        scale = float(np.add.reduce(_volume_weights(self.manifold, self.u[-1])
+                                    * np.abs(self.S[-1])))
         if abs(rho - dirichlet) > 1e-12 * scale:
             raise ValueError(f"final rho {rho:.17g} disagrees with the Dirichlet form "
                              f"{dirichlet:.17g}")
@@ -245,9 +251,9 @@ def _ended(t: float, T: float, step_index: int) -> bool:
 
 
 def _snapshot(buffer: array, step_index: int, state: FlowState) -> None:
-    """Append one snapshot row: step, t and the node values of u, S and gvol_weights."""
+    """Append one snapshot row: step, t and the node values of u and S."""
     buffer.extend((step_index, state.t))
-    buffer.frombytes(np.concatenate((state.u, state.S, state.gvol_weights)).tobytes())
+    buffer.frombytes(np.concatenate((state.u, state.S)).tobytes())
 
 
 def run(
@@ -317,10 +323,10 @@ def run(
 
     # step indices stay below 2^53, so the float buffers hold them exactly
     rec = np.frombuffer(records).reshape(-1, 1 + len(RECORD_COLUMNS)).T.copy()
-    snap = np.frombuffer(snapshots).reshape(-1, 2 + 3 * manifold.node_count)
+    snap = np.frombuffer(snapshots).reshape(-1, 2 + 2 * manifold.node_count)
     traj = Trajectory(manifold, config, rho0, rec[0].astype(np.int64), *rec[1:],
                       snap[:, 0].astype(np.int64), snap[:, 1].copy(),
-                      *snap[:, 2:].reshape(len(snap), 3, -1).transpose(1, 0, 2))
+                      *snap[:, 2:].reshape(len(snap), 2, -1).transpose(1, 0, 2))
     traj.validate()
     return traj
 

@@ -38,7 +38,6 @@ __all__ = [
     "AuditCheck",
     "AuditReport",
     "build_manifold",
-    "scalar_curvature_g0",
     "lq_exponent",
     "audit_assumptions",
     "sphere",
@@ -288,11 +287,6 @@ def _scal0(profile: WarpedProfile, x: np.ndarray, c: float) -> np.ndarray:
         bad = int(np.argmax(~np.isfinite(s0)))
         raise ConstructionError(f"non-finite curvature at node {bad} (x={x[bad]:.6g})")
     return s0
-
-
-def scalar_curvature_g0(manifold: DiscretizedManifold) -> np.ndarray:
-    """Background scalar curvature at the manifold's nodes."""
-    return _scal0(manifold.profile, manifold.nodes / manifold.scale, manifold.scale)
 
 
 def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManifold:

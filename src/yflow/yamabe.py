@@ -87,11 +87,21 @@ def scalar_curvature_flow(manifold: DiscretizedManifold, u: np.ndarray) -> np.nd
     return _conformal_laplacian(manifold, u) * u ** (-flow_exponent(manifold.n))
 
 
+def _volume_weights(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
+    """Node weights ``u^p mu`` of the evolving measure dVol_g, ``p = 2n/(n-2)``.
+
+    Works along the last axis: one state, or a block of snapshot rows.
+    """
+    w = u ** critical_exponent(manifold.n)
+    w *= manifold.mu_weights
+    return w
+
+
 def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.ndarray:
     """u scaled by ``vol^{-(n-2)/(2n)}``, ``vol = int u^p d(mu)`` unless given."""
     n = manifold.n
     if vol is None:
-        vol = float((manifold.mu_weights * u ** critical_exponent(n)).sum())
+        vol = float(np.add.reduce(_volume_weights(manifold, u)))
     return u * vol ** (-(n - 2.0) / (2.0 * n))
 
 
@@ -108,8 +118,7 @@ def average_scalar(manifold: DiscretizedManifold, u: np.ndarray) -> float:
     :meth:`FlowState.from_u` to rounding.
     """
     u = _positive_field(manifold, u)
-    p = critical_exponent(manifold.n)
-    _require_unit_volume(float(np.add.reduce(manifold.mu_weights * u ** p)))
+    _require_unit_volume(float(np.add.reduce(_volume_weights(manifold, u))))
     return _energy(manifold, u)
 
 
@@ -151,7 +160,7 @@ class FlowState:
     def from_u(cls, manifold: DiscretizedManifold, u: np.ndarray, t: float) -> "FlowState":
         """The state of a unit-volume u; raises VolumeError off the slice."""
         S = scalar_curvature_flow(manifold, u)    # validates u
-        gvol = manifold.mu_weights * u ** critical_exponent(manifold.n)
+        gvol = _volume_weights(manifold, u)
         volume = float(np.add.reduce(gvol))
         _require_unit_volume(volume)
         return cls(t=t, u=u, S=S, rho=float(np.add.reduce(gvol * S)), gvol_weights=gvol,

@@ -8,24 +8,12 @@ from hypothesis import strategies as st
 from yflow import auxfn
 from yflow.auxfn import (
     AuxParams,
-    C_coefficient,
-    F,
-    G,
-    H,
     RegionError,
     check_inequality,
-    f,
     find_counterexample,
     locate_chain_constant,
     locate_tilde_constants,
-    phi,
-    psi_eps,
     run_catalogue,
-    tilde_F,
-    tilde_G,
-    tilde_H,
-    tilde_f,
-    tilde_phi,
 )
 
 BETAS = st.floats(min_value=1.0, max_value=50.0)
@@ -34,62 +22,61 @@ XS = st.floats(min_value=0.0, max_value=1e3)
 NUS = st.floats(min_value=1e-3, max_value=0.75).filter(lambda v: abs(v - 0.5) > 1e-3)
 ULP = float(np.finfo(float).eps)     # one unit in the last place, relative
 
+# the family bodies: (beta, L, x), the tilde ones (beta, L, nu, x), f and F (beta, L, n, x)
+BASE = (auxfn._phi, auxfn._G, auxfn._H)
+TILDE = (auxfn._tphi, auxfn._tG, auxfn._tH)
+
 
 # --- frozen branch values ----------------------------------------------------
 
 
 def test_phi_inner_branch_value():
-    assert phi(AuxParams(beta=2.0, L=1.0), 0.5) == pytest.approx(0.25, rel=1e-15)
+    assert auxfn._phi(2.0, 1.0, 0.5) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_H_outer_branch_value():
-    assert H(AuxParams(beta=2.0, L=1.0), 2.0) == pytest.approx(11.0 / 3.0, rel=1e-14)
+    assert auxfn._H(2.0, 1.0, 2.0) == pytest.approx(11.0 / 3.0, rel=1e-14)
 
 
 def test_G_inner_branch_closed_form():
     for beta, L, x in ((1.5, 2.0, 1.0), (3.0, 5.0, 4.0), (1.0, 1.0, 0.3)):
         want = beta**2 / (2 * beta - 1) * x ** (2 * beta - 1)
-        assert G(AuxParams(beta=beta, L=L), x) == pytest.approx(want, rel=1e-14)
+        assert auxfn._G(beta, L, x) == pytest.approx(want, rel=1e-14)
 
 
 def test_f_inner_branch_value():
-    assert f(AuxParams(beta=1.0, L=1.0), 0.5) == pytest.approx(0.25, rel=1e-15)
+    assert auxfn._f(1.0, 1.0, 3, 0.5) == pytest.approx(0.25, rel=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
 @given(beta=BETAS, L=ELLS, x=XS)
 def test_F_definition_identity(beta, L, x):
-    p = AuxParams(beta=beta, L=L)
-    lhs = F(p, x) ** (2 * beta + 1)
-    rhs = x * f(p, x)
+    lhs = auxfn._F(beta, L, 3, x) ** (2 * beta + 1)
+    rhs = x * auxfn._f(beta, L, 3, x)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
 
 
 @settings(max_examples=200, deadline=None)
 @given(beta=BETAS, L=ELLS, x=XS)
 def test_tilde_family_reduces_at_nu_one(beta, L, x):
-    p = AuxParams(beta=beta, L=L, nu=1.0, n=4)
-    assert tilde_phi(p, x) == pytest.approx(phi(p, x), rel=1e-11, abs=1e-280)
-    assert tilde_G(p, x) == pytest.approx(G(p, x), rel=1e-11, abs=1e-280)
-    assert tilde_H(p, x) == pytest.approx(H(p, x), rel=1e-11, abs=1e-280)
+    for tilde, base in zip(TILDE, BASE):
+        assert tilde(beta, L, 1.0, x) == pytest.approx(base(beta, L, x), rel=1e-11, abs=1e-280)
 
 
 @settings(max_examples=300, deadline=None)
 @given(beta=BETAS, L=ELLS)
 def test_branch_continuity_at_L(beta, L):
-    p = AuxParams(beta=beta, L=L)
     below, above = L * (1 - 1e-12), L * (1 + 1e-12)
-    for fn in (phi, G, H):
-        assert fn(p, below) == pytest.approx(fn(p, above), rel=1e-9)
+    for fn in BASE:
+        assert fn(beta, L, below) == pytest.approx(fn(beta, L, above), rel=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
 @given(beta=BETAS, L=ELLS, nu=NUS)
 def test_tilde_branch_continuity_at_L(beta, L, nu):
-    p = AuxParams(beta=beta, L=L, nu=nu, n=3)
     below, above = L * (1 - 1e-12), L * (1 + 1e-12)
-    for fn in (tilde_phi, tilde_G, tilde_H):
-        assert fn(p, below) == pytest.approx(fn(p, above), rel=1e-8)
+    for fn in TILDE:
+        assert fn(beta, L, nu, below) == pytest.approx(fn(beta, L, nu, above), rel=1e-8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,24 +95,21 @@ def test_branch_values_match_at_one_ulp(beta, L, nu):
     # relative, 1.4x that bound).  The tolerance is 8x the bound at the drawn
     # (beta, nu), nu = 1 for the untilded family; a probe of 2e4 draws,
     # corners and edge included, peaked at 3x (3 ulps at beta = 1)
-    pp = AuxParams(beta=beta, L=L)
-    pt = AuxParams(beta=beta, L=L, nu=nu, n=3)
     above = float(np.nextafter(L, np.inf))
-    for fn, p in ((phi, pp), (G, pp), (H, pp),
-                  (tilde_phi, pt), (tilde_G, pt), (tilde_H, pt)):
-        ulps = p.beta**2 / (p.nu * abs(2.0 * p.nu - 1.0))
-        assert fn(p, above) == pytest.approx(fn(p, L), rel=8.0 * ulps * ULP)
+    for fn, params, fam_nu in ([(fn, (beta, L), 1.0) for fn in BASE]
+                               + [(fn, (beta, L, nu), nu) for fn in TILDE]):
+        ulps = beta**2 / (fam_nu * abs(2.0 * fam_nu - 1.0))
+        assert fn(*params, above) == pytest.approx(fn(*params, L), rel=8.0 * ulps * ULP)
 
 
 @settings(max_examples=300, deadline=None)
 @given(beta=BETAS, L=ELLS, nu=NUS)
 def test_phi_c1_matching_at_L(beta, L, nu):
     # one-sided difference quotients agree across the joint
-    pp, pt = AuxParams(beta=beta, L=L), AuxParams(beta=beta, L=L, nu=nu, n=3)
     h = 1e-7 * L
-    for fn, p in ((phi, pp), (tilde_phi, pt)):
-        left = (fn(p, L) - fn(p, L - h)) / h
-        right = (fn(p, L + h) - fn(p, L)) / h
+    for fn, params in ((auxfn._phi, (beta, L)), (auxfn._tphi, (beta, L, nu))):
+        left = (fn(*params, L) - fn(*params, L - h)) / h
+        right = (fn(*params, L + h) - fn(*params, L)) / h
         assert left == pytest.approx(right, rel=1e-5)
 
 
@@ -133,13 +117,13 @@ def test_H_eventually_constant_in_L():
     beta, x = 2.5, 3.0
     want = beta / (2 * (2 * beta - 1)) * x ** (2 * beta)
     for L in (3.0, 10.0, 1e3, 1e6):
-        assert H(AuxParams(beta=beta, L=L), x) == pytest.approx(want, rel=1e-15)
+        assert auxfn._H(beta, L, x) == pytest.approx(want, rel=1e-15)
     assert check_inequality("LIMITS", AuxParams(beta=beta, L=10.0), x)
 
 
 def test_negative_x_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        phi(AuxParams(beta=2.0, L=1.0), -0.1)
+        check_inequality("I1", AuxParams(beta=2.0, L=1.0), -0.1)
 
 
 def test_params_validation():
@@ -151,8 +135,8 @@ def test_params_validation():
         AuxParams(beta=1.0, L=1.0, nu=0.5)
     with pytest.raises(ValueError):
         AuxParams(beta=1.0, L=1.0, n=2)
-    with pytest.raises(ValueError, match="nu <= n/4"):
-        tilde_phi(AuxParams(beta=2.0, L=1.0, nu=0.9, n=3), 1.0)
+    with pytest.raises(RegionError, match="nu <= n/4"):
+        check_inequality("I9", AuxParams(beta=2.0, L=1.0, nu=0.9, n=3), 1.0)
 
 
 # --- display oracles ---------------------------------------------------------
@@ -175,8 +159,7 @@ def _xg_minus_nh_display(beta, L, n, x):
        x=st.floats(min_value=0.0, max_value=30.0),
        n=st.sampled_from([3, 4, 5, 6, 8]))
 def test_xg_minus_nh_matches_display(beta, L, x, n):
-    p = AuxParams(beta=beta, L=L, n=n)
-    direct = x * G(p, x) - 0.5 * n * H(p, x)
+    direct = x * auxfn._G(beta, L, x) - 0.5 * n * auxfn._H(beta, L, x)
     display = _xg_minus_nh_display(beta, L, n, x)
     scale = max(1.0, abs(direct), abs(display))
     assert abs(direct - display) <= 1e-9 * scale
@@ -188,8 +171,8 @@ def test_xg_minus_nh_matches_display(beta, L, x, n):
        n=st.sampled_from([3, 4, 5, 6, 8]))
 def test_sign_display_for_lower_bound_argument(beta, L, x, n):
     # (n/2) H - x G - (n-2)/4 phi^2 has an explicit piecewise form
-    p = AuxParams(beta=beta, L=L, n=n)
-    direct = 0.5 * n * H(p, x) - x * G(p, x) - 0.25 * (n - 2) * phi(p, x) ** 2
+    direct = (0.5 * n * auxfn._H(beta, L, x) - x * auxfn._G(beta, L, x)
+              - 0.25 * (n - 2) * auxfn._phi(beta, L, x) ** 2)
     if x <= L:
         display = -((4 * beta + n) * (beta - 1) + 2) / (4 * (2 * beta - 1)) * x ** (
             2 * beta
@@ -210,18 +193,18 @@ def test_chain_coefficient_at_pinned_nu():
     # at nu = beta/(2 beta + 1) the matching constant collapses to -beta^2
     for beta in (1.0, 2.25, 7.0, 33.0):
         nu = beta / (2 * beta + 1)
-        assert C_coefficient(beta, nu) == pytest.approx(-(beta**2), rel=1e-12)
+        assert auxfn._C_coeff(beta, nu) == pytest.approx(-(beta**2), rel=1e-12)
 
 
 def test_psi_properties():
-    eps = 0.3
+    # I12: psi = sqrt(x^2 + eps^2) - eps has 0 <= psi' <= 1, psi'' >= 0 and
+    # |psi - x| <= eps; at x = 0 the bound psi' >= 0 is attained
     xs = np.linspace(0.0, 10.0, 1001)
-    psi = psi_eps(eps, xs)
-    assert np.all(np.diff(psi) >= 0.0)
-    assert np.all(np.diff(psi) <= np.diff(xs) * (1 + 1e-12))
-    assert np.max(np.abs(psi - xs)) <= eps + 1e-15
-    d2 = np.diff(psi, 2)
-    assert np.all(d2 >= -1e-12)
+    for eps in (1e-3, 0.3, 10.0):
+        lhs, rhs = auxfn._sides_I12(1.0, eps, 1.0, 3, xs)
+        assert lhs.shape == rhs.shape == xs.shape
+        assert np.all(lhs <= rhs + 1e-12)
+        assert lhs[0] == 0.0 and np.all(lhs[1:] < 0.0)
 
 
 # --- catalogue ---------------------------------------------------------------
@@ -311,11 +294,8 @@ def test_located_constants_certify():
         beta = float(np.exp(rng.uniform(0.0, math.log(50.0))))
         nu = float(rng.uniform(0.05, 0.45))
         c1, c2 = locate_tilde_constants(beta, nu, 3)
-        p = AuxParams(beta=beta, L=1.0, nu=nu, n=3)
         xs = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=2000))
-        th = np.array([tilde_H(p, x) for x in xs])
-        tp = np.array([tilde_phi(p, x) for x in xs])
-        tg = np.array([tilde_G(p, x) for x in xs])
+        tp, tg, th = (fn(beta, 1.0, nu, xs) for fn in TILDE)
         # 1e-300 floor: comparisons in the subnormal range are void
         assert np.all(tp**2 <= c1 * th * (1 + 1e-9) + 1e-300)
         assert np.all(xs * tg <= c2 * th * (1 + 1e-9) + 1e-300)
@@ -326,10 +306,9 @@ def test_chain_constant_certifies():
     for beta in (1.5, 2.25, 10.0):
         c4 = locate_chain_constant(beta, 3)
         nu = beta / (2 * beta + 1)
-        p = AuxParams(beta=beta, L=1.0, nu=nu, n=3)
         xs = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=2000))
-        tf2 = np.array([tilde_F(p, x) ** (2 * beta) for x in xs])
-        th = np.array([tilde_H(p, x) for x in xs])
+        tf2 = auxfn._tF(beta, 1.0, nu, 3, xs) ** (2 * beta)
+        th = auxfn._tH(beta, 1.0, nu, xs)
         assert np.all(tf2 <= c4 * th * (1 + 1e-9) + 1e-300)
 
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from yflow import bounds
-from yflow.discretization import h1_norm, laplacian, lp_norm
+from yflow.discretization import critical_exponent, h1_norm, laplacian, lp_norm
 from yflow.flow import FlowConfig, run
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere
-from yflow.yamabe import sobolev_constants
+from yflow.yamabe import FlowState, _volume_weights, sobolev_constants
 
 Y_EST = 40.0
 SOBOLEV_RTOL = 1e-12    # a reordered sum of <= 257 nonnegative terms moves by ~257 * 2^-53
@@ -65,7 +65,10 @@ def _rows(res):
 
 
 def _snapshots(traj):
-    return zip(traj.snap_t.tolist(), traj.u, traj.S, traj.gvol_weights)
+    # each row's volume weights by the 1-D formula of a state
+    man = traj.manifold
+    return ((t, u, S, man.mu_weights * u ** critical_exponent(man.n))
+            for t, u, S in zip(traj.snap_t.tolist(), traj.u, traj.S))
 
 
 def _s0_minus(traj, p):
@@ -77,6 +80,25 @@ def test_run_spans_several_blocks(traj):
     count, nodes = traj.u.shape
     assert count > 130
     assert count > 2 * (bounds.BLOCK_ELEMENTS // nodes)
+
+
+@pytest.mark.parametrize("name", ["traj", "traj4"])
+def test_block_volume_weights_equal_each_state(name, request):
+    # n = 3 and n = 4 runs at gamma = 2: the weights the monitors derive a block of
+    # snapshot rows at a time are those of each snapshot's state, bit for bit
+    traj = request.getfixturevalue(name)
+    man = traj.manifold
+    count, nodes = traj.u.shape
+    step = bounds.BLOCK_ELEMENTS // nodes
+    blocks = [_volume_weights(man, traj.u[lo:lo + step]) for lo in range(0, count, step)]
+    assert len(blocks) > 2
+    derived = np.concatenate(blocks)
+    for t, u, w in zip(traj.snap_t.tolist(), traj.u, derived):
+        assert w.tobytes() == FlowState.from_u(man, u, t).gvol_weights.tobytes()
+    # each snapshot's recorded volume is the row sum of its derived weights
+    at = np.searchsorted(traj.step, traj.snap_step)
+    assert np.array_equal(traj.step[at], traj.snap_step)
+    assert traj.vol[at].tobytes() == derived.sum(axis=1).tobytes()
 
 
 def _s_minus_decay_reference(traj, p):

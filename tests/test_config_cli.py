@@ -269,6 +269,23 @@ def test_negative_tabulated_phi_in_a_sweep_worker_exits_two(method, tmp_path):
     _assert_one_negative_phi_error(proc.stderr)
 
 
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_sweep_worker_without_its_directory_exits_two(method, tmp_path):
+    # a file where one worker's directory goes: that job is a config error, not a crash
+    (tmp_path / "s.cfg").write_text(SPHERE_CFG)
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "grid.M=32").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(yflow.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_WITH_START_METHOD, method, "run", "--config", "s.cfg",
+         "--out", "o", "--quiet", "--sweep", "grid.M=32,48"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: cannot create output directory o/grid.M=32: ")
+    assert (tmp_path / "o" / "grid.M=48" / "timeseries.csv").is_file()
+
+
 def test_run_decides_each_hypothesis_once(tmp_path, monkeypatch, capsys):
     # the audit, the monitors, the Yamabe gate, the Sobolev constants and the
     # ledger all read the verdicts; each HYPOTHESES predicate must still run once per run
@@ -407,10 +424,15 @@ def test_cut_auxcheck_starts_no_process_pool():
 # tabulated profiles with a token that is not a finite number
 TABULATED = Path(__file__).resolve().parent / "data" / "tabulated"
 
+PLOT_HEADER = ",".join(col for col, _, _ in yflow.cli.TIMESERIES_COLUMNS)
+PLOT_ROW = ",".join(["0.5"] * len(yflow.cli.TIMESERIES_COLUMNS))
+
+
 # exit-code table: argv, exit code, a fragment of the one stderr line; "{name}"
-# in argv is the path of the config file CONFIGS[name]
+# in argv is the path of the file CONFIGS[name]
 CONFIGS = {
     "sphere": SPHERE_CFG,
+    "timeseries": f"{PLOT_HEADER}\n{PLOT_ROW}\n",
     "beta_1": SPHERE_CFG + "moser.beta = 1.0\n",
     "kmax_9": SPHERE_CFG + "moser.k_max = 9\n",
     "p_nan": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,nan"),
@@ -510,6 +532,15 @@ CONFIGS = {
     (["run", "--config", "{p_repeated}"], 2, "config error: monitors.p lists 2.0 twice"),
     (["run", "--config", "{enable_repeated}"], 2,
      "config error: monitors.enable lists u_upper twice"),
+    # an output directory that is an existing file, or lies below one
+    (["run", "--quiet", "--config", "{sphere}", "--out", "{sphere}"], 2,
+     "config error: cannot create output directory"),
+    (["run", "--quiet", "--config", "{sphere}", "--out", "{sphere}/sub"], 2,
+     "config error: cannot create output directory"),
+    (["run", "--quiet", "--config", "{sphere}", "--out", "{sphere}", "--sweep", "grid.M=32,48"],
+     2, "config error: cannot create output directory"),
+    (["plot", "{timeseries}", "--out", "{sphere}"], 2,
+     "config error: cannot create output directory"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -524,7 +555,8 @@ CONFIGS = {
         "audit-config-phi-word", "audit-config-phi-nan-x", "run-sweep-repeated-value",
         "run-config-seed-negative", "run-seed-negative", "run-config-checkpoint-negative",
         "run-config-samples-1", "yamabe-config-max-iter-negative", "run-config-p-repeated",
-        "run-config-enable-repeated"])
+        "run-config-enable-repeated", "run-out-file", "run-out-below-file", "run-sweep-out-file",
+        "plot-out-file"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -563,10 +595,6 @@ def test_plot_empty_csv_exit_two(tmp_path, capsys):
     p = tmp_path / "empty.csv"
     p.write_text("")
     assert main(["plot", str(p)]) == 2
-
-
-PLOT_HEADER = ",".join(col for col, _, _ in yflow.cli.TIMESERIES_COLUMNS)
-PLOT_ROW = ",".join(["0.5"] * len(yflow.cli.TIMESERIES_COLUMNS))
 
 
 @pytest.mark.parametrize("bad_row, message", [

@@ -14,6 +14,7 @@ from yflow.flow import (
     FlowConfig,
     SolverAbort,
     StepRejected,
+    Trajectory,
     checkpoint,
     config_hash,
     renormalize_volume,
@@ -143,6 +144,22 @@ def test_validate_checks_final_rho_against_dirichlet_form(bumpy128):
     traj.rho[-1] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="Dirichlet form"):
         traj.validate()
+
+
+def test_validate_checks_the_vol_column(bumpy128):
+    traj = run(bumpy128, FlowConfig(T_final=0.02, dt_init=1e-3, dt_max=1e-3,
+                                    snapshot_every=5))
+    # a state between two snapshots, forged off the unit-volume slice
+    k = 3
+    assert k not in traj.snap_step
+    traj.vol[k] = 1.0 + 10.0 * traj.config.vol_tol
+    with pytest.raises(ValueError, match=f"state at t={traj.t[k]:g} violates volume"):
+        traj.validate()
+
+
+def test_trajectory_stores_no_volume_weights():
+    # a snapshot's weights are derived from its u, never stored
+    assert "gvol_weights" not in {f.name for f in dataclasses.fields(Trajectory)}
 
 
 def test_step_rejection_on_positivity():

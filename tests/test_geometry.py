@@ -15,7 +15,6 @@ from yflow.geometry import (
     cone,
     make_profile,
     perturbed_sphere,
-    scalar_curvature_g0,
     sphere,
     tabulated,
 )
@@ -65,11 +64,6 @@ def test_cone_curvature_formula():
     # a homothety-invariant combination
     m = build_manifold(cone(0.8), RadialGrid(M=128, gamma=2.0))
     assert np.allclose(m.S0 * m.nodes**2, 1.125, rtol=1e-10)
-
-
-def test_scalar_curvature_g0_matches_stored(sphere64):
-    s0 = scalar_curvature_g0(sphere64)
-    assert np.allclose(s0, sphere64.S0, rtol=1e-12, atol=1e-12)
 
 
 def test_quadrature_order_under_doubling():

@@ -9,14 +9,21 @@ one curvature evaluation per state, one traced tridiagonal solve per step
 and one Laplacian band build per manifold; the second that every monitor, checkpoint and output writer the
 benchmark times still runs.  The third traces ``auxcheck``: the tracer sees
 only the process it is installed in, so the catalogue's entry points must
-still be called there when the scans run on a process pool.
+still be called there when the scans run on a process pool.  The last
+reads ``BENCHMARK.json``: every function a per-call metric names must still
+exist, or that metric is reported absent.
 """
+import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from yflow.cli import main
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+# the statistics a per-layer metric ``<module>.<qualname>.<stat>`` reads from spans
+PER_CALL_STATS = ("calls", "calls_per_step", "self_us", "self_ms", "self_s")
 
 SCENARIO = """\
 profile.name = perturbed_sphere
@@ -136,3 +143,22 @@ def test_traced_catalogue_job_call_counts(capsys):
     assert code == 0
     assert calls["auxfn.run_catalogue"] == 1
     assert calls["auxfn.find_counterexample"] == 2
+
+
+def test_per_call_metrics_name_traced_functions():
+    # the tracer wraps public functions and methods defined in each yflow module;
+    # a deleted or renamed one leaves its metrics absent, e.g. discretization.laplacian,
+    # which no program path calls but whose call count a metric reads
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    heads = [name.rsplit(".", 1)[0] for name in (m["name"] for m in metrics)
+             if name.rsplit(".", 1)[1] in PER_CALL_STATS]
+    assert "discretization.laplacian" in heads and "yamabe.FlowState.from_u" in heads
+    unresolved = []
+    for head in heads:
+        module, _, qualname = head.partition(".")
+        obj = importlib.import_module(f"yflow.{module}")
+        for part in qualname.split("."):
+            obj = None if part.startswith("_") else getattr(obj, part, None)
+        if not (callable(obj) and obj.__module__ == f"yflow.{module}"):
+            unresolved.append(head)
+    assert unresolved == []
