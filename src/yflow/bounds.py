@@ -279,12 +279,18 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     res = MonitorResult(monitor_id="s_upper")
     eps = slack_epsilon(traj)
     atol = 1e-10 * (1.0 + abs(traj.rho0))
-    p = n / 2.0
-    sums = _lp_rows(traj, lambda r: np.maximum(traj.S[r], 0.0), p)
+    p, q = n / 2.0, lq_exponent(n)
+
+    def terms(r):   # the integrands of both norms, on one block's weights
+        gw, S = _volume_weights(traj.manifold, traj.u[r]), traj.S[r]
+        return gw * np.abs(np.maximum(S, 0.0)) ** p, gw * np.abs(S) ** q
+
+    sums, high = _row_sums(traj, terms)
     res.add_upper(traj.snap_t, _each(lambda v: v ** (1.0 / p), sums),
                   _s0_plus_norm(traj.manifold), eps, atol)
 
-    late, integral = ends = np.array([_late_sup_abs_s(traj), _s_high_norm_time_integral(traj)])
+    late, integral = ends = np.array([_late_sup_abs_s(traj),
+                                      _s_high_norm_time_integral(traj, high)])
     res.notes += [f"sup over [T/2, T] of max|S| = {late:.12g}",
                   f"time integral of high-Lq curvature norm = {integral:.12g}"]
     res.add(float(traj.t[-1]), ends, math.inf, np.isfinite(ends))
@@ -309,11 +315,15 @@ def _late_sup_abs_s(traj) -> float:
     return float(vals.max()) if vals.size else math.nan
 
 
-def _s_high_norm_time_integral(traj) -> float:
-    """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2))."""
+def _s_high_norm_time_integral(traj, sums: Optional[np.ndarray] = None) -> float:
+    """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2)).
+
+    ``sums`` are the inner integrals per snapshot, if the caller has them.
+    """
     n = traj.manifold.n
-    q = lq_exponent(n)
-    vals = _each(lambda v: v ** ((n - 2.0) / n), _lp_rows(traj, lambda r: traj.S[r], q))
+    if sums is None:
+        sums = _lp_rows(traj, lambda r: traj.S[r], lq_exponent(n))
+    vals = _each(lambda v: v ** ((n - 2.0) / n), sums)
     return float(np.trapezoid(vals, traj.snap_t))
 
 

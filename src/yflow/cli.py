@@ -11,7 +11,10 @@ import argparse
 import math
 import os
 import sys
+from collections import deque
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from . import bounds
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_kv
@@ -38,27 +41,64 @@ def _out_root() -> str:
     return os.environ.get("YFLOW_OUT") or "."
 
 
+# rows per block of the CSV writers: one block's text is held at a time, never the file's
+_BLOCK_ROWS = 1024
+
+
+def _write_rows(path: str, header: str, blocks) -> None:
+    """Write ``header`` and then the rows of each of ``blocks`` to ``path``, block by block.
+
+    A block of k rows is ``(row_format, floats, labels)``: row i is
+    ``row_format %`` the texts of column i of the (columns x k) float64 array
+    ``floats``, then ``labels[i]`` when ``labels`` is not None. Each distinct bit
+    pattern of a block is formatted once, so +0.0 and -0.0 stay apart, by
+    ``"%.17g" % v``: that is ``f"{v:.17g}"``, for ±inf, nan and subnormals too.
+    A pattern of the two blocks before reuses their text: the monitors share
+    their ``t`` column, and one monitor's rows span about two blocks.
+    """
+    recent = deque(maxlen=2)    # (sorted bit patterns, their texts) of the blocks before
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for row_format, floats, labels in blocks:
+            floats = np.asarray(floats, dtype=np.float64)     # the bit patterns of float64s
+            bits, index = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+            texts = np.empty(bits.size, dtype=object)
+            new = np.ones(bits.size, dtype=bool)
+            for old_bits, old_texts in recent:
+                at = np.searchsorted(old_bits, bits).clip(max=old_bits.size - 1)
+                seen = new & (old_bits[at] == bits)
+                texts[seen] = old_texts[at[seen]]
+                new &= ~seen
+            texts[new] = ["%.17g" % v for v in bits[new].view(np.float64).tolist()]
+            recent.append((bits, texts))
+            cells = texts[index].reshape(floats.shape).T
+            if labels is not None:
+                cells = np.column_stack((cells, labels))
+            text = (row_format * floats.shape[1]) % tuple(cells.ravel().tolist())
+            fh.write(text.encode("ascii"))
+
+
 def write_timeseries(traj: Trajectory, path: str) -> None:
     cols = [getattr(traj, f) for _, f, _ in TIMESERIES_COLUMNS]
-    lines = [",".join(col for col, _, _ in TIMESERIES_COLUMNS)]
-    # "%.17g" % v is f"{v:.17g}", for ±0, ±inf, nan and subnormals too; rows are
-    # read from the arrays, as .tolist() columns would hold every value at once
-    row_format = ",".join(["%.17g"] * len(cols))
-    lines.extend(row_format % row for row in zip(*cols))
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+    row_format = ",".join(["%s"] * len(cols)) + "\n"
+    _write_rows(path, ",".join(col for col, _, _ in TIMESERIES_COLUMNS), (
+        (row_format, np.stack([c[lo:lo + _BLOCK_ROWS] for c in cols]), None)
+        for lo in range(0, len(cols[0]), _BLOCK_ROWS)))
 
 
 def write_monitors(results, path: str) -> None:
-    lines = ["monitor_id,t,lhs,rhs,margin,verdict"]
-    for res in results:     # a result that is not applicable has no rows
-        if not res.applicable:
-            lines.append(f"{res.monitor_id},nan,nan,nan,nan,not_applicable")
-        verdicts = ("pass" if ok else "FAIL" for ok in res.verdict.tolist())
-        lines.extend("%s,%.17g,%.17g,%.17g,%.17g,%s" % (res.monitor_id, *row) for row in zip(
-            res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.margin.tolist(), verdicts))
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+    def blocks():
+        for res in results:
+            row_format = res.monitor_id + ",%s,%s,%s,%s,%s\n"
+            if not res.applicable:      # then it has no rows
+                yield row_format, np.full((4, 1), math.nan), ["not_applicable"]
+            for lo in range(0, res.t.size, _BLOCK_ROWS):
+                part = slice(lo, lo + _BLOCK_ROWS)
+                lhs, rhs = res.lhs[part], res.rhs[part]     # margin: rhs - lhs, per block
+                yield (row_format, np.stack((res.t[part], lhs, rhs, rhs - lhs)),
+                       np.where(res.verdict[part], "pass", "FAIL"))
+
+    _write_rows(path, "monitor_id,t,lhs,rhs,margin,verdict", blocks())
 
 
 def _make_dir(path: str) -> bool:
@@ -75,9 +115,10 @@ def _plot_columns(cols, plot_dir: str) -> None:
     """One SVG per plotted timeseries column; ``cols`` maps column to values."""
     from .svgplot import render_series
 
+    ts = np.asarray(cols["t"], dtype=float).tolist()
     for col, _, plotted in TIMESERIES_COLUMNS:
         if plotted:
-            render_series(list(map(float, cols["t"])), list(map(float, cols[col])),
+            render_series(ts, np.asarray(cols[col], dtype=float).tolist(),
                           col, os.path.join(plot_dir, f"{col}.svg"))
 
 

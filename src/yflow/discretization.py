@@ -20,6 +20,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,12 +184,26 @@ def _solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     The Yamabe estimate solves through here, so ``solve`` runs once per flow step.
     """
     npts = op.diag.size
-    # dgtsv overwrites its inputs, so it gets copies: sub[1:], diag,
-    # sup[:-1] and rhs back to back; the solution ends in the last block
-    work = np.concatenate((op.sub[1:], op.diag, op.sup[:-1], rhs))
-    if _gtsv()(work, npts) != 0:
+    # dgtsv overwrites its inputs, so it gets copies: sub[1:], diag, sup[:-1]
+    # and rhs back to back in this size's buffer; the solution ends in the last block
+    with _SOLVING:
+        work = _work(npts)
+        np.concatenate((op.sub[1:], op.diag, op.sup[:-1], rhs), out=work)
+        info = _gtsv()(work, npts)
+        solution = work[3 * npts - 2 :].copy()
+    if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return work[3 * npts - 2 :]
+    return solution
+
+
+# the solves of one size share a buffer, so one solve runs at a time
+_SOLVING = threading.Lock()
+
+
+@functools.cache
+def _work(n: int) -> np.ndarray:
+    """The work buffer of the solves of n unknowns."""
+    return np.empty(4 * n - 2)
 
 
 @functools.cache
@@ -198,7 +213,8 @@ def _gtsv():
     ``work`` holds ``dl`` (n-1), ``d`` (n), ``du`` (n-1) and ``b`` (n) back to
     back; ``b`` is overwritten by the solution.  Binds ``scipy_dgtsv_64_``
     (64-bit integers) from numpy's bundled OpenBLAS, else falls back to
-    ``scipy.linalg.lapack.dgtsv``.
+    ``scipy.linalg.lapack.dgtsv``.  The ``ctypes`` arguments into a buffer are
+    built at its first solve, and again only when another buffer of its size comes.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
@@ -214,13 +230,18 @@ def _gtsv():
     fn.restype = None
     byref = ctypes.byref
     nrhs = ctypes.c_int64(1)
+    bound = {}      # n -> (work, dgtsv's arguments into it, its info)
 
     def gtsv(work: np.ndarray, n: int) -> int:
-        head = ctypes.c_double.from_buffer(work)     # holds the buffer while dgtsv runs
-        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-        fn(byref(size), byref(nrhs), byref(head), byref(head, 8 * (n - 1)),
-           byref(head, 8 * (2 * n - 1)), byref(head, 8 * (3 * n - 2)), byref(size), byref(info))
-        return info.value
+        if (args := bound.get(n)) is None or args[0] is not work:
+            head = ctypes.c_double.from_buffer(work)     # holds the buffer while bound
+            size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+            args = bound[n] = (work, (
+                byref(size), byref(nrhs), byref(head), byref(head, 8 * (n - 1)),
+                byref(head, 8 * (2 * n - 1)), byref(head, 8 * (3 * n - 2)), byref(size),
+                byref(info)), info)
+        fn(*args[1])
+        return args[2].value
 
     return gtsv
 

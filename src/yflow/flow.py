@@ -357,7 +357,7 @@ def checkpoint(
         f"step {step_index}",
         f"nodes {state.u.size}",
     ]
-    lines.extend(f"u {v:.17g}" for v in state.u)
+    lines.extend(f"u {v:.17g}" for v in state.u.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["render_series"]
 
 _W, _H = 640, 400
@@ -91,7 +93,9 @@ def render_series(
             f'<text x="{_ML - 8}" y="{y + 3:.2f}" font-family="monospace" '
             f'font-size="10" text-anchor="end">{_fmt(vv)}</text>'
         )
-    pts = " ".join(f"{sx(t):.3f},{sy(v):.3f}" for t, v in zip(ts, values))
+    # the tick expressions on whole arrays; "%.3f" % v is f"{v:.3f}"
+    xy = np.column_stack((sx(np.asarray(ts, dtype=float)), sy(np.asarray(values, dtype=float))))
+    pts = ("%.3f,%.3f " * len(ts) % tuple(xy.ravel().tolist()))[:-1]
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>'
     )
