@@ -4,12 +4,12 @@ Each monitor is a pure function of a finished trajectory (the Sobolev one also
 of a Yamabe estimate) that derives the constants of the initial data where it
 uses them: re-running monitors on a restored trajectory gives identical
 verdicts, and no monitor can alter the flow.  Monitors read
-the trajectory's columns and return their rows as columns (:class:`MonitorResult`);
-per-snapshot norms are row reductions over its (snapshots x nodes) arrays,
-taken a block of rows at a time (:func:`_row_sums`).
-The parabolic Sobolev monitor's separable test fields ``r(t) P(x)`` are summed
-instead as matrix products of each block with the stacked profiles, every
-column then scaled by its time factor (:func:`check_parabolic_sobolev`).
+the trajectory's columns and return their rows as columns (:class:`MonitorResult`).
+A monitor makes one pass over the (snapshots x nodes) arrays, a block of rows
+at a time (:func:`_row_sums`, the only such loop), deriving each block's
+weights once; its per-row results are row reductions, or, for the parabolic
+Sobolev monitor's separable fields ``r(t) P(x)``, matrix products with the
+stacked profiles (:func:`check_parabolic_sobolev`).
 
 Hypotheses: ``REQUIRES`` names those of ``geometry.HYPOTHESES`` that a monitor
 (or a group of its rows) needs; where the manifold's verdict on one is a failure,
@@ -121,35 +121,37 @@ def slack_epsilon(traj) -> float:
     return 10.0 * traj.manifold.h_max**2 + 10.0 * float(traj.dt.max())
 
 
-def _row_sums(traj, terms, reduce=np.sum, rows=None) -> List[np.ndarray]:
-    """Per-snapshot ``reduce`` over the nodes of each array ``terms(block)`` yields.
+def _row_sums(traj, terms, rows=None) -> List[np.ndarray]:
+    """The per-row results ``terms(block)`` yields, each joined over every block.
 
     ``terms`` maps a block of snapshot rows (a slice, or an index vector when
-    ``rows`` picks the rows to reduce) to (rows x nodes) arrays; it runs on
-    blocks of about ``BLOCK_ELEMENTS`` entries, whose row sums equal each row's
-    1-D ``np.sum`` bit for bit.  Roots and ``exp`` are left to the caller
-    (:func:`_each`): array ones differ from the float ones in the last bits.
+    ``rows`` picks the rows) to per-row results: vectors, one entry per row
+    (``np.sum``, ``np.min`` or ``np.max`` of a (rows x nodes) array along its
+    nodes), or (rows x k) matrix products.  It runs on blocks of about
+    ``BLOCK_ELEMENTS`` entries, whose row sums equal each row's 1-D ``np.sum``
+    bit for bit.  Roots and ``exp`` are left to the caller (:func:`_each`):
+    array ones differ from the float ones in the last bits.
     """
     count, nodes = traj.u.shape
     if rows is not None:
         count = rows.size
     step = max(1, BLOCK_ELEMENTS // nodes)
-    sums = []   # one vector per term, filled block by block
+    out = []    # one array per term, filled block by block
     for lo in range(0, count, step):
         block = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
         for k, a in enumerate(terms(block)):
             if lo == 0:
-                sums.append(np.empty(count))
-            sums[k][lo:lo + step] = reduce(a, axis=1)
-    return sums
+                out.append(np.empty((count, *a.shape[1:])))
+            out[k][lo:lo + step] = a
+    return out
 
 
 def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
     """Per-snapshot :func:`lp_norm` of ``f(block)`` in the evolving measure, before its root."""
     if p == math.inf:
-        return _row_sums(traj, lambda r: (np.abs(f(r)),), np.max, rows)[0]
-    return _row_sums(traj, lambda r: (_volume_weights(traj.manifold, traj.u[r])
-                                      * np.abs(f(r)) ** p,), rows=rows)[0]
+        return _row_sums(traj, lambda r: (np.max(np.abs(f(r)), axis=1),), rows)[0]
+    return _row_sums(traj, lambda r: (np.sum(_volume_weights(traj.manifold, traj.u[r])
+                                             * np.abs(f(r)) ** p, axis=1),), rows)[0]
 
 
 def _exponent_tag(p: float) -> str:
@@ -185,7 +187,7 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     n = traj.manifold.n
     # a row with S >= 0 has S_- = 0 and lhs 0.0; only the others are reduced
     lhs = np.zeros(traj.snap_t.size)
-    neg = np.flatnonzero(~(traj.S.min(axis=1) >= 0.0))
+    neg = np.flatnonzero(~(traj.min_S[traj.snap_step - traj.step[0]] >= 0.0))
     if neg.size:
         sums = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p, neg)
         lhs[neg] = sums if p == math.inf else _each(lambda v: v ** (1.0 / p), sums)
@@ -212,7 +214,7 @@ def check_scal_lower(traj) -> MonitorResult:
         res.notes.append("inf S0 > 0: rational positive-branch floor asserted as well")
     # one column per floor: each snapshot's rows stay together, the constant floor first
     rhs = np.stack(floors, axis=1) - tol
-    lhs = traj.S.min(axis=1)[:, None]
+    lhs = traj.min_S[traj.snap_step - traj.step[0], None]     # each snapshot's min S
     res.add(traj.snap_t[:, None], lhs, rhs, lhs >= rhs)
     return res
 
@@ -255,9 +257,12 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
         pfield = (n - 2) / (4.0 * (n - 1)) * (
             man.S0 + _sup_u(traj) ** (4.0 / (n - 2)) * s0_minus_norm(man, math.inf)
         )
-        u = traj.u
-        lows = _row_sums(traj, lambda r: (-_laplacian(man, u[r]) + pfield * u[r],), np.min)[0]
-        peaks = _row_sums(traj, lambda r: (np.abs(pfield * u[r]),), np.max)[0]
+
+        def terms(r):   # both extremes from one pfield * u per block
+            pu = pfield * traj.u[r]
+            return np.min(-_laplacian(man, traj.u[r]) + pu, axis=1), np.max(np.abs(pu), axis=1)
+
+        lows, peaks = _row_sums(traj, terms)
         tol = eps * (1.0 + peaks)
         res.add(traj.snap_t, lows, -tol, lows >= -tol)
 
@@ -283,7 +288,8 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
 
     def terms(r):   # the integrands of both norms, on one block's weights
         gw, S = _volume_weights(traj.manifold, traj.u[r]), traj.S[r]
-        return gw * np.abs(np.maximum(S, 0.0)) ** p, gw * np.abs(S) ** q
+        return (np.sum(gw * np.abs(np.maximum(S, 0.0)) ** p, axis=1),
+                np.sum(gw * np.abs(S) ** q, axis=1))
 
     sums, high = _row_sums(traj, terms)
     res.add_upper(traj.snap_t, _each(lambda v: v ** (1.0 / p), sums),
@@ -350,7 +356,7 @@ def _sample_spacetime_fields(traj, samples: int, seed: int):
         b = rng.uniform(a + 0.2, 1.0)
         poly = (coeff[0] + coeff[1] * xi + coeff[2] * xi**2
                 + coeff[3] * xi**3 + coeff[4] * xi**4)
-        ramp = 0.25 + 0.75 * make_cutoff(a, b, 1.0)(ts / traj.config.T_final)
+        ramp = 0.25 + 0.75 * make_cutoff(a, b)(ts / traj.config.T_final)
         fields.append((f"poly_{j}", ramp, poly))
     return fields
 
@@ -377,7 +383,7 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     ``r^2 (fw @ (dP^2 / h))`` and ``r^2 (gw @ P^2)``: one matrix product per
     block of snapshot rows for all such fields at once, each column then
     scaled by its time factor.  A field with a (snapshots x nodes) profile
-    is summed elementwise through :func:`_row_sums`.
+    is summed elementwise, in the same pass over the blocks (:func:`_row_sums`).
     """
     res = MonitorResult(monitor_id="parabolic_sobolev")
     missing = "Sobolev constants unavailable (no Yamabe estimate)" if y_est is None else None
@@ -400,14 +406,18 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     node_pow = np.abs(prof) ** (2.0 * q)
     face_sq = dprof * dprof / man.face_h[:, None]
     node_sq = prof * prof
-    lhs_s, grad_s, l2_s = (np.empty((ts.size, len(separable))) for _ in range(3))
-    step = max(1, BLOCK_ELEMENTS // u.shape[1])
-    for lo in range(0, ts.size, step):
-        r = slice(lo, lo + step)
-        gw = _volume_weights(man, u[r])
-        np.matmul(gw, node_pow, out=lhs_s[r])
-        np.matmul(_grad_weights(man, u[r]), face_sq, out=grad_s[r])
-        np.matmul(gw, node_sq, out=l2_s[r])
+
+    def terms(r):   # one block's weights, shared by every field
+        gw, fw = _volume_weights(man, u[r]), _grad_weights(man, u[r])
+        yield from (gw @ node_pow, fw @ face_sq, gw @ node_sq)
+        for _, ramp, profile in full:   # the other fields, elementwise
+            fv = ramp[r, None] * profile[r]
+            yield np.sum(gw * np.abs(fv) ** (2.0 * q), axis=1)
+            df = np.diff(fv, axis=1) / man.face_h
+            yield np.sum(fw * df * df * man.face_h, axis=1)
+            yield np.sum(gw * fv * fv, axis=1)
+
+    lhs_s, grad_s, l2_s, *flat = _row_sums(traj, terms)
     ramps = np.stack([ramp for _, ramp, _ in separable], axis=1)
     lhs_s *= np.abs(ramps) ** (2.0 * q)
     ramp_sq = ramps * ramps
@@ -415,17 +425,6 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     l2_s *= ramp_sq
     sums = {name: (lhs_s[:, k], grad_s[:, k], l2_s[:, k])
             for k, (name, _, _) in enumerate(separable)}
-
-    def terms(r):   # the other fields, elementwise; both weights are shared
-        gw, fw = _volume_weights(man, u[r]), _grad_weights(man, u[r])
-        for _, ramp, profile in full:
-            fv = ramp[r, None] * profile[r]
-            yield gw * np.abs(fv) ** (2.0 * q)
-            df = np.diff(fv, axis=1) / man.face_h
-            yield fw * df * df * man.face_h
-            yield gw * fv * fv
-
-    flat = _row_sums(traj, terms)
     sums.update((name, flat[3 * k:3 * k + 3]) for k, (name, _, _) in enumerate(full))
 
     # per field: the time integrals of its three sums, and the sup of its L2 sum
@@ -469,9 +468,9 @@ def check_energy_decay(traj) -> MonitorResult:
         eps = slack_epsilon(traj)
 
         def terms(r):   # the two sums of h1_norm
-            yield man.mu_weights * u[r] * u[r]
+            yield np.sum(man.mu_weights * u[r] * u[r], axis=1)
             g = _gradient(man, u[r])
-            yield man.mu_weights * g * g
+            yield np.sum(man.mu_weights * g * g, axis=1)
 
         l2, g2 = _row_sums(traj, terms)
         res.add_upper(traj.snap_t, np.sqrt(l2 + g2), ceiling, eps)
@@ -487,7 +486,7 @@ def cutoff_times(T: float, k_max: int) -> List[float]:
     return [max(0.0, (0.5 - 0.5**k) * T) for k in range(0, k_max + 1)]
 
 
-def make_cutoff(t_lo: float, t_hi: float, T: float):
+def make_cutoff(t_lo: float, t_hi: float):
     """Monotone piecewise-cubic ramp: 0 before t_lo, 1 after t_hi.
 
     The smoothstep's max slope is 1.5/(t_hi - t_lo) <= 2^{k+1}/T for the
@@ -596,7 +595,8 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
 
     def terms(r):   # the integrands of both exponents, in one pass over the run
         gw, s_plus = _volume_weights(traj.manifold, traj.u[r]), np.maximum(traj.S[r], 0.0)
-        return gw * s_plus ** (power * q_hi), gw * s_plus ** (power * N)
+        return (np.sum(gw * s_plus ** (power * q_hi), axis=1),
+                np.sum(gw * s_plus ** (power * N), axis=1))
 
     vals_hi, vals_N = _row_sums(traj, terms)
     for k in range(1, k_max + 1):

@@ -4,9 +4,11 @@ Fields are plain numpy arrays aligned with the manifold's nodes.  The
 Laplacian is the conservative flux stencil ``(1/w) D(w Df)`` with weight
 ``w = phi^{n-1}`` sampled at the face midpoints and zero flux through both
 ends.  This makes constants exactly harmonic and yields an exact discrete
-integration-by-parts identity against :func:`dirichlet_form`, which the
-variational quantities downstream rely on.  Both read the face conductances
-``face_weights / face_h`` cached on the manifold.
+integration-by-parts identity against the face-based Dirichlet form
+(:func:`_dirichlet_form`), which the variational quantities downstream rely
+on.  Both read the face conductances ``face_weights / face_h`` cached on the
+manifold.  The program calls the unchecked operators (underscored); only
+:func:`laplacian` and :func:`h1_norm` check their field first (:func:`check_field`).
 
 Tridiagonal systems are solved by LAPACK ``dgtsv``, the routine
 ``scipy.linalg.solve_banded((1, 1), ...)`` reaches, bound with ``ctypes``
@@ -34,9 +36,6 @@ __all__ = [
     "critical_exponent",
     "check_field",
     "laplacian",
-    "conformal_laplacian",
-    "dirichlet_form",
-    "gradient",
     "lp_norm",
     "h1_norm",
     "TridiagonalOperator",
@@ -91,36 +90,23 @@ def _laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def conformal_laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
-    """S0 f - (4(n-1)/(n-2)) Laplacian(f)."""
-    return _conformal_laplacian(manifold, check_field(manifold, f))
-
-
 def _conformal_laplacian(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
+    """S0 f - (4(n-1)/(n-2)) Laplacian(f)."""
     return manifold.S0 * f - kappa(manifold.n) * _laplacian(manifold, f)
 
 
-def dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g=None) -> float:
-    """Face-based energy pairing; the exact adjoint of :func:`laplacian`.
-
-    ``sum_i mu_i (Lap f)_i g_i == -dirichlet_form(f, g)`` holds to rounding.
-    """
-    f = check_field(manifold, f)
-    return _dirichlet_form(manifold, f, f if g is None else check_field(manifold, g))
-
-
 def _dirichlet_form(manifold: DiscretizedManifold, f: np.ndarray, g: np.ndarray) -> float:
+    """Face-based energy pairing; the exact adjoint of the Laplacian.
+
+    ``sum_i mu_i (Lap f)_i g_i == -_dirichlet_form(f, g)`` holds to rounding.
+    """
     df = f[1:] - f[:-1]
     dg = df if g is f else g[1:] - g[:-1]
     return float(np.add.reduce(manifold.conductance * df * dg))
 
 
-def gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
-    """Nodal radial derivative: centered in the interior, one-sided at tips."""
-    return _gradient(manifold, check_field(manifold, f))
-
-
 def _gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
+    """Nodal radial derivative along the last axis: centered inside, one-sided at the tips."""
     x = manifold.nodes
     out = np.empty_like(f)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (x[2:] - x[:-2])
@@ -140,7 +126,11 @@ def lp_norm(f: np.ndarray, p: float, weights: np.ndarray) -> float:
 
 
 def h1_norm(manifold: DiscretizedManifold, f: np.ndarray) -> float:
-    """First Sobolev norm sqrt(||f||_2^2 + ||f'||_2^2) in the background measure."""
+    """First Sobolev norm sqrt(||f||_2^2 + ||f'||_2^2) in the background measure.
+
+    The program sums it per snapshot block instead (``bounds.check_energy_decay``);
+    this checked form is the tests' reference for those sums.
+    """
     f = check_field(manifold, f)
     g = _gradient(manifold, f)
     mu = manifold.mu_weights

@@ -11,11 +11,14 @@ unit-volume slice, where ``FlowState.from_u`` validates u and evaluates S,
 the volume weights and ``rho = int S dVol_g`` once each, from u alone;
 :meth:`Trajectory.validate` checks the final rho against the Dirichlet form.
 
-The step controller grows dt by 1.2x on success up to ``dt_max``, halves
-it when a step loses positivity, and additionally caps dt by the explicit
-reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``, which each step's record
-returns with its row.  Runs are strictly sequential and bit-deterministic
-for a fixed configuration; independent runs can execute concurrently.
+The step controller grows dt by 1.2x on success up to ``dt_max`` and caps
+dt by the explicit reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``, which
+each step's record returns with its row.  When a step loses positivity it
+halves the nominal dt until that is below the rejected dt, so no retry
+repeats a rejected (state, dt) pair; a nominal dt at ``dt_min`` that must
+still be halved aborts the run.  Runs are strictly sequential and
+bit-deterministic for a fixed configuration; independent runs can execute
+concurrently.
 
 A run is stored as columns (:class:`Trajectory`): one vector per
 ``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
@@ -295,17 +298,18 @@ def run(
         try:
             state = step(manifold, state, dt_eff, positivity_floor=config.positivity_floor)
         except StepRejected:
-            if dt_nominal <= config.dt_min * (1.0 + 1e-12):
-                path = None
-                if checkpoint_dir is not None:
-                    path = os.path.join(checkpoint_dir, f"abort_step{k}.ckpt")
-                    checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
-                raise SolverAbort(
-                    f"dt underflow at t={state.t:.6g} after repeated rejections",
-                    state=state,
-                    checkpoint_path=path,
-                )
-            dt_nominal = max(dt_nominal / 2.0, config.dt_min)
+            while dt_nominal >= dt_eff:     # a retry at the rejected dt would fail again
+                if dt_nominal <= config.dt_min * (1.0 + 1e-12):
+                    path = None
+                    if checkpoint_dir is not None:
+                        path = os.path.join(checkpoint_dir, f"abort_step{k}.ckpt")
+                        checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
+                    raise SolverAbort(
+                        f"dt underflow at t={state.t:.6g} after repeated rejections",
+                        state=state,
+                        checkpoint_path=path,
+                    )
+                dt_nominal = max(dt_nominal / 2.0, config.dt_min)
             continue
 
         k += 1

@@ -567,13 +567,12 @@ def capped_cone(a: float, cap_radius: float, n: int = 3) -> WarpedProfile:
     )
 
 
-def tabulated(path: str, n: int = 3, tip_left: Optional[Tip] = None,
-              tip_right: Optional[Tip] = None) -> WarpedProfile:
+def tabulated(path: str, n: int = 3) -> WarpedProfile:
     """Profile read from a two-column text file of (x, phi) samples.
 
     Lines starting with '#' are comments.  Values are interpolated with a
     cubic spline; derivatives come from the standard fourth-order stencil
-    on the interpolant.  Unspecified tips are classified by extrapolating
+    on the interpolant.  The tips are classified by extrapolating
     phi/d toward each end: slope within 5% of 1 reads as a smooth pole,
     other vanishing behaviour as a cone, non-vanishing phi as open.
     """
@@ -614,13 +613,10 @@ def tabulated(path: str, n: int = 3, tip_left: Optional[Tip] = None,
             return SMOOTH_POLE
         return cone_tip(max(slope, 1e-8))
 
-    if tip_left is None:
-        tip_left = classify(xs_a[0], float(xs_a[0])) if xs_a[0] > 0 else classify(
-            xs_a[1], float(xs_a[1])
-        )
-    if tip_right is None:
-        d = max(x_max - float(xs_a[-2]), 1e-12)
-        tip_right = classify(float(xs_a[-2]), d) if ps_a[-1] <= 0 else OPEN_END
+    probe = xs_a[0] if xs_a[0] > 0 else xs_a[1]
+    tip_left = classify(probe, float(probe))
+    d = max(x_max - float(xs_a[-2]), 1e-12)
+    tip_right = classify(float(xs_a[-2]), d) if ps_a[-1] <= 0 else OPEN_END
 
     import hashlib
 

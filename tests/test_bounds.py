@@ -21,7 +21,7 @@ from yflow.bounds import (
     run_monitors,
     s0_minus_norm,
 )
-from yflow.discretization import lp_norm
+from yflow.discretization import critical_exponent, lp_norm
 from yflow.flow import FlowConfig, run
 from yflow.geometry import (
     HYPOTHESES,
@@ -105,6 +105,35 @@ def test_s_minus_decay_equality_at_zero(mixed_run):
     # at t = 0 the bound factor is exactly one
     assert res.lhs[0] == pytest.approx(s0_minus_norm(mixed_run.manifold, 2.0), rel=1e-12)
     assert res.passed
+
+
+@pytest.fixture(scope="module")
+def negative_run256():
+    # S < 0 on 93 of the 121 snapshots; 257 nodes make blocks of 31 snapshot rows
+    m = build_manifold(perturbed_sphere(0.6), RadialGrid(M=256, gamma=2.0))
+    return run(m, FlowConfig(T_final=0.012, dt_init=1e-4, dt_max=1e-4, snapshot_every=1))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf], ids=["p2", "p3", "pinf"])
+def test_s_minus_decay_rows_span_blocks(negative_run256, p):
+    # only the S < 0 snapshots are reduced, a block of them at a time: the
+    # rows must equal a per-snapshot loop bit for bit when they span blocks
+    traj, man = negative_run256, negative_run256.manifold
+    neg = traj.S.min(axis=1) < 0.0
+    assert np.count_nonzero(neg) > 2 * (bounds.BLOCK_ELEMENTS // man.node_count)
+    assert not neg.all()
+    eps, atol = bounds.slack_epsilon(traj), 1e-10 * (1.0 + abs(traj.rho0))
+    base = s0_minus_norm(man, p)
+    want = []
+    for t, u, S in zip(traj.snap_t.tolist(), traj.u, traj.S):
+        gw = man.mu_weights * u ** critical_exponent(man.n)
+        lhs = lp_norm(np.maximum(-S, 0.0), p, gw) if S.min() < 0.0 else 0.0
+        growth = 1.0 if p == math.inf else math.exp(t * man.n * traj.rho0 / (2.0 * p))
+        bound = growth * base * (1.0 + eps) + atol
+        want.append((t, lhs, bound, lhs <= bound))
+    res = check_s_minus_decay(traj, p)
+    got = list(zip(res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.verdict.tolist()))
+    assert got == want
 
 
 def test_s_minus_decay_invalid_p(sphere_run):
@@ -261,6 +290,22 @@ def test_parabolic_sobolev_constant_field_case(mixed_run, mixed_y_est):
     assert values["A(T), B(T)"] == f"{sc.A_T:.12g}, {sc.B_T:.12g}"
 
 
+def test_parabolic_sobolev_derives_block_weights_once(negative_run256, monkeypatch):
+    # one pass over the snapshot blocks serves every field, elementwise or separable
+    calls, volume_weights = [], bounds._volume_weights
+
+    def counting(man, u_rows):
+        calls.append(u_rows.shape[0])
+        return volume_weights(man, u_rows)
+
+    monkeypatch.setattr(bounds, "_volume_weights", counting)
+    count, nodes = negative_run256.u.shape
+    step = bounds.BLOCK_ELEMENTS // nodes
+    assert count > 2 * step
+    assert check_parabolic_sobolev(negative_run256, y_est=40.0).applicable
+    assert calls == [min(step, count - lo) for lo in range(0, count, step)]
+
+
 def test_energy_decay_sphere_zero(sphere_run):
     res = check_energy_decay(sphere_run)
     assert res.passed
@@ -299,7 +344,7 @@ def test_cutoff_contract():
     T = 2.0
     tks = cutoff_times(T, 6)
     for k in range(2, 7):
-        eta = make_cutoff(tks[k - 1], tks[k], T)
+        eta = make_cutoff(tks[k - 1], tks[k])
         assert eta(tks[k - 1]) == 0.0
         assert eta(tks[k]) == 1.0
         ts = np.linspace(tks[k - 1], tks[k], 2001)

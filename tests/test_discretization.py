@@ -13,9 +13,9 @@ from yflow import discretization
 from yflow.discretization import (
     FieldAlignmentError,
     TridiagonalOperator,
-    conformal_laplacian,
-    dirichlet_form,
-    gradient,
+    _conformal_laplacian,
+    _dirichlet_form,
+    _gradient,
     h1_norm,
     kappa,
     laplacian,
@@ -76,16 +76,16 @@ def test_euclidean_laplacian_of_x_squared():
 
 
 def test_conformal_laplacian_of_constant(sphere64):
-    res = conformal_laplacian(sphere64, np.ones(sphere64.node_count))
+    res = _conformal_laplacian(sphere64, np.ones(sphere64.node_count))
     assert np.allclose(res, sphere64.S0, rtol=1e-10)
-    res3 = conformal_laplacian(sphere64, 3.0 * np.ones(sphere64.node_count))
+    res3 = _conformal_laplacian(sphere64, 3.0 * np.ones(sphere64.node_count))
     assert np.allclose(res3, 3.0 * sphere64.S0, rtol=1e-10)
 
 
 def test_conformal_laplacian_flat_cone():
     # kappa = 8 in dimension 3 and S0 = 0, so L0(x^2) = -8 * 6 = -48
     m = build_manifold(cone(1.0), RadialGrid(M=256))
-    got = conformal_laplacian(m, m.nodes**2)
+    got = _conformal_laplacian(m, m.nodes**2)
     interior = (m.nodes > 0.2 * m.x_max) & (m.nodes < 0.97 * m.x_max)
     assert np.allclose(got[interior], -48.0, rtol=1e-4)
     assert kappa(3) == pytest.approx(8.0)
@@ -99,7 +99,7 @@ def test_integration_by_parts_exact(sphere256):
         f = np.sin(a * x) + 0.2 * np.cos(b * x)
         g = np.cos(b * x) - 0.1 * np.sin(a * x)
         lhs = float(np.sum(sphere256.mu_weights * (laplacian(sphere256, f) * g)))
-        rhs = -dirichlet_form(sphere256, f, g)
+        rhs = -_dirichlet_form(sphere256, f, g)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
 
@@ -147,13 +147,13 @@ def test_h1_norm_constant(sphere64):
 
 def test_gradient_linear_field(sphere64):
     f = 2.5 * sphere64.nodes + 1.0
-    g = gradient(sphere64, f)
+    g = _gradient(sphere64, f)
     assert np.allclose(g, 2.5, rtol=1e-9)
 
 
 def test_dirichlet_form_positive(sphere64):
     f = np.sin(sphere64.nodes / sphere64.scale)
-    assert dirichlet_form(sphere64, f) > 0.0
+    assert _dirichlet_form(sphere64, f, f) > 0.0
 
 
 # --- tridiagonal solve ---------------------------------------------------------

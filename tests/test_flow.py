@@ -181,6 +181,31 @@ def test_abort_after_dt_underflow(tmp_path):
     assert any(p.name.startswith("abort") for p in tmp_path.iterdir())
 
 
+def test_rejected_step_is_never_retried_unchanged(monkeypatch):
+    # the reaction cap and T - t set dt here, so one halving of the nominal dt
+    # can leave it above the rejected dt
+    from yflow import flow
+
+    attempts = []   # (t, dt, accepted) of every step the controller tries
+
+    def spy(manifold, state, dt, **kw):
+        try:
+            out = step(manifold, state, dt, **kw)
+        except StepRejected:
+            attempts.append((state.t, dt, False))
+            raise
+        attempts.append((state.t, dt, True))
+        return out
+
+    monkeypatch.setattr(flow, "step", spy)
+    m = build_manifold(perturbed_sphere(0.4), RadialGrid(M=32))
+    cfg = FlowConfig(T_final=0.05, dt_init=0.5, dt_max=1.0, dt_min=1e-6, positivity_floor=0.97)
+    with pytest.raises(SolverAbort, match="underflow at t=0.00864103"):
+        run(m, cfg)
+    assert not any(a[:2] == b[:2] for a, b in zip(attempts, attempts[1:]) if not a[2])
+    assert sum(not ok for _, _, ok in attempts) >= 10
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(T_final=-1.0)

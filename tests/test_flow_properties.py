@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yflow.discretization import conformal_laplacian, critical_exponent, flow_exponent
+from yflow.discretization import _conformal_laplacian, critical_exponent, flow_exponent
 from yflow.flow import StepRejected, renormalize_volume, step
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
 from yflow.yamabe import FlowState, average_scalar
@@ -85,7 +85,7 @@ def test_state_matches_reference_formulas(n, eps, M, amp, dt):
     for s in states:
         u = s.u
         np.testing.assert_allclose(
-            s.S, conformal_laplacian(m, u) * u ** (-flow_exponent(n)), rtol=1e-12, atol=0.0)
+            s.S, _conformal_laplacian(m, u) * u ** (-flow_exponent(n)), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
             s.gvol_weights, m.mu_weights * u ** critical_exponent(n), rtol=1e-12, atol=0.0)
         assert s.rho == pytest.approx(average_scalar(m, u), rel=1e-12, abs=0.0)
