@@ -20,6 +20,10 @@ still be halved aborts the run.  Runs are strictly sequential and
 bit-deterministic for a fixed configuration; independent runs can execute
 concurrently.
 
+Every run starts at ``FlowState.initial(manifold)`` and takes its ``rho0``
+from that state; ``run(..., resume_from=path)`` then continues from the
+state, nominal dt and step of the checkpoint at ``path``.
+
 A run is stored as columns (:class:`Trajectory`): one vector per
 ``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
 array each for u and S.  The volume weights ``mu_weights * u**p`` of a
@@ -104,11 +108,9 @@ class StepRejected(Exception):
 
 
 class SolverAbort(RuntimeError):
-    """Unrecoverable integration failure; carries the last valid state."""
+    """Unrecoverable integration failure; names the abort checkpoint, if one was written."""
 
-    def __init__(self, message: str, state: Optional[FlowState] = None,
-                 checkpoint_path: Optional[str] = None):
-        self.state = state
+    def __init__(self, message: str, checkpoint_path: Optional[str] = None):
         self.checkpoint_path = checkpoint_path
         super().__init__(message)
 
@@ -117,28 +119,19 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def renormalize_volume(manifold: DiscretizedManifold, state: FlowState) -> FlowState:
-    """Project the state back onto the unit-volume slice.
+def renormalize_volume(manifold: DiscretizedManifold, u: np.ndarray, t: float) -> FlowState:
+    """The state at time t of u projected onto the unit-volume slice.
 
     Scales u by ``Vol^{-(n-2)/(2n)}`` so the evolving volume is one
-    exactly, then refreshes S and rho.
+    exactly, then evaluates S and rho.
     """
-    return FlowState.from_u(manifold, _unit_volume(manifold, state.u, state.volume), state.t)
+    return FlowState.from_u(manifold, _unit_volume(manifold, u), t)
 
 
-def step(
-    manifold: DiscretizedManifold,
-    state: FlowState,
-    dt: float,
-    positivity_floor: float = 1e-12,
-    renormalize: bool = True,
-) -> FlowState:
-    """Advance one semi-implicit step of size dt.
-
-    The new state is projected with :func:`renormalize_volume`.  With
-    ``renormalize=False`` the raw post-step state is returned instead: its
-    volume weights are fresh, ``S`` is None and ``rho`` is the previous one.
-    """
+def _advance(
+    manifold: DiscretizedManifold, state: FlowState, dt: float, positivity_floor: float
+) -> np.ndarray:
+    """The conformal factor one semi-implicit step of size dt on, before projection."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     n = manifold.n
@@ -163,13 +156,18 @@ def step(
         if not np.isfinite(u_new).all():
             bad = int(np.argmax(~np.isfinite(u_new)))
             raise SolverAbort(f"non-finite conformal factor at node {bad} "
-                              f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})", state=state)
+                              f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})")
         bad = int(np.argmax(u_new <= positivity_floor))
         raise StepRejected(dt, bad, float(u_new[bad]))
+    return u_new
 
-    raw = FlowState(t=state.t + dt, u=u_new, S=None, rho=state.rho,
-                    gvol_weights=_volume_weights(manifold, u_new))
-    return renormalize_volume(manifold, raw) if renormalize else raw
+
+def step(
+    manifold: DiscretizedManifold, state: FlowState, dt: float, positivity_floor: float = 1e-12
+) -> FlowState:
+    """Advance one semi-implicit step of size dt, projected with :func:`renormalize_volume`."""
+    return renormalize_volume(manifold, _advance(manifold, state, dt, positivity_floor),
+                              state.t + dt)
 
 
 # per-step Trajectory columns after ``step``; ``energy`` is int (S - rho)^2 dVol_g
@@ -263,27 +261,20 @@ def run(
     manifold: DiscretizedManifold,
     config: FlowConfig,
     checkpoint_dir: Optional[str] = None,
-    initial_state: Optional[FlowState] = None,
-    initial_dt: Optional[float] = None,
-    initial_step: int = 0,
-    rho0: Optional[float] = None,
+    resume_from: Optional[str] = None,
 ) -> Trajectory:
     """Integrate to T_final under the adaptive controller.
 
-    Passing ``initial_state``/``initial_dt``/``initial_step`` resumes a
-    checkpointed run; with identical configuration the continuation is
-    bit-identical to the uninterrupted trajectory.  ``rho0``, which a resumed
-    run passes on, defaults to the starting state's rho.
+    ``resume_from``, a checkpoint path, continues from that checkpoint; under
+    the same configuration the continuation is bit-identical to the
+    uninterrupted trajectory, its ``rho0`` included.
     """
-    state = initial_state if initial_state is not None else FlowState.initial(manifold)
-    if rho0 is None:
-        rho0 = float(state.rho)
+    state = FlowState.initial(manifold)
+    rho0, dt_nominal, k = state.rho, config.dt_init, 0
+    if resume_from is not None:
+        state, dt_nominal, k = restore(resume_from, manifold, config)
     # growable row-major buffers, one row per record and per snapshot
     records, snapshots = array("d"), array("d")
-
-    k = initial_step
-    dt_nominal = initial_dt if initial_dt is not None else config.dt_init
-    dt_nominal = min(max(dt_nominal, config.dt_min), config.dt_max)
     n = manifold.n
     T = config.T_final
 
@@ -306,7 +297,6 @@ def run(
                         checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
                     raise SolverAbort(
                         f"dt underflow at t={state.t:.6g} after repeated rejections",
-                        state=state,
                         checkpoint_path=path,
                     )
                 dt_nominal = max(dt_nominal / 2.0, config.dt_min)
@@ -375,9 +365,10 @@ def restore(
     manifold and flow configuration.  A line that cannot be read, holds a
     value no run resumes from (t < 0 or past ``T_final``, dt outside
     [``dt_min``, ``dt_max``], step < 0, u <= 0, or one not finite), or has a
-    hash or node count that does not match is reported with its byte offset;
-    a u off the unit-volume slice with that of its first line.  A t at
-    ``T_final`` is a finished run's last checkpoint.
+    hash or node count that does not match is reported with its byte offset,
+    as is any byte after the last u line; a u off the unit-volume slice with
+    that of its first line.  A t at ``T_final`` is a finished run's last
+    checkpoint.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -424,6 +415,9 @@ def restore(
             )
         u_at = offset
         u = np.array([field("u", float, lambda v: 0.0 < v < math.inf) for _ in range(nodes)])
+        if fh.read(1):
+            raise CheckpointError(f"{path}: unexpected data after the last u line "
+                                  f"at byte {offset}")
 
     try:
         state = FlowState.from_u(manifold, u, t)

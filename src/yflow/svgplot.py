@@ -6,6 +6,7 @@ plot artifacts from identical runs diff clean.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +22,7 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Tick values over [lo, hi]; ``_axis`` makes ``(hi - lo) / 4`` a normal float."""
     span = hi - lo
     raw = span / max(count - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -43,19 +43,33 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return out
 
 
+def _axis(lo: float, hi: float, unit: float = 0.0):
+    """(lo, hi, scale) of an axis over the finite data in [lo, hi].
+
+    A span whose quarter, the finest tick spacing, is zero or subnormal is
+    degenerate: it becomes [lo, lo + unit] if ``lo + unit > lo``, and is otherwise
+    padded by ``max(|lo|, 1) 1e-6`` each way, within the finite floats.  A span
+    that overflows is taken at half scale: positions and ticks are then in
+    units of ``scale = 2``, and a tick v is labelled ``v * scale``.
+    """
+    if not (hi - lo) / 4.0 >= sys.float_info.min:
+        if lo + unit > lo:
+            hi = lo + unit
+        else:
+            pad = max(abs(lo), 1.0) * 1e-6
+            lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    scale = 1.0 if hi - lo < math.inf else 2.0      # two finite halves have a finite span
+    return lo / scale, hi / scale, scale
+
+
 def render_series(
     ts: Sequence[float], values: Sequence[float], label: str, path: str
 ) -> None:
     """Write one t-vs-value polyline plot as an SVG file."""
     if len(ts) != len(values) or not ts:
         raise ValueError("need equal, non-empty t and value sequences")
-    t_lo, t_hi = min(ts), max(ts)
-    v_lo, v_hi = min(values), max(values)
-    if v_hi <= v_lo:
-        pad = max(abs(v_lo), 1.0) * 1e-6
-        v_lo, v_hi = v_lo - pad, v_hi + pad
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
+    t_lo, t_hi, t_scale = _axis(min(ts), max(ts), unit=1.0)
+    v_lo, v_hi, v_scale = _axis(min(values), max(values))
 
     def sx(t):
         return _ML + (t - t_lo) / (t_hi - t_lo) * (_W - _ML - _MR)
@@ -81,7 +95,7 @@ def render_series(
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_H - _MB + 18}" font-family="monospace" '
-            f'font-size="10" text-anchor="middle">{_fmt(tv)}</text>'
+            f'font-size="10" text-anchor="middle">{_fmt(tv * t_scale)}</text>'
         )
     for vv in _ticks(v_lo, v_hi):
         y = sy(vv)
@@ -91,10 +105,11 @@ def render_series(
         )
         parts.append(
             f'<text x="{_ML - 8}" y="{y + 3:.2f}" font-family="monospace" '
-            f'font-size="10" text-anchor="end">{_fmt(vv)}</text>'
+            f'font-size="10" text-anchor="end">{_fmt(vv * v_scale)}</text>'
         )
     # the tick expressions on whole arrays; "%.3f" % v is f"{v:.3f}"
-    xy = np.column_stack((sx(np.asarray(ts, dtype=float)), sy(np.asarray(values, dtype=float))))
+    xy = np.column_stack((sx(np.asarray(ts, dtype=float) / t_scale),
+                          sy(np.asarray(values, dtype=float) / v_scale)))
     pts = ("%.3f,%.3f " * len(ts) % tuple(xy.ravel().tolist()))[:-1]
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>'

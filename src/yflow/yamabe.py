@@ -97,11 +97,10 @@ def _volume_weights(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
     return w
 
 
-def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray, vol=None) -> np.ndarray:
-    """u scaled by ``vol^{-(n-2)/(2n)}``, ``vol = int u^p d(mu)`` unless given."""
+def _unit_volume(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
+    """u scaled by ``vol^{-(n-2)/(2n)}``, ``vol = int u^p d(mu)``."""
     n = manifold.n
-    if vol is None:
-        vol = float(np.add.reduce(_volume_weights(manifold, u)))
+    vol = float(np.add.reduce(_volume_weights(manifold, u)))
     return u * vol ** (-(n - 2.0) / (2.0 * n))
 
 
@@ -128,33 +127,24 @@ class FlowState:
 
     ``S`` caches the scalar curvature of the current metric, ``rho`` its
     average ``int S dVol_g``, ``gvol_weights`` the per-node weights of the
-    evolving volume measure and ``volume`` their sum (summed on construction
-    unless given).  :meth:`from_u` builds each of them once, from u alone;
-    the raw state of ``flow.step(..., renormalize=False)`` is the one
-    exception, with ``S = None`` and the previous ``rho``.
+    evolving volume measure and ``volume`` their sum.  :meth:`from_u` builds
+    each of them once, from a unit-volume u alone; :meth:`initial` first
+    scales u onto that slice.
     """
 
     t: float
     u: np.ndarray
-    S: Optional[np.ndarray]
+    S: np.ndarray
     rho: float
     gvol_weights: np.ndarray
-    volume: Optional[float] = None
-
-    def __post_init__(self):
-        if self.volume is None:
-            self.volume = float(np.add.reduce(self.gvol_weights))
+    volume: float
 
     @classmethod
-    def initial(
-        cls,
-        manifold: DiscretizedManifold,
-        u: Optional[np.ndarray] = None,
-        t: float = 0.0,
-    ) -> "FlowState":
+    def initial(cls, manifold: DiscretizedManifold, u: Optional[np.ndarray] = None) -> "FlowState":
+        """The time-zero state of u (constant one if not given), scaled to unit volume."""
         if u is None:
             u = np.ones(manifold.node_count)
-        return cls.from_u(manifold, _unit_volume(manifold, _positive_field(manifold, u)), t)
+        return cls.from_u(manifold, _unit_volume(manifold, _positive_field(manifold, u)), 0.0)
 
     @classmethod
     def from_u(cls, manifold: DiscretizedManifold, u: np.ndarray, t: float) -> "FlowState":

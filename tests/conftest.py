@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from yflow import RadialGrid, build_manifold, perturbed_sphere, sphere
-from yflow.flow import FlowConfig, run
+from yflow.flow import FlowConfig, _advance, run
+from yflow.yamabe import _volume_weights
 
 # reference value: background curvature of the volume-normalized round
 # 3-sphere, 6 * (2 pi^2)^{2/3}
 RHO_SPHERE = 6.0 * (2.0 * np.pi**2) ** (2.0 / 3.0)
+
+
+def raw_volume(m, state, dt):
+    """The evolving volume after one step of size dt, before projection."""
+    return float(np.add.reduce(_volume_weights(m, _advance(m, state, dt, 1e-12))))
 
 
 @pytest.fixture(scope="session")

@@ -618,6 +618,25 @@ def test_plot_missing_columns_exit_two(tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [
+    ("0", "5e-324"), ("-1.7e308", "1.7e308"), ("1.7976931348623157e308",),
+], ids=["one-subnormal-ulp", "overflowing-span", "one-row-at-the-largest-float"])
+def test_plot_extreme_finite_spans_exit_zero(tmp_path, capsys, rows):
+    # every column, t included, spans the rows' values: a span whose tick spacing
+    # underflows, one that overflows, and a single row where t + 1 == t
+    p = tmp_path / "extreme.csv"
+    width = len(yflow.cli.TIMESERIES_COLUMNS)
+    p.write_text("\n".join([PLOT_HEADER, *(",".join([v] * width) for v in rows)]) + "\n")
+    plots = tmp_path / "plots"
+    assert main(["plot", str(p), "--out", str(plots)]) == 0
+    assert capsys.readouterr().err == ""
+    svgs = sorted(plots.iterdir())
+    assert len(svgs) == 7
+    for svg in svgs:
+        text = svg.read_text()
+        assert text.startswith("<svg") and "nan" not in text and "inf" not in text
+
+
 def test_sweep_runs_each_value(tmp_path, capsys):
     cfg = _write(tmp_path, SPHERE_CFG)
     out = str(tmp_path / "sweep")

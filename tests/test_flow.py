@@ -22,6 +22,8 @@ from yflow.flow import (
     run,
     step,
 )
+from conftest import raw_volume
+from yflow.bounds import describe_ledger, run_monitors
 from yflow.discretization import lp_norm
 from yflow.flow import _record_of
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
@@ -53,27 +55,21 @@ def test_volume_exact_after_step(bumpy128):
 
 def test_renormalize_identity_and_formula(bumpy128):
     st0 = FlowState.initial(bumpy128)
-    same = renormalize_volume(bumpy128, st0)
+    same = renormalize_volume(bumpy128, st0.u, st0.t)
     assert np.allclose(same.u, st0.u, rtol=1e-14)
 
-    scaled = FlowState(
-        t=0.0,
-        u=1.5 * st0.u,
-        S=st0.S,
-        rho=st0.rho,
-        gvol_weights=bumpy128.mu_weights * (1.5 * st0.u) ** 6.0,
-    )
-    vol = scaled.volume
-    fixed = renormalize_volume(bumpy128, scaled)
+    u = 1.5 * st0.u
+    vol = float(np.sum(bumpy128.mu_weights * u ** 6.0))
+    fixed = renormalize_volume(bumpy128, u, 0.0)
     # u_new = u * Vol^{-(n-2)/(2n)}
-    assert np.allclose(fixed.u, scaled.u * vol ** (-1.0 / 6.0), rtol=1e-13)
+    assert np.allclose(fixed.u, u * vol ** (-1.0 / 6.0), rtol=1e-13)
     assert fixed.volume == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_drift_is_second_order(bumpy128):
     st0 = FlowState.initial(bumpy128)
-    d1 = abs(step(bumpy128, st0, 1e-3, renormalize=False).volume - 1.0)
-    d2 = abs(step(bumpy128, st0, 5e-4, renormalize=False).volume - 1.0)
+    d1 = abs(raw_volume(bumpy128, st0, 1e-3) - 1.0)
+    d2 = abs(raw_volume(bumpy128, st0, 5e-4) - 1.0)
     assert 3.0 <= d1 / d2 <= 5.0
 
 
@@ -266,19 +262,15 @@ def test_restore_then_step_matches_unbroken_run(tmp_path):
     dt_next = min(float(full.dt[mid_step]) * 1.2, cfg.dt_max)
     path = str(tmp_path / "mid.ckpt")
     checkpoint(mid_state, path, m, cfg, dt_next=dt_next, step_index=mid_step)
-    restored, dt0, k0 = restore(path, m, cfg)
-    cont = run(m, cfg, initial_state=restored, initial_dt=dt0, initial_step=k0,
-               rho0=float(full.rho[0]))
+    cont = run(m, cfg, resume_from=path)
     tail = full.step > mid_step
     cont_tail = cont.step > mid_step
     assert np.count_nonzero(tail) == np.count_nonzero(cont_tail)
     for col in ("t", "dt", "rho"):
         assert np.array_equal(getattr(full, col)[tail], getattr(cont, col)[cont_tail])
     assert np.array_equal(full.u[-1], cont.u[-1])
-    # the bounds start from time zero: the given rho0, not the resumed state's rho
+    # the bounds start from time zero: the time-zero rho, not the resumed state's
     assert full.rho0 == full.rho[0] and cont.rho0 == full.rho0 != cont.rho[0]
-    assert run(m, cfg, initial_state=restored, initial_dt=dt0,
-               initial_step=k0).rho0 == cont.rho[0]
 
 
 def test_restore_rejects_altered_grid(tmp_path):
@@ -364,6 +356,18 @@ def test_restore_reports_off_slice_volume_at_first_u_line(tmp_path):
         restore(str(path), m, cfg)
 
 
+@pytest.mark.parametrize("tail", ["garbage", "second-checkpoint"])
+def test_restore_rejects_bytes_after_the_last_u_line(tmp_path, tail):
+    m, cfg = _mini_setup()
+    path = tmp_path / "s.ckpt"
+    checkpoint(FlowState.initial(m), str(path), m, cfg, dt_next=1e-3, step_index=0)
+    blob = path.read_bytes()
+    path.write_bytes(blob + (b"u 1\ngarbage here\n" if tail == "garbage" else blob))
+    with pytest.raises(CheckpointError,
+                       match=rf"unexpected data after the last u line at byte {len(blob)}$"):
+        restore(str(path), m, cfg)
+
+
 @pytest.mark.parametrize("k", [20, 2000, 10_000])
 def test_fixed_dt_run_takes_k_steps_to_k_dt(tmp_path, k):
     # t summed over k steps misses T = k dt by rounding; no sliver step may follow
@@ -377,14 +381,41 @@ def test_fixed_dt_run_takes_k_steps_to_k_dt(tmp_path, k):
     assert full.snap_step.tolist() == [0, k]
     # resumed from its last two checkpoints, the run ends on the same step, bit for bit
     for ckpt in (3 * k // 4, k):
-        state, dt0, k0 = restore(str(tmp_path / f"step{ckpt:08d}.ckpt"), m, cfg)
-        cont = run(m, cfg, initial_state=state, initial_dt=dt0, initial_step=k0,
-                   rho0=float(full.rho[0]))
+        cont = run(m, cfg, resume_from=str(tmp_path / f"step{ckpt:08d}.ckpt"))
         assert cont.step.tolist() == list(range(ckpt, k + 1))
         assert cont.rho0 == full.rho0
         for col in ("t", "dt", "rho", "vol", "min_u", "max_u"):
             assert np.array_equal(getattr(cont, col)[1:], getattr(full, col)[ckpt + 1:])
         assert np.array_equal(cont.u[-1], full.u[-1])
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2], ids=["positive-S0", "mixed-S0"])
+def test_resumed_run_keeps_the_bounds(tmp_path, eps):
+    # rho0 sets the u_upper rate, the positive-S0 scal_lower floor and the mixed-S0
+    # s_minus_decay growth; a resumed run takes it from time zero, not from its checkpoint
+    m = build_manifold(perturbed_sphere(eps), RadialGrid(M=48))
+    cfg = FlowConfig(T_final=0.1, dt_init=1e-3, dt_max=1e-3, snapshot_every=1,
+                     checkpoint_every=50)
+    full = run(m, cfg, checkpoint_dir=str(tmp_path))
+    cont = run(m, cfg, resume_from=str(tmp_path / "step00000050.ckpt"))
+    assert cont.rho0 == full.rho0 != cont.rho[0]
+
+    def rho0_line(traj):
+        ledger = describe_ledger(traj, [])
+        return next(line for line in ledger.splitlines() if line.lstrip().startswith("rho0"))
+
+    assert rho0_line(cont) == rho0_line(full)
+    shared = np.intersect1d(full.snap_t, cont.snap_t)
+    assert shared.size == 51
+    names = ("u_upper", "scal_lower", "s_minus_decay")
+    for a, b in zip(run_monitors(full, names, p_values=(2.0,)),
+                    run_monitors(cont, names, p_values=(2.0,))):
+        assert a.monitor_id == b.monitor_id
+        assert a.applicable and b.applicable
+        rows_a, rows_b = np.isin(a.t, shared), np.isin(b.t, shared)
+        assert np.count_nonzero(rows_a) == np.count_nonzero(rows_b) >= shared.size
+        for col in ("t", "lhs", "rhs", "verdict"):
+            assert getattr(a, col)[rows_a].tobytes() == getattr(b, col)[rows_b].tobytes()
 
 
 def test_config_hash_sensitivity():
