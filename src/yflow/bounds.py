@@ -5,11 +5,12 @@ of a Yamabe estimate) that derives the constants of the initial data where it
 uses them: re-running monitors on a restored trajectory gives identical
 verdicts, and no monitor can alter the flow.  Monitors read
 the trajectory's columns and return their rows as columns (:class:`MonitorResult`).
-A monitor makes one pass over the (snapshots x nodes) arrays, a block of rows
-at a time (:func:`_row_sums`, the only such loop), deriving each block's
-weights once; its per-row results are row reductions, or, for the parabolic
-Sobolev monitor's separable fields ``r(t) P(x)``, matrix products with the
-stacked profiles (:func:`check_parabolic_sobolev`).
+A monitor makes one pass over the (snapshots x nodes) array of u, a block of
+rows at a time (:func:`_row_sums`, the only such loop), deriving each block's
+curvature and weights from u once; its per-row results are row reductions,
+or, for the parabolic Sobolev monitor's separable fields ``r(t) P(x)``,
+matrix products with the stacked profiles, scaled by the block's time
+factors (:func:`check_parabolic_sobolev`).
 
 Hypotheses: ``REQUIRES`` names those of ``geometry.HYPOTHESES`` that a monitor
 (or a group of its rows) needs; where the manifold's verdict on one is a failure,
@@ -35,7 +36,7 @@ import numpy as np
 
 from .discretization import _gradient, _laplacian, lp_norm
 from .geometry import DiscretizedManifold, lq_exponent
-from .yamabe import _volume_weights, sobolev_constants
+from .yamabe import _scalar_curvature, _volume_weights, sobolev_constants
 
 __all__ = [
     "MonitorResult",
@@ -111,7 +112,8 @@ class MonitorResult:
 
     def add_upper(self, t, lhs, rhs, eps: float, atol: float = 0.0):
         """Rows asserting ``lhs <= rhs (1 + eps) + atol``; returns their verdicts."""
-        bound = rhs * (1.0 + eps) + atol
+        with np.errstate(over="ignore"):    # a bound past the float range is +inf
+            bound = rhs * (1.0 + eps) + atol
         ok = lhs <= bound
         self.add(t, lhs, bound, ok)
         return ok
@@ -154,6 +156,11 @@ def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
                                              * np.abs(f(r)) ** p, axis=1),), rows)[0]
 
 
+def _curvature(traj, r) -> np.ndarray:
+    """The scalar curvature of the snapshot rows ``r``, derived from their u."""
+    return _scalar_curvature(traj.manifold, traj.u[r])
+
+
 def _exponent_tag(p: float) -> str:
     """``p`` as the shortest text that reads back as it: 2.0 -> "2", 2.5 -> "2.5", inf -> "inf"."""
     return repr(float(p)).removesuffix(".0")
@@ -162,6 +169,14 @@ def _exponent_tag(p: float) -> str:
 def _each(f, x: np.ndarray) -> np.ndarray:
     """``f`` of each entry, a Python float: ``np.exp`` and array powers differ in the last bits."""
     return np.array([f(v) for v in x.tolist()], dtype=float)
+
+
+def _exp(v: float) -> float:
+    """``math.exp``, saturating at +inf where the float range ends (past v = 709.78)."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +189,8 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     Asserts ``||S_-||_{L^p(g)}(t) <= exp(t n rho0 / (2p)) ||(S0)_-||_{L^p}``
     at every snapshot (p = inf uses the exponent's p -> inf limit, i.e. a
     constant bound).  An initially nonnegative S0 therefore forces S >= 0
-    along the whole run, up to slack.
+    along the whole run, up to slack: its bound stays 0 where the growth
+    factor overflows to inf.
     """
     if p != math.inf and not 2.0 <= p:
         raise ValueError("p must lie in [2, inf]")
@@ -189,10 +205,12 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     lhs = np.zeros(traj.snap_t.size)
     neg = np.flatnonzero(~(traj.min_S[traj.snap_step - traj.step[0]] >= 0.0))
     if neg.size:
-        sums = _lp_rows(traj, lambda r: np.maximum(-traj.S[r], 0.0), p, neg)
+        sums = _lp_rows(traj, lambda r: np.maximum(-_curvature(traj, r), 0.0), p, neg)
         lhs[neg] = sums if p == math.inf else _each(lambda v: v ** (1.0 / p), sums)
-    growth = 1.0 if p == math.inf else _each(math.exp, traj.snap_t * n * traj.rho0 / (2.0 * p))
-    res.add_upper(traj.snap_t, lhs, growth * base, eps, atol)
+    growth = 1.0 if p == math.inf else _each(_exp, traj.snap_t * n * traj.rho0 / (2.0 * p))
+    with np.errstate(over="ignore"):    # growth past the float range saturates at inf
+        rhs = growth * base if base else 0.0
+    res.add_upper(traj.snap_t, lhs, rhs, eps, atol)
     return res
 
 
@@ -202,6 +220,8 @@ def check_scal_lower(traj) -> MonitorResult:
     ``S >= min(0, inf S0)`` always; when ``inf S0 > 0`` the sharper
     rational-in-time floor
     ``rho0 s_min / (exp(rho0 t)(rho0 - s_min) + s_min)`` is asserted too.
+    Where ``exp`` overflows to inf that floor is its t -> inf limit: 0 for
+    ``rho0 > s_min``, and for ``rho0 = s_min`` the constant it is at every t.
     """
     rho0 = traj.rho0
     res = MonitorResult(monitor_id="scal_lower")
@@ -209,8 +229,11 @@ def check_scal_lower(traj) -> MonitorResult:
     s_min0 = float(traj.manifold.S0.min())
     floors = [np.full(traj.snap_t.size, min(0.0, s_min0))]
     if s_min0 > 0.0:
-        growth = _each(math.exp, rho0 * traj.snap_t)
-        floors.append(rho0 * s_min0 / (growth * (rho0 - s_min0) + s_min0))
+        growth = _each(_exp, rho0 * traj.snap_t)
+        with np.errstate(over="ignore"):    # growth past the float range saturates at inf
+            # never inf * 0, which is NaN: equal rho0 and s_min keep the constant floor
+            lift = growth * (rho0 - s_min0) if rho0 != s_min0 else np.zeros_like(growth)
+        floors.append(rho0 * s_min0 / (lift + s_min0))
         res.notes.append("inf S0 > 0: rational positive-branch floor asserted as well")
     # one column per floor: each snapshot's rows stay together, the constant floor first
     rhs = np.stack(floors, axis=1) - tol
@@ -223,7 +246,8 @@ def check_u_upper(traj) -> MonitorResult:
     """Exponential ceiling on the conformal factor.
 
     ``max u(t) <= exp(C t)`` with the explicit rate
-    ``C = (n-2)/4 (||(S0)_-||_inf + rho0)``; needs bounded (S0)_-.
+    ``C = (n-2)/4 (||(S0)_-||_inf + rho0)``; needs bounded (S0)_-.  Past
+    the float range of ``exp(C t)`` the ceiling is +inf.
     """
     res = MonitorResult(monitor_id="u_upper")
     if not _applies(res, traj, res.monitor_id):
@@ -231,7 +255,7 @@ def check_u_upper(traj) -> MonitorResult:
     n = traj.manifold.n
     C = 0.25 * (n - 2) * (s0_minus_norm(traj.manifold, math.inf) + traj.rho0)
     res.notes.append(f"rate C = {C:.12g}")
-    res.add_upper(traj.t, traj.max_u, _each(math.exp, C * traj.t), slack_epsilon(traj))
+    res.add_upper(traj.t, traj.max_u, _each(_exp, C * traj.t), slack_epsilon(traj))
     return res
 
 
@@ -287,7 +311,7 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     p, q = n / 2.0, lq_exponent(n)
 
     def terms(r):   # the integrands of both norms, on one block's weights
-        gw, S = _volume_weights(traj.manifold, traj.u[r]), traj.S[r]
+        gw, S = _volume_weights(traj.manifold, traj.u[r]), _curvature(traj, r)
         return (np.sum(gw * np.abs(np.maximum(S, 0.0)) ** p, axis=1),
                 np.sum(gw * np.abs(S) ** q, axis=1))
 
@@ -328,7 +352,7 @@ def _s_high_norm_time_integral(traj, sums: Optional[np.ndarray] = None) -> float
     """
     n = traj.manifold.n
     if sums is None:
-        sums = _lp_rows(traj, lambda r: traj.S[r], lq_exponent(n))
+        sums = _lp_rows(traj, lambda r: _curvature(traj, r), lq_exponent(n))
     vals = _each(lambda v: v ** ((n - 2.0) / n), sums)
     return float(np.trapezoid(vals, traj.snap_t))
 
@@ -337,28 +361,26 @@ def _s_high_norm_time_integral(traj, sums: Optional[np.ndarray] = None) -> float
 # parabolic Sobolev inequality
 
 
-def _sample_spacetime_fields(traj, samples: int, seed: int):
+def _sample_spacetime_fields(man, samples: int, seed: int):
     """Deterministic test family: polynomials in x times smooth time cutoffs.
 
-    Each is ``(name, ramp, profile)``, valued ``ramp[i] * profile`` on snapshot
-    row i (``profile[i]`` for ``u_along_run``'s (snapshots x nodes) profile).
+    The fields are "const" (1), "u_along_run" (u itself) and ``samples - 2``
+    fields ``poly_j(x) (0.25 + 0.75 eta_j(t / T))``, eta_j the
+    :func:`make_cutoff` ramp over the window ``(lo[j], hi[j])``.  Returns the
+    (nodes x fields) profiles of "const" and each poly_j, in that order, and
+    the vectors ``lo`` and ``hi``.
     """
-    man = traj.manifold
     xi = man.nodes / man.x_max
-    ts = traj.snap_t
-    flat = np.ones(ts.size)
     rng = np.random.default_rng(seed)
-    # the snapshot times strictly increase, so u along the run is the u block
-    fields = [("const", flat, np.ones_like(xi)), ("u_along_run", flat, traj.u)]
-    for j in range(max(samples - 2, 0)):
+    profiles, windows = [np.ones_like(xi)], []
+    for _ in range(max(samples - 2, 0)):
         coeff = rng.uniform(-1.0, 1.0, size=5)
         a = rng.uniform(0.0, 0.5)
-        b = rng.uniform(a + 0.2, 1.0)
-        poly = (coeff[0] + coeff[1] * xi + coeff[2] * xi**2
-                + coeff[3] * xi**3 + coeff[4] * xi**4)
-        ramp = 0.25 + 0.75 * make_cutoff(a, b)(ts / traj.config.T_final)
-        fields.append((f"poly_{j}", ramp, poly))
-    return fields
+        windows.append((a, rng.uniform(a + 0.2, 1.0)))
+        profiles.append(coeff[0] + coeff[1] * xi + coeff[2] * xi**2
+                        + coeff[3] * xi**3 + coeff[4] * xi**4)
+    lo, hi = np.array(windows).reshape(-1, 2).T
+    return np.stack(profiles, axis=1), lo, hi
 
 
 def _grad_weights(man, u_rows: np.ndarray) -> np.ndarray:
@@ -379,11 +401,12 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
 
     Each snapshot contributes three sums per field: ``int |f|^{2q}``,
     ``int w^2 |grad f|^2`` and ``int f^2``.  For a separable field
-    ``f = r(t) P(x)`` they are ``|r|^{2q} (gw @ |P|^{2q})``,
-    ``r^2 (fw @ (dP^2 / h))`` and ``r^2 (gw @ P^2)``: one matrix product per
-    block of snapshot rows for all such fields at once, each column then
-    scaled by its time factor.  A field with a (snapshots x nodes) profile
-    is summed elementwise, in the same pass over the blocks (:func:`_row_sums`).
+    ``f = r(t) P(x)`` they are ``r^{2q} (gw @ |P|^{2q})``,
+    ``r^2 (fw @ (dP^2 / h))`` and ``r^2 (gw @ P^2)`` (r >= 1/4): one matrix
+    product per block of snapshot rows for all such fields at once, each
+    column then scaled by its time factor on the block's rows.  ``u_along_run``
+    is summed elementwise, in the same pass over the blocks (:func:`_row_sums`);
+    only the three sums per field and snapshot span the whole run.
     """
     res = MonitorResult(monitor_id="parabolic_sobolev")
     missing = "Sobolev constants unavailable (no Yamabe estimate)" if y_est is None else None
@@ -394,46 +417,41 @@ def check_parabolic_sobolev(traj, y_est: Optional[float] = None, samples: int = 
     n = man.n
     eps = slack_epsilon(traj)
     q = (n + 2.0) / n
-    ts, u = traj.snap_t, traj.u
+    ts, u, T = traj.snap_t, traj.u, traj.config.T_final
 
-    fields = _sample_spacetime_fields(traj, samples, seed)
-    separable = [f for f in fields if f[2].ndim == 1]
-    full = [f for f in fields if f[2].ndim == 2]
-
-    # separable fields: their (nodes x fields) profile terms, three products per block
-    prof = np.stack([profile for _, _, profile in separable], axis=1)
+    # the separable fields' (nodes x fields) profile terms, three products per block
+    prof, lo, hi = _sample_spacetime_fields(man, samples, seed)
     dprof = np.diff(prof, axis=0)
     node_pow = np.abs(prof) ** (2.0 * q)
     face_sq = dprof * dprof / man.face_h[:, None]
     node_sq = prof * prof
 
-    def terms(r):   # one block's weights, shared by every field
+    def terms(r):   # one block's weights and time factors, shared by every field
         gw, fw = _volume_weights(man, u[r]), _grad_weights(man, u[r])
-        yield from (gw @ node_pow, fw @ face_sq, gw @ node_sq)
-        for _, ramp, profile in full:   # the other fields, elementwise
-            fv = ramp[r, None] * profile[r]
-            yield np.sum(gw * np.abs(fv) ** (2.0 * q), axis=1)
-            df = np.diff(fv, axis=1) / man.face_h
-            yield np.sum(fw * df * df * man.face_h, axis=1)
-            yield np.sum(gw * fv * fv, axis=1)
+        ramp = 0.25 + 0.75 * _smoothstep(ts[r, None] / T, lo, hi)   # (rows x poly_j)
+        ramp_sq = ramp * ramp
+        lhs, grad, l2 = gw @ node_pow, fw @ face_sq, gw @ node_sq
+        lhs[:, 1:] *= ramp ** (2.0 * q)     # column 0, "const", has r = 1
+        grad[:, 1:] *= ramp_sq
+        l2[:, 1:] *= ramp_sq
+        yield from (lhs, grad, l2)
+        v = u[r]        # u_along_run, elementwise
+        yield np.sum(gw * np.abs(v) ** (2.0 * q), axis=1)
+        df = np.diff(v, axis=1) / man.face_h
+        yield np.sum(fw * df * df * man.face_h, axis=1)
+        yield np.sum(gw * v * v, axis=1)
 
-    lhs_s, grad_s, l2_s, *flat = _row_sums(traj, terms)
-    ramps = np.stack([ramp for _, ramp, _ in separable], axis=1)
-    lhs_s *= np.abs(ramps) ** (2.0 * q)
-    ramp_sq = ramps * ramps
-    grad_s *= ramp_sq
-    l2_s *= ramp_sq
-    sums = {name: (lhs_s[:, k], grad_s[:, k], l2_s[:, k])
-            for k, (name, _, _) in enumerate(separable)}
-    sums.update((name, flat[3 * k:3 * k + 3]) for k, (name, _, _) in enumerate(full))
+    lhs_s, grad_s, l2_s, *along = _row_sums(traj, terms)
+    sums = [(lhs_s[:, k], grad_s[:, k], l2_s[:, k]) for k in range(prof.shape[1])]
+    sums.insert(1, along)
+    names = ["const", "u_along_run", *(f"poly_{j}" for j in range(lo.size))]
 
     # per field: the time integrals of its three sums, and the sup of its L2 sum
     lhs_i, grad_i, l2_i, l2_sup = np.array([
-        [*(np.trapezoid(col, ts) for col in sums[name]), sums[name][2].max()]
-        for name, _, _ in fields]).T
+        [*(np.trapezoid(col, ts) for col in cols), cols[2].max()] for cols in sums]).T
     rhs = n / (n + 2.0) * (sc.A_T * grad_i + sc.B_T * l2_i) + 2.0 / (n + 2.0) * l2_sup
     ok = res.add_upper(float(ts[-1]), _each(lambda v: v ** (1.0 / q), lhs_i), rhs, eps)
-    res.notes += [f"violated by field {name}" for (name, _, _), good in zip(fields, ok) if not good]
+    res.notes += [f"violated by field {name}" for name, good in zip(names, ok) if not good]
     return res
 
 
@@ -494,12 +512,13 @@ def make_cutoff(t_lo: float, t_hi: float):
     """
     if t_hi <= t_lo:
         return lambda t: np.ones_like(t)
+    return lambda t: _smoothstep(t, t_lo, t_hi)     # t: one time or a vector of times
 
-    def eta(t):   # t: one time or a vector of times
-        s = np.minimum(np.maximum((t - t_lo) / (t_hi - t_lo), 0.0), 1.0)
-        return s * s * (3.0 - 2.0 * s)
 
-    return eta
+def _smoothstep(t, t_lo, t_hi):
+    """The cubic of :func:`make_cutoff` for ``t_lo < t_hi``, broadcast over all three."""
+    s = np.minimum(np.maximum((t - t_lo) / (t_hi - t_lo), 0.0), 1.0)
+    return s * s * (3.0 - 2.0 * s)
 
 
 @dataclass
@@ -594,7 +613,8 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
     ts, power = traj.snap_t, 2.0 * beta
 
     def terms(r):   # the integrands of both exponents, in one pass over the run
-        gw, s_plus = _volume_weights(traj.manifold, traj.u[r]), np.maximum(traj.S[r], 0.0)
+        gw = _volume_weights(traj.manifold, traj.u[r])
+        s_plus = np.maximum(_curvature(traj, r), 0.0)
         return (np.sum(gw * s_plus ** (power * q_hi), axis=1),
                 np.sum(gw * s_plus ** (power * N), axis=1))
 

@@ -26,9 +26,9 @@ state, nominal dt and step of the checkpoint at ``path``.
 
 A run is stored as columns (:class:`Trajectory`): one vector per
 ``timeseries.csv`` column plus the step index, and one (snapshots x nodes)
-array each for u and S.  The volume weights ``mu_weights * u**p`` of a
-snapshot are derived from its u where they are needed
-(``yamabe._volume_weights``), bit for bit those of its state.  ``run``
+array of u.  A snapshot's curvature S and volume weights ``mu_weights * u**p``
+are derived from its u where they are needed (``yamabe._scalar_curvature``
+and ``yamabe._volume_weights``), bit for bit those of its state.  ``run``
 appends each row to a flat growable buffer and reshapes the buffers into
 columns at the end.
 """
@@ -45,7 +45,8 @@ import numpy as np
 
 from .discretization import TridiagonalOperator, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
-from .yamabe import FlowState, VolumeError, _unit_volume, _volume_weights, average_scalar
+from .yamabe import (FlowState, VolumeError, _scalar_curvature, _unit_volume, _volume_weights,
+                     average_scalar)
 
 __all__ = [
     "FlowConfig",
@@ -181,9 +182,10 @@ class Trajectory:
 
     Per accepted step, the starting state first: ``step`` and the float
     columns named in ``RECORD_COLUMNS``.  Per stored snapshot: the
-    ``snap_step`` and ``snap_t`` vectors and the (snapshots x nodes) arrays
-    ``u`` and ``S``, row-strided views of one buffer.  A snapshot's volume
-    weights are ``mu_weights * u**p`` of its u, derived where they are used.
+    ``snap_step`` and ``snap_t`` vectors and the (snapshots x nodes) array
+    ``u``, a row-strided view of one buffer.  A snapshot's curvature and
+    volume weights are derived from its u where they are used; :attr:`S`
+    derives every snapshot's curvature at once.
     """
 
     manifold: DiscretizedManifold
@@ -204,7 +206,11 @@ class Trajectory:
     snap_step: np.ndarray
     snap_t: np.ndarray
     u: np.ndarray
-    S: np.ndarray
+
+    @property
+    def S(self) -> np.ndarray:
+        """The (snapshots x nodes) scalar curvature, bit for bit that of each snapshot's state."""
+        return _scalar_curvature(self.manifold, self.u)
 
     def validate(self) -> None:
         """Check times, volumes, and the final rho against the Dirichlet form.
@@ -217,10 +223,10 @@ class Trajectory:
         if off.any():
             t = self.t[off.argmax()]
             raise ValueError(f"state at t={t:g} violates volume tolerance")
-        rho = self.rho[-1]
-        dirichlet = average_scalar(self.manifold, self.u[-1])
-        scale = float(np.add.reduce(_volume_weights(self.manifold, self.u[-1])
-                                    * np.abs(self.S[-1])))
+        rho, u = self.rho[-1], self.u[-1]
+        dirichlet = average_scalar(self.manifold, u)
+        scale = float(np.add.reduce(_volume_weights(self.manifold, u)
+                                    * np.abs(_scalar_curvature(self.manifold, u))))
         if abs(rho - dirichlet) > 1e-12 * scale:
             raise ValueError(f"final rho {rho:.17g} disagrees with the Dirichlet form "
                              f"{dirichlet:.17g}")
@@ -252,9 +258,9 @@ def _ended(t: float, T: float, step_index: int) -> bool:
 
 
 def _snapshot(buffer: array, step_index: int, state: FlowState) -> None:
-    """Append one snapshot row: step, t and the node values of u and S."""
+    """Append one snapshot row: step, t and the node values of u."""
     buffer.extend((step_index, state.t))
-    buffer.frombytes(np.concatenate((state.u, state.S)).tobytes())
+    buffer.frombytes(state.u.tobytes())
 
 
 def run(
@@ -317,10 +323,9 @@ def run(
 
     # step indices stay below 2^53, so the float buffers hold them exactly
     rec = np.frombuffer(records).reshape(-1, 1 + len(RECORD_COLUMNS)).T.copy()
-    snap = np.frombuffer(snapshots).reshape(-1, 2 + 2 * manifold.node_count)
+    snap = np.frombuffer(snapshots).reshape(-1, 2 + manifold.node_count)
     traj = Trajectory(manifold, config, rho0, rec[0].astype(np.int64), *rec[1:],
-                      snap[:, 0].astype(np.int64), snap[:, 1].copy(),
-                      *snap[:, 2:].reshape(len(snap), 2, -1).transpose(1, 0, 2))
+                      snap[:, 0].astype(np.int64), snap[:, 1].copy(), snap[:, 2:])
     traj.validate()
     return traj
 

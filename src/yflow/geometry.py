@@ -59,8 +59,15 @@ class ConstructionError(GeometryError):
 
 
 def unit_sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^{n-1} in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    """Surface area of the unit sphere S^{n-1} in R^n.
+
+    Raises GeometryError from n = 344 on, where ``Gamma(n/2)`` overflows a float.
+    """
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise GeometryError(f"dimension n = {n} is too large: the area of the unit "
+                            f"sphere S^{n - 1} overflows a float") from None
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,11 @@ def _require_unit_volume(volume: float) -> None:
 
 def scalar_curvature_flow(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
     """Scalar curvature of ``u^{4/(n-2)} g0``: ``u^{-(n+2)/(n-2)} L0(u)``."""
-    u = _positive_field(manifold, u)
+    return _scalar_curvature(manifold, _positive_field(manifold, u))
+
+
+def _scalar_curvature(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
+    """:func:`scalar_curvature_flow` unchecked, along the last axis: a state or a block of rows."""
     return _conformal_laplacian(manifold, u) * u ** (-flow_exponent(manifold.n))
 
 

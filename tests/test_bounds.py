@@ -161,6 +161,22 @@ def test_scal_lower_rational_bound_t0_value(sphere_run):
     assert t0_bound == pytest.approx(s0_inf, rel=1e-12)
 
 
+def test_scal_lower_floor_past_the_float_range():
+    # exp(rho0 t) overflows at t > 16.2; the rational floor is then its t -> inf
+    # limit: 0 for rho0 > inf S0, and for rho0 = inf S0 the constant it is at every t
+    traj = run(build_manifold(sphere(3), RadialGrid(M=32)),
+               FlowConfig(T_final=25.0, dt_init=0.5, dt_max=0.5))
+    s0_inf = float(traj.manifold.S0.min())
+    assert traj.rho0 > s0_inf and traj.snap_t[-1] == 25.0
+    tol = bounds.slack_epsilon(traj) * (1.0 + abs(traj.rho0))
+    res = check_scal_lower(traj)
+    late = traj.snap_t > 16.5
+    assert (res.rhs[1::2][late] == -tol).all()
+    level = dataclasses.replace(traj, rho0=s0_inf)
+    tol = bounds.slack_epsilon(level) * (1.0 + s0_inf)
+    assert (check_scal_lower(level).rhs[1::2] == s0_inf * s0_inf / s0_inf - tol).all()
+
+
 def test_u_upper_rate_value(mixed_run):
     res = check_u_upper(mixed_run)
     assert res.applicable and res.passed

@@ -7,7 +7,9 @@ trajectory was stored as columns; every number must agree bit for bit.  The
 parabolic Sobolev monitor sums its separable fields as matrix products, which
 reorders the sums of nonnegative terms: its numbers agree to ``SOBOLEV_RTOL``.
 """
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,17 +86,27 @@ def test_run_spans_several_blocks(traj):
 
 @pytest.mark.parametrize("name", ["traj", "traj4"])
 def test_block_volume_weights_equal_each_state(name, request):
-    # n = 3 and n = 4 runs at gamma = 2: the weights the monitors derive a block of
-    # snapshot rows at a time are those of each snapshot's state, bit for bit
+    # n = 3 and n = 4 runs at gamma = 2: the weights and the curvature the monitors
+    # derive a block of snapshot rows at a time are those of each snapshot's state,
+    # bit for bit, on the rows where S < 0 somewhere as on the others
     traj = request.getfixturevalue(name)
     man = traj.manifold
     count, nodes = traj.u.shape
     step = bounds.BLOCK_ELEMENTS // nodes
-    blocks = [_volume_weights(man, traj.u[lo:lo + step]) for lo in range(0, count, step)]
+    blocks = [slice(lo, lo + step) for lo in range(0, count, step)]
     assert len(blocks) > 2
-    derived = np.concatenate(blocks)
-    for t, u, w in zip(traj.snap_t.tolist(), traj.u, derived):
-        assert w.tobytes() == FlowState.from_u(man, u, t).gvol_weights.tobytes()
+    derived = np.concatenate([_volume_weights(man, traj.u[r]) for r in blocks])
+    curvature = np.concatenate([bounds._curvature(traj, r) for r in blocks])
+    negative = curvature.min(axis=1) < 0.0
+    assert negative.any() and not negative.all()
+    for t, u, w, S in zip(traj.snap_t.tolist(), traj.u, derived, curvature):
+        state = FlowState.from_u(man, u, t)
+        assert w.tobytes() == state.gvol_weights.tobytes()
+        assert S.tobytes() == state.S.tobytes()
+    # the snapshot buffer holds step, t and u per row, and S is derived from u
+    assert traj.u.strides == ((nodes + 2) * traj.u.itemsize, traj.u.itemsize)
+    assert "S" not in {f.name for f in dataclasses.fields(traj)}
+    assert traj.S.tobytes() == curvature.tobytes()
     # each snapshot's recorded volume is the row sum of its derived weights
     at = np.searchsorted(traj.step, traj.snap_step)
     assert np.array_equal(traj.step[at], traj.snap_step)
@@ -300,6 +312,36 @@ def test_parabolic_sobolev(traj):
 def test_parabolic_sobolev_n4(traj4):
     assert traj4.manifold.n == 4
     _assert_sobolev_matches_reference(traj4)
+
+
+def _sobolev_excess(T_final, samples):
+    """Snapshots, and the traced peak of the Sobolev monitor above its three sums.
+
+    The sums are (snapshots x fields) arrays, one column per separable field
+    (all but ``u_along_run``); everything else it holds is per block or per field.
+    """
+    m = build_manifold(perturbed_sphere(0.25), RadialGrid(M=64, gamma=2.0))
+    traj = run(m, FlowConfig(T_final=T_final, dt_init=1e-3, dt_max=1e-3, snapshot_every=1))
+    bounds.check_parabolic_sobolev(traj, y_est=Y_EST, samples=samples, seed=11)  # fills caches
+    tracemalloc.start()
+    try:
+        bounds.check_parabolic_sobolev(traj, y_est=Y_EST, samples=samples, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = traj.snap_t.size
+    return count, peak - 3 * count * (samples - 1) * traj.u.itemsize
+
+
+def test_parabolic_sobolev_memory_stays_flat_beyond_its_sums():
+    # 141 and 561 snapshots of 65 nodes, both more than one block of 126 rows; a
+    # time factor or a field held for every snapshot would add 420 x 49 x 8 bytes
+    samples = 50
+    count, excess = _sobolev_excess(0.14, samples)
+    count4, excess4 = _sobolev_excess(0.56, samples)
+    assert count4 == 4 * count - 3
+    assert count > bounds.BLOCK_ELEMENTS // 65
+    assert abs(excess4 - excess) <= bounds.BLOCK_ELEMENTS * 8     # one block of 64 KiB
 
 
 def _cylinder_norm(traj, power, q, t_lo):

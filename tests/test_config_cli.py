@@ -455,6 +455,7 @@ CONFIGS = {
     "max_iter_negative": SPHERE_CFG + "yamabe.max_iter = -1\n",
     "p_repeated": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,inf,2.0"),
     "enable_repeated": SPHERE_CFG + "monitors.enable = u_upper,scal_lower,u_upper\n",
+    "n_344": SPHERE_CFG.replace("manifold.n = 3", "manifold.n = 344"),
 }
 
 
@@ -541,6 +542,11 @@ CONFIGS = {
      2, "config error: cannot create output directory"),
     (["plot", "{timeseries}", "--out", "{sphere}"], 2,
      "config error: cannot create output directory"),
+    # Gamma(n/2) overflows a float from n = 344 on
+    (["audit", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
+    (["run", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
+    (["yamabe", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
+    (["moser", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -556,13 +562,46 @@ CONFIGS = {
         "run-config-seed-negative", "run-seed-negative", "run-config-checkpoint-negative",
         "run-config-samples-1", "yamabe-config-max-iter-negative", "run-config-p-repeated",
         "run-config-enable-repeated", "run-out-file", "run-out-below-file", "run-sweep-out-file",
-        "plot-out-file"])
+        "plot-out-file", "audit-config-n-344", "run-config-n-344", "yamabe-config-n-344",
+        "moser-config-n-344"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err
+
+
+HORIZON_CFG = """\
+profile.name = {profile}
+grid.M = 32
+flow.T = {T}
+flow.dt_init = 0.5
+flow.dt_max = 0.5
+"""
+
+
+@pytest.mark.parametrize("profile", ["sphere", "perturbed_sphere\nprofile.eps = 0.1"],
+                         ids=["sphere", "perturbed_sphere"])
+def test_long_horizons_saturate_the_growth_factors(profile, tmp_path, capsys):
+    # rho0 is about 43.8 here, so exp leaves the float range in scal_lower's floor at
+    # t > 16.2, in s_minus_decay_p2's bound at t > 21.6 and in u_upper's at t > 64.8;
+    # each bound is then its t -> inf limit, and the rows before stay as they were
+    rows = {}
+    for T in (16, 17, 25, 70):
+        cfg = _write(tmp_path, HORIZON_CFG.format(profile=profile, T=T), name=f"T{T}.cfg")
+        out = tmp_path / f"T{T}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        lines = [line.split(",") for line in (out / "monitors.csv").read_text().splitlines()[1:]]
+        assert not [line for line in lines if "nan" in line]
+        rows[T] = lines
+    assert capsys.readouterr().err == ""
+    shared = [[line for line in rows[T] if float(line[1]) < 16] for T in rows]
+    assert len(shared[0]) > 100 and all(part == shared[0] for part in shared)
+    # (S0)_- = 0: the s_minus_decay bound is its absolute floor at every t
+    assert len({line[3] for line in rows[70] if line[0] == "s_minus_decay_p2"}) == 1
+    late = [line for line in rows[70] if float(line[1]) > 65]
+    assert {line[3] for line in late if line[0] == "u_upper"} == {"inf"}
 
 
 def test_moser_command(tmp_path, capsys):
