@@ -9,13 +9,15 @@ The base family switches from a pure power to its tangent line at ``x = L``:
 with companions ``f`` (power capped by a linear branch), ``F = (x f)^{1/(2
 beta+1)}``, and a "tilde" variant whose outer branch grows like ``x^nu``
 instead of linearly.  All branch antiderivatives are hard-coded closed
-forms, so inequality verdicts carry no quadrature noise.
+forms, so inequality verdicts carry no quadrature noise.  Each family
+evaluates only the branches its points take (``_piecewise``).
 
 Every inequality in the catalogue is jointly homogeneous under
 ``(x, L) -> (lambda x, lambda L)``, so checks are evaluated at the
 scale-reduced point ``(x, L)/max(x, L)``.  That keeps verdicts exact over
 the full sampler ranges without floating-point overflow; reported sides
-are the scale-reduced values.
+are the scale-reduced values.  The sides see the points with x <= L and
+the rest apart, so that every family there takes one branch.
 """
 from __future__ import annotations
 
@@ -78,37 +80,49 @@ def _check_x(x):
     return x
 
 
+def _piecewise(x, L, inner, outer):
+    """``np.where(x <= L, inner(), outer())`` bit for bit, calling only the branches taken.
+
+    Each inner branch powers ``np.minimum(x, L)``, which keeps it finite where np.where drops it.
+    """
+    take = np.less_equal(x, L)
+    if take.all():
+        value = inner()
+    elif not take.any():
+        value = outer()
+    else:
+        return np.where(take, inner(), outer())
+    if np.shape(value) != take.shape:   # np.where's shape, for a branch without x (tf's outer)
+        value = np.full(np.broadcast_shapes(take.shape, np.shape(value)), value)
+    return value
+
+
 # --- base family -----------------------------------------------------------
 
 
 def _phi(b, L, x):
-    xm = np.minimum(x, L)  # keeps the unused where-branch finite
-    return np.where(x <= L, xm**b, b * L ** (b - 1.0) * (x - L) + L**b)
+    return _piecewise(x, L, lambda: np.minimum(x, L) ** b,
+                      lambda: b * L ** (b - 1.0) * (x - L) + L**b)
 
 
 def _G(b, L, x):
-    xm = np.minimum(x, L)
-    inner = b * b / (2.0 * b - 1.0) * xm ** (2.0 * b - 1.0)
-    outer = b * b * L ** (2.0 * (b - 1.0)) * x - 2.0 * b * b * L ** (2.0 * b - 1.0) * (
-        b - 1.0
-    ) / (2.0 * b - 1.0)
-    return np.where(x <= L, inner, outer)
+    return _piecewise(
+        x, L, lambda: b * b / (2.0 * b - 1.0) * np.minimum(x, L) ** (2.0 * b - 1.0),
+        lambda: b * b * L ** (2.0 * (b - 1.0)) * x
+        - 2.0 * b * b * L ** (2.0 * b - 1.0) * (b - 1.0) / (2.0 * b - 1.0))
 
 
 def _H(b, L, x):
-    xm = np.minimum(x, L)
-    inner = b / (2.0 * (2.0 * b - 1.0)) * xm ** (2.0 * b)
-    outer = (
-        0.5 * b * b * L ** (2.0 * (b - 1.0)) * (x * x - L * L)
+    return _piecewise(
+        x, L, lambda: b / (2.0 * (2.0 * b - 1.0)) * np.minimum(x, L) ** (2.0 * b),
+        lambda: 0.5 * b * b * L ** (2.0 * (b - 1.0)) * (x * x - L * L)
         - 2.0 * b * b * L ** (2.0 * b - 1.0) * (b - 1.0) / (2.0 * b - 1.0) * (x - L)
-        + b * L ** (2.0 * b) / (2.0 * (2.0 * b - 1.0))
-    )
-    return np.where(x <= L, inner, outer)
+        + b * L ** (2.0 * b) / (2.0 * (2.0 * b - 1.0)))
 
 
 def _f(b, L, n, x):
-    xm = np.minimum(x, L)
-    return np.where(x <= L, b * xm ** (2.0 * b), n * b * b * L ** (2.0 * b - 1.0) * x)
+    return _piecewise(x, L, lambda: b * np.minimum(x, L) ** (2.0 * b),
+                      lambda: n * b * b * L ** (2.0 * b - 1.0) * x)
 
 
 def _F(b, L, n, x):
@@ -130,40 +144,39 @@ def _tphi(b, L, nu, x):
     # increment form anchored at the junction: algebraically equal to
     # (b/nu) L^{b-nu} x^nu + L^b (1 - b/nu) but free of the ~b/nu
     # cancellation near x = L
-    outer = L**b + b / nu * L ** (b - nu) * (x**nu - L**nu)
-    return np.where(x <= L, np.minimum(x, L) ** b, outer)
+    return _piecewise(x, L, lambda: np.minimum(x, L) ** b,
+                      lambda: L**b + b / nu * L ** (b - nu) * (x**nu - L**nu))
 
 
 def _tG(b, L, nu, x):
-    inner = b * b / (2.0 * b - 1.0) * np.minimum(x, L) ** (2.0 * b - 1.0)
-    outer = b * b * L ** (2.0 * b - 1.0) / (2.0 * b - 1.0) + b * b * L ** (
-        2.0 * (b - nu)
-    ) * (x ** (2.0 * nu - 1.0) - L ** (2.0 * nu - 1.0)) / (2.0 * nu - 1.0)
-    return np.where(x <= L, inner, outer)
+    return _piecewise(
+        x, L, lambda: b * b / (2.0 * b - 1.0) * np.minimum(x, L) ** (2.0 * b - 1.0),
+        lambda: b * b * L ** (2.0 * b - 1.0) / (2.0 * b - 1.0) + b * b * L ** (2.0 * (b - nu))
+        * (x ** (2.0 * nu - 1.0) - L ** (2.0 * nu - 1.0)) / (2.0 * nu - 1.0))
 
 
 def _tH(b, L, nu, x):
-    inner = b / (2.0 * (2.0 * b - 1.0)) * np.minimum(x, L) ** (2.0 * b)
-    # junction value plus the integral of the outer tG branch
-    k_lin = (
-        2.0 * b * b * L ** (2.0 * b - 1.0) * (b - nu)
-        / ((2.0 * nu - 1.0) * (2.0 * b - 1.0))
-    )
-    outer = (
-        b * L ** (2.0 * b) / (2.0 * (2.0 * b - 1.0))
-        + b * b * L ** (2.0 * (b - nu)) * (x ** (2.0 * nu) - L ** (2.0 * nu))
-        / (2.0 * nu * (2.0 * nu - 1.0))
-        - k_lin * (x - L)
-    )
-    return np.where(x <= L, inner, outer)
+    def inner():
+        return b / (2.0 * (2.0 * b - 1.0)) * np.minimum(x, L) ** (2.0 * b)
+
+    def outer():
+        # junction value plus the integral of the outer tG branch
+        k_lin = (
+            2.0 * b * b * L ** (2.0 * b - 1.0) * (b - nu)
+            / ((2.0 * nu - 1.0) * (2.0 * b - 1.0))
+        )
+        return (
+            b * L ** (2.0 * b) / (2.0 * (2.0 * b - 1.0))
+            + b * b * L ** (2.0 * (b - nu)) * (x ** (2.0 * nu) - L ** (2.0 * nu))
+            / (2.0 * nu * (2.0 * nu - 1.0))
+            - k_lin * (x - L)
+        )
+    return _piecewise(x, L, inner, outer)
 
 
 def _tf(b, L, nu, n, x):
-    return np.where(
-        x <= L,
-        b * np.minimum(x, L) ** (2.0 * b),
-        0.5 * n * np.abs(_C_coeff(b, nu)) * L ** (2.0 * b),
-    )
+    return _piecewise(x, L, lambda: b * np.minimum(x, L) ** (2.0 * b),
+                      lambda: 0.5 * n * np.abs(_C_coeff(b, nu)) * L ** (2.0 * b))
 
 
 def _tF(b, L, nu, n, x):
@@ -259,9 +272,10 @@ class _Inequality:
     ineq_id: str
     summary: str
     region: Callable          # (beta, L, nu, n) -> error string or None
-    sides: Callable           # arrays (beta, L, nu, n, x) -> (lhs, rhs)
+    sides: Callable           # arrays (beta, L, nu, n, x, *constants) -> (lhs, rhs)
     sample: Callable          # (rng, size) -> (beta, L, nu, n, x) in-region
     sample_outside: Optional[Callable] = None
+    constants: Callable = lambda b, nu, n: ()    # (beta, nu, n) -> located-constant columns
 
 
 def _region_all(b, L, nu, n):
@@ -330,9 +344,11 @@ def i8_region_ok(beta: float, nu: float, n: int) -> bool:
     the constant outer branch of tf, and even below 1/2 large beta opens a
     mid-range band of failures.
     """
-    s = np.concatenate(([0.25, 0.75, 1.0], _SUP_GRID))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lhs, rhs = _sides_I8(beta, 1.0, nu, n, s)
+        # the prefix points take the inner branches, the grid (s > 1) the outer ones
+        lhs, rhs = (np.concatenate(side) for side in zip(
+            _sides_I8(beta, 1.0, nu, n, np.array([0.25, 0.75, 1.0])),
+            _sides_I8(beta, 1.0, nu, n, _SUP_GRID)))
     scale = np.maximum(1e-300, np.maximum(np.abs(lhs), np.abs(rhs)))
     # strict pointwise relative margin guards the grid's interpolation error
     return float(np.max((lhs - rhs) / scale)) <= -1e-9
@@ -528,10 +544,8 @@ def _sides_I2(b, L, nu, n, x):
 
 
 def _sides_I3(b, L, nu, n, x):
-    lhs = np.maximum(
-        _phi(b, L, x) ** 2 - 12.0 * b * _H(b, L, x),
-        x * _G(b, L, x) - 4.0 * b * _H(b, L, x),
-    )
+    h = _H(b, L, x)
+    lhs = np.maximum(_phi(b, L, x) ** 2 - 12.0 * b * h, x * _G(b, L, x) - 4.0 * b * h)
     return lhs, np.zeros_like(x)
 
 
@@ -558,7 +572,9 @@ def _sides_I8(b, L, nu, n, x):
 def _per_run(lookup, *cols):
     """``lookup`` once per run of equal consecutive parameter tuples, called
     with the run's Python scalars as a per-sample loop would; returns one
-    array per lookup output, shaped like the broadcast columns."""
+    array per lookup output, shaped like the broadcast columns.  The
+    ``constants`` hooks of I9 and I11 call it on every sample of a block,
+    before the block is split by branch (``_scale_reduced``)."""
     cols = np.broadcast_arrays(*cols)
     flat = [c.ravel() for c in cols]
     new = np.zeros(flat[0].size, dtype=bool)
@@ -572,9 +588,7 @@ def _per_run(lookup, *cols):
                  for v in values.reshape(starts.size, -1).T)
 
 
-def _sides_I9(b, L, nu, n, x):
-    c1, c2 = _per_run(locate_tilde_constants, np.asarray(b, dtype=float),
-                      np.asarray(nu, dtype=float), np.asarray(n, dtype=int))
+def _sides_I9(b, L, nu, n, x, c1, c2):
     th = _tH(b, L, nu, x)
     lhs = np.maximum(
         _tphi(b, L, nu, x) ** 2 - c1 * th, x * _tG(b, L, nu, x) - c2 * th
@@ -587,8 +601,7 @@ def _sides_I10(b, L, nu, n, x):
     return c3 * _tF(b, L, nu, n, x) ** b, _tphi(b, L, nu, x)
 
 
-def _sides_I11(b, L, nu, n, x):
-    (c4,) = _per_run(locate_chain_constant, np.asarray(b, dtype=float), np.asarray(n, dtype=int))
+def _sides_I11(b, L, nu, n, x, c4):
     return _tF(b, L, nu, n, x) ** (2.0 * b), c4 * _tH(b, L, nu, x)
 
 
@@ -644,11 +657,15 @@ _register(_Inequality("I7", "x G <= beta^2/(2 beta - 1) phi^2",
 _register(_Inequality("I8", "x G~ - (n/2) H~ <= f~ for nu <= n/4 <= beta",
                       _region_I8, _sides_I8, _sample_I8))
 _register(_Inequality("I9", "C1 H~ >= phi~^2 and C2 H~ >= x G~ (located constants)",
-                      _region_tilde, _sides_I9, _sample_tilde))
+                      _region_tilde, _sides_I9, _sample_tilde,
+                      constants=lambda b, nu, n: _per_run(locate_tilde_constants, b.astype(float),
+                                                          nu.astype(float), n.astype(int))))
 _register(_Inequality("I10", "C3 F~^beta <= phi~ at nu = beta/(2 beta + 1)",
                       _region_pinned_nu, _sides_I10, _sample_pinned))
 _register(_Inequality("I11", "F~^{2 beta} <= C4 H~ at nu = beta/(2 beta + 1)",
-                      _region_pinned_nu, _sides_I11, _sample_pinned))
+                      _region_pinned_nu, _sides_I11, _sample_pinned,
+                      constants=lambda b, nu, n: _per_run(locate_chain_constant, b.astype(float),
+                                                          n.astype(int))))
 _register(_Inequality("I12", "psi_eps is a monotone convex positive-part surrogate",
                       _region_all, _sides_I12, _sample_I12))
 _register(_Inequality("I13", "(n/2) H - x G - (n-2)/4 phi^2 <= 0",
@@ -662,13 +679,22 @@ def catalogue_ids():
 
 
 def _scale_reduced(ineq, b, L, nu, n, x):
-    z = np.maximum(np.asarray(x, dtype=float), np.asarray(L, dtype=float))
-    z = np.maximum(z, 1e-300)
-    if ineq.ineq_id == "I12":
-        z = np.ones_like(z)  # psi checks are already scale-safe
+    """The sides at ``(x, L)/max(x, L)``, evaluated on the points with x <= L there
+    and on the rest apart, so that each family takes one branch."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # unused where-branches may overflow harmlessly at extreme params
-        return ineq.sides(b, L / z, nu, n, x / z)
+        if ineq.ineq_id == "I12":
+            return ineq.sides(b, L, nu, n, x)    # psi checks are scale-safe and branch-free
+        z = np.maximum(np.asarray(x, dtype=float), np.asarray(L, dtype=float))
+        z = np.maximum(z, 1e-300)
+        cols = np.broadcast_arrays(b, L / z, nu, n, x / z)
+        shape, cols = cols[0].shape, [c.ravel() for c in cols]
+        cols += ineq.constants(cols[0], cols[2], cols[3])   # looked up before the split
+        inner = cols[4] <= cols[1]
+        lhs, rhs = np.empty(inner.size), np.empty(inner.size)
+        for part in (np.flatnonzero(inner), np.flatnonzero(~inner)):
+            lhs[part], rhs[part] = ineq.sides(*(c[part] for c in cols))
+    return lhs.reshape(shape), rhs.reshape(shape)
 
 
 def _inequality(ineq_id: str) -> _Inequality:

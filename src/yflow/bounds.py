@@ -82,7 +82,9 @@ def _s0_plus_norm(manifold: DiscretizedManifold) -> float:
 class MonitorResult:
     """A monitor's rows as columns: row i compares ``lhs[i]`` with ``rhs[i]`` at ``t[i]``.
 
-    ``verdict[i]`` decides the row, and the monitor passes when every row does.
+    ``verdict[i]`` decides the row, and the monitor passes when every row does.  A row
+    with a non-finite lhs, or a NaN rhs, never passes; a finite lhs may pass under a
+    ``+inf`` ceiling, the bound past the float range.
     ``margin`` is ``rhs - lhs``: >= 0 on a passing upper-bound row, but <= 0 on a
     passing lower-bound row (``scal_lower``, ``u_lower``), and a refinement row's
     rhs is only the band's upper edge.
@@ -106,6 +108,7 @@ class MonitorResult:
 
     def add(self, t, lhs, rhs, verdict) -> None:
         """Append rows: scalars or arrays, broadcast to one shape and read in C order."""
+        verdict = verdict & np.isfinite(lhs) & ~np.isnan(rhs)
         for name, col in zip(("t", "lhs", "rhs", "verdict"),
                              np.broadcast_arrays(t, lhs, rhs, verdict)):
             setattr(self, name, np.append(getattr(self, name), col))
@@ -149,11 +152,15 @@ def _row_sums(traj, terms, rows=None) -> List[np.ndarray]:
 
 
 def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
-    """Per-snapshot :func:`lp_norm` of ``f(block)`` in the evolving measure, before its root."""
+    """Per-snapshot :func:`lp_norm` of ``f(block)`` in the evolving measure, before its root.
+
+    A sum past the float range is inf.
+    """
     if p == math.inf:
         return _row_sums(traj, lambda r: (np.max(np.abs(f(r)), axis=1),), rows)[0]
-    return _row_sums(traj, lambda r: (np.sum(_volume_weights(traj.manifold, traj.u[r])
-                                             * np.abs(f(r)) ** p, axis=1),), rows)[0]
+    with np.errstate(over="ignore"):
+        return _row_sums(traj, lambda r: (np.sum(_volume_weights(traj.manifold, traj.u[r])
+                                                 * np.abs(f(r)) ** p, axis=1),), rows)[0]
 
 
 def _curvature(traj, r) -> np.ndarray:
@@ -205,8 +212,15 @@ def check_s_minus_decay(traj, p: float) -> MonitorResult:
     lhs = np.zeros(traj.snap_t.size)
     neg = np.flatnonzero(~(traj.min_S[traj.snap_step - traj.step[0]] >= 0.0))
     if neg.size:
-        sums = _lp_rows(traj, lambda r: np.maximum(-_curvature(traj, r), 0.0), p, neg)
+        def s_minus(r):
+            return np.maximum(-_curvature(traj, r), 0.0)
+
+        sums = _lp_rows(traj, s_minus, p, neg)
         lhs[neg] = sums if p == math.inf else _each(lambda v: v ** (1.0 / p), sums)
+        # a sum past the float range (inf, or 0 although max S_- > 0 on these rows):
+        # lp_norm takes that row's norm again, scaled by its max
+        for i in neg[(sums == math.inf) | (sums == 0.0)].tolist() if p != math.inf else ():
+            lhs[i] = lp_norm(s_minus(i), p, _volume_weights(traj.manifold, traj.u[i]))
     growth = 1.0 if p == math.inf else _each(_exp, traj.snap_t * n * traj.rho0 / (2.0 * p))
     with np.errstate(over="ignore"):    # growth past the float range saturates at inf
         rhs = growth * base if base else 0.0

@@ -116,13 +116,24 @@ def _gradient(manifold: DiscretizedManifold, f: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(f: np.ndarray, p: float, weights: np.ndarray) -> float:
-    """L^p norm under the given node weights; p = inf is the node max."""
+    """L^p norm under the given node weights; p = inf is the node max.
+
+    A sum that overflows to inf, or underflows to 0 while max|f| > 0, is taken
+    again as ``max|f| * ||f / max|f|||_p``; every other norm is the plain sum's root.
+    """
     if p != math.inf and p < 1.0:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
     f = np.asarray(f, dtype=float)
     if p == math.inf:
         return float(np.abs(f).max())
-    return float(np.add.reduce(np.asarray(weights) * np.abs(f) ** p)) ** (1.0 / p)
+    weights = np.asarray(weights)
+    with np.errstate(over="ignore"):    # a sum past the float range is inf, rescaled below
+        total = float(np.add.reduce(weights * np.abs(f) ** p))
+    if total == math.inf or total == 0.0:
+        top = float(np.abs(f).max(initial=0.0))
+        if 0.0 < top < math.inf:
+            return top * float(np.add.reduce(weights * np.abs(f / top) ** p)) ** (1.0 / p)
+    return total ** (1.0 / p)
 
 
 def h1_norm(manifold: DiscretizedManifold, f: np.ndarray) -> float:

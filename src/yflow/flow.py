@@ -13,12 +13,13 @@ the volume weights and ``rho = int S dVol_g`` once each, from u alone;
 
 The step controller grows dt by 1.2x on success up to ``dt_max`` and caps
 dt by the explicit reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``, which
-each step's record returns with its row.  When a step loses positivity it
-halves the nominal dt until that is below the rejected dt, so no retry
-repeats a rejected (state, dt) pair; a nominal dt at ``dt_min`` that must
-still be halved aborts the run.  Runs are strictly sequential and
-bit-deterministic for a fixed configuration; independent runs can execute
-concurrently.
+each step's record returns with its row; a limit below ``dt_min`` aborts the
+run.  When a step loses positivity it halves the nominal dt until that is
+below the rejected dt, so no retry repeats a rejected (state, dt) pair; a
+nominal dt at ``dt_min`` that must still be halved aborts the run, as does a
+trajectory that fails :meth:`Trajectory.validate`.  Runs are strictly
+sequential and bit-deterministic for a fixed configuration; independent runs
+can execute concurrently.
 
 Every run starts at ``FlowState.initial(manifold)`` and takes its ``rho0``
 from that state; ``run(..., resume_from=path)`` then continues from the
@@ -71,7 +72,7 @@ class FlowConfig:
     dt_init: float = 1e-3
     dt_min: float = 1e-9
     dt_max: float = 1e-2
-    vol_tol: float = 1e-10
+    vol_tol: float = 1e-10          # on max|vol - 1|, whose rounding floor is ~4 ulps (8.9e-16)
     positivity_floor: float = 1e-12
     checkpoint_every: int = 0       # steps; 0 disables periodic checkpoints
     snapshot_every: int = 1         # steps between stored field snapshots
@@ -284,12 +285,23 @@ def run(
     n = manifold.n
     T = config.T_final
 
+    def abort(message: str) -> SolverAbort:
+        """The abort at the current state, after writing its checkpoint if there is a directory."""
+        path = None
+        if checkpoint_dir is not None:
+            path = os.path.join(checkpoint_dir, f"abort_step{k}.ckpt")
+            checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
+        return SolverAbort(message, checkpoint_path=path)
+
     row, reaction = _record_of(state, k, 0.0)
     records.extend(row)
     _snapshot(snapshots, k, state)
 
     while not _ended(state.t, T, k):
         dt_cap = config.cfl * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
+        if dt_cap < config.dt_min:
+            raise abort(f"reaction cap dt={dt_cap:.3e} below dt_min={config.dt_min:.3e} "
+                        f"at t={state.t:.6g} (max|S - rho| = {reaction:.3e})")
         dt_eff = min(dt_nominal, dt_cap, T - state.t)
 
         try:
@@ -297,14 +309,7 @@ def run(
         except StepRejected:
             while dt_nominal >= dt_eff:     # a retry at the rejected dt would fail again
                 if dt_nominal <= config.dt_min * (1.0 + 1e-12):
-                    path = None
-                    if checkpoint_dir is not None:
-                        path = os.path.join(checkpoint_dir, f"abort_step{k}.ckpt")
-                        checkpoint(state, path, manifold, config, dt_next=dt_nominal, step_index=k)
-                    raise SolverAbort(
-                        f"dt underflow at t={state.t:.6g} after repeated rejections",
-                        checkpoint_path=path,
-                    )
+                    raise abort(f"dt underflow at t={state.t:.6g} after repeated rejections")
                 dt_nominal = max(dt_nominal / 2.0, config.dt_min)
             continue
 
@@ -326,7 +331,10 @@ def run(
     snap = np.frombuffer(snapshots).reshape(-1, 2 + manifold.node_count)
     traj = Trajectory(manifold, config, rho0, rec[0].astype(np.int64), *rec[1:],
                       snap[:, 0].astype(np.int64), snap[:, 1].copy(), snap[:, 2:])
-    traj.validate()
+    try:
+        traj.validate()
+    except ValueError as exc:   # a run that breaks its own invariant is a solver failure
+        raise SolverAbort(str(exc)) from None
     return traj
 
 

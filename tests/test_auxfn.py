@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -457,3 +458,117 @@ def test_catalogue_rejects_unknown_id_before_any_scan(monkeypatch, pool_sizes, c
     with pytest.raises(ValueError, match=r"^unknown inequality 'I99' \(known: I1, I2, "):
         run_catalogue(["I1", "I99"], samples=auxfn._CHUNK)
     assert pool_sizes == []
+
+
+# --- each family evaluates only the branches its points take ------------------
+
+# each family's arguments, picked from (beta, L, nu, n, x)
+FAMILIES = {
+    "phi": (auxfn._phi, lambda b, L, nu, n, x: (b, L, x)),
+    "G": (auxfn._G, lambda b, L, nu, n, x: (b, L, x)),
+    "H": (auxfn._H, lambda b, L, nu, n, x: (b, L, x)),
+    "f": (auxfn._f, lambda b, L, nu, n, x: (b, L, n, x)),
+    "tphi": (auxfn._tphi, lambda b, L, nu, n, x: (b, L, nu, x)),
+    "tG": (auxfn._tG, lambda b, L, nu, n, x: (b, L, nu, x)),
+    "tH": (auxfn._tH, lambda b, L, nu, n, x: (b, L, nu, x)),
+    "tf": (auxfn._tf, lambda b, L, nu, n, x: (b, L, nu, n, x)),
+}
+
+
+def _where_both(x, L, inner, outer):
+    """Both branches at every point, then ``np.where``: the reference for ``_piecewise``."""
+    return np.where(x <= L, inner(), outer())
+
+
+def _assert_family_bits(name, b, L, nu, n, x):
+    family, pick = FAMILIES[name]
+    args = pick(b, L, nu, n, x)
+    with np.errstate(all="ignore"):     # extreme draws overflow, alike on both paths
+        got = np.asarray(family(*args))
+        with mock.patch.object(auxfn, "_piecewise", _where_both):
+            want = family(*args)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(max_examples=100, deadline=None)
+@given(beta=BETAS, L=ELLS, nu=NUS, n=st.sampled_from([3, 4, 5, 6, 8, 10]),
+       s=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8),
+       part=st.sampled_from(["mixed", "inner", "outer"]), arrays=st.booleans())
+def test_family_equals_where_of_both_branches(name, beta, L, nu, n, s, part, arrays):
+    s = np.array(s)
+    # x = L s: s <= 1 rounds to x <= L and s > 1 + 1e-3 to x > L
+    s = {"mixed": np.concatenate(([0.5, 2.0], s)), "inner": np.minimum(s, 1.0),
+         "outer": 1.0 + s}[part]
+    x = L * s
+    params = (beta, L, nu, n)
+    if arrays:
+        params = tuple(np.full(x.shape, v) for v in params)
+    _assert_family_bits(name, *params, x)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("beta, nu, n", [(1.0, 0.25, 3), (7.5, 0.45, 4), (50.0, 0.7, 10)])
+def test_family_on_the_sup_grid_equals_where_of_both_branches(name, beta, nu, n):
+    # every grid point s > 1 takes the outer branch, so only that one is evaluated
+    assert (auxfn._SUP_GRID > 1.0).all()
+    _assert_family_bits(name, beta, 1.0, nu, n, auxfn._SUP_GRID)
+
+
+def test_piecewise_calls_only_the_branches_taken():
+    calls = []
+
+    def branch(tag):
+        def evaluate():
+            calls.append(tag)
+            return np.full(3, 1.0 if tag == "inner" else 2.0)
+        return evaluate
+
+    for x, want, taken in (([0.1, 0.5, 1.0], [1.0, 1.0, 1.0], ["inner"]),
+                           ([1.5, 2.0, 3.0], [2.0, 2.0, 2.0], ["outer"]),
+                           ([0.5, 1.0, 1.5], [1.0, 1.0, 2.0], ["inner", "outer"])):
+        calls.clear()
+        got = auxfn._piecewise(np.array(x), 1.0, branch("inner"), branch("outer"))
+        assert got.tolist() == want and calls == taken
+    # a branch that does not depend on x is broadcast to the points, as np.where does
+    got = auxfn._piecewise(np.array([2.0, 3.0]), 1.0, lambda: 0.0, lambda: np.float64(5.0))
+    assert got.tolist() == [5.0, 5.0]
+
+
+def _unsplit_scan(ineq_id, budget, seed, out_of_region):
+    """``auxfn._scan`` (without stopping early) as it was before it split each block by
+    branch: the sides see the whole block at once."""
+    ineq = auxfn._inequality(ineq_id)
+    sampler = ineq.sample_outside if out_of_region else ineq.sample
+    rng = np.random.default_rng(seed)
+    remaining, worst, violations, first = budget, math.inf, 0, None
+    while remaining > 0:
+        size = min(auxfn._CHUNK, remaining)
+        remaining -= size
+        b, L, nu, n, x = sampler(rng, size)
+        z = np.ones_like(x) if ineq_id == "I12" else np.maximum(np.maximum(x, L), 1e-300)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lhs, rhs = ineq.sides(b, L / z, nu, n, x / z, *ineq.constants(b, nu, n))
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        worst = min(worst, float(((rhs - lhs) / scale).min()))
+        bad = lhs > rhs + auxfn._REL_TOL * scale
+        violations += int(np.count_nonzero(bad))
+        if bad.any() and first is None:
+            i = int(np.argmax(bad))
+            first = auxfn.Violation(
+                ineq_id, AuxParams(float(b[i]), float(L[i]), float(nu[i]), int(n[i])),
+                float(x[i]), float(lhs[i]), float(rhs[i]))
+    return auxfn.CatalogueRow(ineq_id, budget - remaining, violations, worst, first)
+
+
+@pytest.mark.parametrize("ineq_id, out_of_region",
+                         [(i, False) for i in auxfn.catalogue_ids()] + [("I2", True), ("I4", True)],
+                         ids=auxfn.catalogue_ids() + ["I2-sharpness", "I4-sharpness"])
+def test_split_scan_equals_the_unsplit_block_loop(monkeypatch, ineq_id, out_of_region):
+    # three blocks; the probes' rows count every violation and keep the first
+    got = auxfn._scan(ineq_id, None, 60_000, 7, out_of_region, stop_early=False)
+    monkeypatch.setattr(auxfn, "_piecewise", _where_both)
+    want = _unsplit_scan(ineq_id, 60_000, 7, out_of_region)
+    assert (got.violations > 0) == out_of_region
+    assert repr(got) == repr(want)      # repr keeps every float's bits, and -0.0 apart

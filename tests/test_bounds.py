@@ -100,6 +100,15 @@ def test_s_minus_decay_zero_initial(sphere_run):
         assert all(res.lhs <= 1e-10 * (1 + sphere_run.rho0))
 
 
+def test_rows_with_a_non_finite_lhs_never_pass():
+    res = bounds.MonitorResult("probe")
+    res.add(0.0, [math.inf, math.nan, -math.inf, 1.0, 1.0, 1.0],
+            [math.inf, 2.0, 0.0, math.inf, math.nan, 2.0], True)
+    # a finite lhs under a +inf ceiling, the bound past the float range, still passes
+    assert res.verdict.tolist() == [False, False, False, True, False, True]
+    assert not res.passed
+
+
 def test_s_minus_decay_equality_at_zero(mixed_run):
     res = check_s_minus_decay(mixed_run, 2.0)
     # at t = 0 the bound factor is exactly one

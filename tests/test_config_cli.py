@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -602,6 +603,69 @@ def test_long_horizons_saturate_the_growth_factors(profile, tmp_path, capsys):
     assert len({line[3] for line in rows[70] if line[0] == "s_minus_decay_p2"}) == 1
     late = [line for line in rows[70] if float(line[1]) > 65]
     assert {line[3] for line in late if line[0] == "u_upper"} == {"inf"}
+
+
+# perturbed_sphere(0.2) with a snapshot every step: each change below breaks the run
+REPRO_CFG = """\
+profile.name = perturbed_sphere
+profile.eps = 0.2
+manifold.n = 3
+grid.M = 32
+grid.gamma = 2.0
+flow.T = 0.05
+flow.dt_init = 1e-3
+flow.dt_max = 1e-3
+flow.snapshot_every = 1
+monitors.p = 2,inf
+"""
+
+
+def _repro(changes):
+    """REPRO_CFG with the values of ``changes``, key by key."""
+    lines = [line for line in REPRO_CFG.splitlines() if line.split(" = ")[0] not in changes]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in changes.items()]) + "\n"
+
+
+@pytest.mark.parametrize("changes, message, checkpoint", [
+    # the reaction cap is 0, below dt_min, before the first step
+    ({"flow.cfl": "5e-324"},
+     "reaction cap dt=0.000e+00 below dt_min=1.000e-09 at t=0 ", "abort_step0.ckpt"),
+    # max|S - rho| explodes: t + dt == t once the cap reaches 5.5e-32, at T = 2e-4 and
+    # before any horizon
+    ({"manifold.n": "100", "flow.T": "2e-4", "flow.dt_init": "2e-4"},
+     "reaction cap dt=5.539e-32 below dt_min=1.000e-09 at t=0.000184405", "abort_step11.ckpt"),
+    ({"manifold.n": "100", "flow.dt_init": "2e-4"},
+     "reaction cap dt=5.539e-32 below dt_min=1.000e-09 at t=0.000184405", "abort_step11.ckpt"),
+    # the run's own volume invariant, with a tolerance below its rounding floor
+    ({"flow.vol_tol": "5e-324"}, "state at t=0.001 violates volume tolerance", None),
+], ids=["cfl-subnormal", "n-100-short", "n-100", "vol-tol-subnormal"])
+def test_solver_failures_exit_three(changes, message, checkpoint, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--quiet", "--config", _write(tmp_path, _repro(changes)),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and f"solver abort: {message}" in err
+    assert sorted(p.name for p in out.iterdir()) == ([checkpoint] if checkpoint else [])
+
+
+def test_overflowing_norms_give_finite_rows(tmp_path, capsys):
+    # |S_-|^400 overflows; each such norm is taken again scaled by max S_-
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--quiet", "--config",
+                     _write(tmp_path, _repro({"monitors.p": "400"})), "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = [line.split(",") for line in (out / "monitors.csv").read_text().splitlines()[1:]]
+    assert not [row for row in rows if "nan" in row]
+    decay = [row for row in rows if row[0] == "s_minus_decay_p400"]
+    assert len(decay) == 51 and all(math.isfinite(float(v)) for row in decay for v in row[2:5])
+    passing = [row for row in rows if row[5] == "pass"]
+    assert all(math.isfinite(float(row[2])) for row in passing)
+    # an infinite rhs passes only as s_upper's ceiling on its finite late sup and integral
+    assert [row[0] for row in passing if not math.isfinite(float(row[3]))] == ["s_upper"] * 2
 
 
 def test_moser_command(tmp_path, capsys):

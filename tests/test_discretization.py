@@ -133,6 +133,21 @@ def test_lp_norm_basics(sphere64):
         lp_norm(ones, 0.5, mu)
 
 
+@pytest.mark.parametrize("size", [1e-3, 1.0, 8.0], ids=["underflow", "plain", "overflow"])
+def test_lp_norm_rescales_only_a_sum_past_the_float_range(sphere64, size):
+    # sum of mu |f|^400 with max|f| = size: 0 below the float range, inf above it
+    mu = sphere64.mu_weights
+    f = np.linspace(-0.5, 1.0, sphere64.node_count) * size
+    with np.errstate(over="ignore"):
+        plain = float(np.add.reduce(mu * np.abs(f) ** 400.0))
+    got = lp_norm(f, 400.0, mu)
+    if 0.0 < plain < math.inf:
+        assert got == plain ** (1.0 / 400.0)       # the plain sum's root, bit for bit
+    else:
+        assert got == pytest.approx(size * lp_norm(f / size, 400.0, mu), rel=1e-14)
+        assert 0.0 < got < math.inf
+
+
 def test_l2_norm_of_cosine_closed_form(sphere256):
     # int cos^2 d(mu) = (1/(2 pi^2)) int_0^pi cos^2 x (4 pi sin^2 x) dx = 1/4
     f = np.cos(sphere256.nodes / sphere256.scale)
