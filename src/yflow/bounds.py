@@ -5,12 +5,14 @@ of a Yamabe estimate) that derives the constants of the initial data where it
 uses them: re-running monitors on a restored trajectory gives identical
 verdicts, and no monitor can alter the flow.  Monitors read
 the trajectory's columns and return their rows as columns (:class:`MonitorResult`).
-A monitor makes one pass over the (snapshots x nodes) array of u, a block of
-rows at a time (:func:`_row_sums`, the only such loop), deriving each block's
+Each monitor is one call, ``s_minus_decay`` too (one result per exponent),
+and makes one pass over the (snapshots x nodes) array of u, a block of rows
+at a time (:func:`_row_sums`, the only such loop), deriving each block's
 curvature and weights from u once; its per-row results are row reductions,
 or, for the parabolic Sobolev monitor's separable fields ``r(t) P(x)``,
 matrix products with the stacked profiles, scaled by the block's time
-factors (:func:`check_parabolic_sobolev`).
+factors (:func:`check_parabolic_sobolev`).  A norm whose sum leaves the
+float range is taken again by ``lp_norm``, scaled by its max (:func:`_norms`).
 
 Hypotheses: ``REQUIRES`` names those of ``geometry.HYPOTHESES`` that a monitor
 (or a group of its rows) needs; where the manifold's verdict on one is a failure,
@@ -151,18 +153,6 @@ def _row_sums(traj, terms, rows=None) -> List[np.ndarray]:
     return out
 
 
-def _lp_rows(traj, f, p: float, rows=None) -> np.ndarray:
-    """Per-snapshot :func:`lp_norm` of ``f(block)`` in the evolving measure, before its root.
-
-    A sum past the float range is inf.
-    """
-    if p == math.inf:
-        return _row_sums(traj, lambda r: (np.max(np.abs(f(r)), axis=1),), rows)[0]
-    with np.errstate(over="ignore"):
-        return _row_sums(traj, lambda r: (np.sum(_volume_weights(traj.manifold, traj.u[r])
-                                                 * np.abs(f(r)) ** p, axis=1),), rows)[0]
-
-
 def _curvature(traj, r) -> np.ndarray:
     """The scalar curvature of the snapshot rows ``r``, derived from their u."""
     return _scalar_curvature(traj.manifold, traj.u[r])
@@ -178,6 +168,20 @@ def _each(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x.tolist()], dtype=float)
 
 
+def _norms(traj, sums: np.ndarray, p: float, sign: float, rows: np.ndarray) -> np.ndarray:
+    """Python-float roots of the L^p sums of ``max(sign S, 0)`` on the snapshot ``rows``.
+
+    The field is not 0 on these rows, so a sum of inf or 0 has left the float
+    range: :func:`lp_norm` takes that norm again, scaled by the row's max.
+    """
+    norms = _each(lambda v: v ** (1.0 / p), sums)
+    for k in np.flatnonzero((sums == math.inf) | (sums == 0.0)).tolist():
+        i = int(rows[k])
+        f = np.maximum(sign * _curvature(traj, i), 0.0)
+        norms[k] = lp_norm(f, p, _volume_weights(traj.manifold, traj.u[i]))
+    return norms
+
+
 def _exp(v: float) -> float:
     """``math.exp``, saturating at +inf where the float range ends (past v = 709.78)."""
     try:
@@ -190,42 +194,40 @@ def _exp(v: float) -> float:
 # explicit-constant monitors
 
 
-def check_s_minus_decay(traj, p: float) -> MonitorResult:
+def check_s_minus_decay(traj, p_values) -> List[MonitorResult]:
     """Decay of the negative curvature part in L^p of the evolving metric.
 
     Asserts ``||S_-||_{L^p(g)}(t) <= exp(t n rho0 / (2p)) ||(S0)_-||_{L^p}``
-    at every snapshot (p = inf uses the exponent's p -> inf limit, i.e. a
-    constant bound).  An initially nonnegative S0 therefore forces S >= 0
-    along the whole run, up to slack: its bound stays 0 where the growth
-    factor overflows to inf.
+    at every snapshot, one result per exponent of ``p_values`` in their order
+    (p = inf uses the exponent's p -> inf limit, i.e. a constant bound).  An
+    initially nonnegative S0 therefore forces S >= 0 along the whole run, up
+    to slack: its bound stays 0 where the growth factor overflows to inf.
     """
-    if p != math.inf and not 2.0 <= p:
+    if any(p != math.inf and not 2.0 <= p for p in p_values):
         raise ValueError("p must lie in [2, inf]")
-    res = MonitorResult(monitor_id=f"s_minus_decay_p{_exponent_tag(p)}")
-    if not _applies(res, traj, res.monitor_id):
-        return res
-    eps = slack_epsilon(traj)
-    atol = 1e-10 * (1.0 + abs(traj.rho0))
-    base = s0_minus_norm(traj.manifold, p)
-    n = traj.manifold.n
+    results = [MonitorResult(monitor_id=f"s_minus_decay_p{_exponent_tag(p)}") for p in p_values]
+    live = [(res, p) for res, p in zip(results, p_values) if _applies(res, traj, res.monitor_id)]
+    eps, atol, n = slack_epsilon(traj), 1e-10 * (1.0 + abs(traj.rho0)), traj.manifold.n
     # a row with S >= 0 has S_- = 0 and lhs 0.0; only the others are reduced
-    lhs = np.zeros(traj.snap_t.size)
     neg = np.flatnonzero(~(traj.min_S[traj.snap_step - traj.step[0]] >= 0.0))
-    if neg.size:
-        def s_minus(r):
-            return np.maximum(-_curvature(traj, r), 0.0)
 
-        sums = _lp_rows(traj, s_minus, p, neg)
-        lhs[neg] = sums if p == math.inf else _each(lambda v: v ** (1.0 / p), sums)
-        # a sum past the float range (inf, or 0 although max S_- > 0 on these rows):
-        # lp_norm takes that row's norm again, scaled by its max
-        for i in neg[(sums == math.inf) | (sums == 0.0)].tolist() if p != math.inf else ():
-            lhs[i] = lp_norm(s_minus(i), p, _volume_weights(traj.manifold, traj.u[i]))
-    growth = 1.0 if p == math.inf else _each(_exp, traj.snap_t * n * traj.rho0 / (2.0 * p))
-    with np.errstate(over="ignore"):    # growth past the float range saturates at inf
-        rhs = growth * base if base else 0.0
-    res.add_upper(traj.snap_t, lhs, rhs, eps, atol)
-    return res
+    def terms(r):   # every exponent's sum from one block's S_- and weights
+        a = np.abs(np.maximum(-_curvature(traj, r), 0.0))
+        gw = _volume_weights(traj.manifold, traj.u[r])
+        for _, p in live:
+            yield np.max(a, axis=1) if p == math.inf else np.sum(gw * a ** p, axis=1)
+
+    with np.errstate(over="ignore"):    # a sum past the float range is inf, taken again below
+        sums = _row_sums(traj, terms, neg) if neg.size and live else [np.empty(0)] * len(live)
+    for (res, p), s in zip(live, sums):
+        lhs = np.zeros(traj.snap_t.size)
+        lhs[neg] = s if p == math.inf else _norms(traj, s, p, -1.0, neg)
+        base = s0_minus_norm(traj.manifold, p)
+        growth = 1.0 if p == math.inf else _each(_exp, traj.snap_t * n * traj.rho0 / (2.0 * p))
+        with np.errstate(over="ignore"):    # growth past the float range saturates at inf
+            rhs = growth * base if base else 0.0
+        res.add_upper(traj.snap_t, lhs, rhs, eps, atol)
+    return results
 
 
 def check_scal_lower(traj) -> MonitorResult:
@@ -320,18 +322,13 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     """
     n = traj.manifold.n
     res = MonitorResult(monitor_id="s_upper")
-    eps = slack_epsilon(traj)
-    atol = 1e-10 * (1.0 + abs(traj.rho0))
-    p, q = n / 2.0, lq_exponent(n)
-
-    def terms(r):   # the integrands of both norms, on one block's weights
-        gw, S = _volume_weights(traj.manifold, traj.u[r]), _curvature(traj, r)
-        return (np.sum(gw * np.abs(np.maximum(S, 0.0)) ** p, axis=1),
-                np.sum(gw * np.abs(S) ** q, axis=1))
-
-    sums, high = _row_sums(traj, terms)
-    res.add_upper(traj.snap_t, _each(lambda v: v ** (1.0 / p), sums),
-                  _s0_plus_norm(traj.manifold), eps, atol)
+    sums, high = _row_sums(traj, lambda r: _s_upper_terms(traj, r))
+    # a row with S <= 0 has S_+ = 0 and lhs 0.0, its sum's root
+    pos = np.flatnonzero(~(traj.max_S[traj.snap_step - traj.step[0]] <= 0.0))
+    lhs = np.zeros(sums.size)
+    lhs[pos] = _norms(traj, sums[pos], n / 2.0, 1.0, pos)
+    res.add_upper(traj.snap_t, lhs, _s0_plus_norm(traj.manifold), slack_epsilon(traj),
+                  1e-10 * (1.0 + abs(traj.rho0)))
 
     late, integral = ends = np.array([_late_sup_abs_s(traj),
                                       _s_high_norm_time_integral(traj, high)])
@@ -343,6 +340,15 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
         for quantity in ("late_sup_abs_s", "s_time_integral"):
             _add_refinement(res, traj, refined, quantity)
     return res
+
+
+def _s_upper_terms(traj, r):
+    """Per snapshot row of ``r``: the sums of ``|S_+|^(n/2)`` and ``|S|^q`` in dVol_g."""
+    n = traj.manifold.n
+    gw, S = _volume_weights(traj.manifold, traj.u[r]), _curvature(traj, r)
+    with np.errstate(over="ignore"):    # a sum past the float range is inf
+        return (np.sum(gw * np.abs(np.maximum(S, 0.0)) ** (n / 2.0), axis=1),
+                np.sum(gw * np.abs(S) ** lq_exponent(n), axis=1))
 
 
 def _inf_u(traj) -> float:
@@ -366,7 +372,7 @@ def _s_high_norm_time_integral(traj, sums: Optional[np.ndarray] = None) -> float
     """
     n = traj.manifold.n
     if sums is None:
-        sums = _lp_rows(traj, lambda r: _curvature(traj, r), lq_exponent(n))
+        sums = _row_sums(traj, lambda r: _s_upper_terms(traj, r))[1]
     vals = _each(lambda v: v ** ((n - 2.0) / n), sums)
     return float(np.trapezoid(vals, traj.snap_t))
 
@@ -676,11 +682,11 @@ def _add_refinement(res: MonitorResult, traj, refined, quantity: str) -> None:
 # monitor name -> call; each lambda looks its check_* function up in the
 # module globals when it runs, so a wrapper bound to that name takes effect
 _MONITORS = {
-    "s_minus_decay": lambda traj, p_values, **_: [check_s_minus_decay(traj, p) for p in p_values],
+    "s_minus_decay": lambda traj, p_values, **_: check_s_minus_decay(traj, p_values),
     "scal_lower": lambda traj, **_: [check_scal_lower(traj)],
     "u_upper": lambda traj, **_: [check_u_upper(traj)],
-    "u_lower": lambda traj, refined, **_: [check_u_lower(traj, refined=refined)],
-    "s_upper": lambda traj, refined, **_: [check_s_upper(traj, refined=refined)],
+    "u_lower": lambda traj, **_: [check_u_lower(traj)],
+    "s_upper": lambda traj, **_: [check_s_upper(traj)],
     "parabolic_sobolev": lambda traj, y_est, samples, seed, **_: [
         check_parabolic_sobolev(traj, y_est=y_est, samples=samples, seed=seed)
     ],
@@ -719,15 +725,8 @@ def _applies(res: MonitorResult, traj, gated: str, unavailable: Optional[str] = 
     return False
 
 
-def run_monitors(
-    traj,
-    names=MONITOR_NAMES,
-    p_values=P_DEFAULT,
-    refined=None,
-    sobolev_samples: int = 20,
-    seed: int = 2024,
-    y_est: Optional[float] = None,
-) -> List[MonitorResult]:
+def run_monitors(traj, names=MONITOR_NAMES, p_values=P_DEFAULT, sobolev_samples: int = 20,
+                 seed: int = 2024, y_est: Optional[float] = None) -> List[MonitorResult]:
     """Results of the named monitors, in the order of ``names``.
 
     ``y_est``, a positive Yamabe estimate, gives the Sobolev monitor its constants.
@@ -738,8 +737,8 @@ def run_monitors(
             call = _MONITORS[name]
         except KeyError:
             raise ValueError(f"unknown monitor {name!r}") from None
-        out.extend(call(traj, p_values=p_values, refined=refined, y_est=y_est,
-                        samples=sobolev_samples, seed=seed))
+        out.extend(call(traj, p_values=p_values, y_est=y_est, samples=sobolev_samples,
+                        seed=seed))
     return out
 
 

@@ -378,8 +378,9 @@ def _divergent_tips(manifold: DiscretizedManifold) -> list:
 
 
 def _s0_lq_finite(manifold: DiscretizedManifold):
-    q = lq_exponent(manifold.n)
-    lq_val = float(np.sum(manifold.mu_weights * np.abs(manifold.S0) ** q)) ** (1.0 / q)
+    from .discretization import lp_norm   # imports this module
+
+    lq_val = lp_norm(manifold.S0, lq_exponent(manifold.n), manifold.mu_weights)
     ok = not _divergent_tips(manifold)
     return ok, lq_val, f"quadrature value {lq_val:.6g}" + ("" if ok else " (divergent at tip)")
 

@@ -108,8 +108,7 @@ def test_criterion_04_s_minus_decay(mixed256, mixed512):
     details = []
     for traj, tag in ((mixed256, "M=256"), (mixed512, "M=512")):
         assert traj.manifold.S0.min() < 0.0  # genuinely mixed-sign
-        for p in (2.0, 4.0, 8.0, math.inf):
-            res = bounds.check_s_minus_decay(traj, p)
+        for res in bounds.check_s_minus_decay(traj, (2.0, 4.0, 8.0, math.inf)):
             ok = ok and res.applicable and res.passed
         details.append(tag)
     report(4, "negative-part decay in L^p for p in {2,4,8,inf}", ok,

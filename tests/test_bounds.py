@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,9 +95,9 @@ def test_mixed_profile_really_mixed(mixed_run):
 
 def test_s_minus_decay_zero_initial(sphere_run):
     # nonnegative initial curvature: S stays nonnegative along the flow
-    for p in (2.0, 4.0, 8.0, math.inf):
-        res = check_s_minus_decay(sphere_run, p)
-        assert res.applicable and res.passed
+    # no snapshot has S < 0, yet every exponent gets its all-zero rows
+    for res in check_s_minus_decay(sphere_run, (2.0, 4.0, 8.0, math.inf)):
+        assert res.applicable and res.passed and res.t.size == sphere_run.snap_t.size
         assert all(res.lhs <= 1e-10 * (1 + sphere_run.rho0))
 
 
@@ -110,7 +111,7 @@ def test_rows_with_a_non_finite_lhs_never_pass():
 
 
 def test_s_minus_decay_equality_at_zero(mixed_run):
-    res = check_s_minus_decay(mixed_run, 2.0)
+    (res,) = check_s_minus_decay(mixed_run, [2.0])
     # at t = 0 the bound factor is exactly one
     assert res.lhs[0] == pytest.approx(s0_minus_norm(mixed_run.manifold, 2.0), rel=1e-12)
     assert res.passed
@@ -123,38 +124,95 @@ def negative_run256():
     return run(m, FlowConfig(T_final=0.012, dt_init=1e-4, dt_max=1e-4, snapshot_every=1))
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0, math.inf], ids=["p2", "p3", "pinf"])
-def test_s_minus_decay_rows_span_blocks(negative_run256, p):
-    # only the S < 0 snapshots are reduced, a block of them at a time: the
-    # rows must equal a per-snapshot loop bit for bit when they span blocks
-    traj, man = negative_run256, negative_run256.manifold
-    neg = traj.S.min(axis=1) < 0.0
-    assert np.count_nonzero(neg) > 2 * (bounds.BLOCK_ELEMENTS // man.node_count)
-    assert not neg.all()
-    eps, atol = bounds.slack_epsilon(traj), 1e-10 * (1.0 + abs(traj.rho0))
-    base = s0_minus_norm(man, p)
-    want = []
-    for t, u, S in zip(traj.snap_t.tolist(), traj.u, traj.S):
-        gw = man.mu_weights * u ** critical_exponent(man.n)
-        lhs = lp_norm(np.maximum(-S, 0.0), p, gw) if S.min() < 0.0 else 0.0
-        growth = 1.0 if p == math.inf else math.exp(t * man.n * traj.rho0 / (2.0 * p))
-        bound = growth * base * (1.0 + eps) + atol
-        want.append((t, lhs, bound, lhs <= bound))
-    res = check_s_minus_decay(traj, p)
-    got = list(zip(res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.verdict.tolist()))
-    assert got == want
+@pytest.fixture(scope="module")
+def cone_run256():
+    # S < 0 on all 101 snapshots; (S0)_- is unbounded, so s_minus_decay_pinf is n/a
+    m = build_manifold(cone(1.5), RadialGrid(M=256, gamma=1.0))
+    return run(m, FlowConfig(T_final=2e-4, dt_init=2e-6, dt_max=2e-6, snapshot_every=1))
+
+
+SPAN_P = (2.0, 3.0, math.inf)
+
+
+@pytest.mark.parametrize("p", SPAN_P, ids=["p2", "p3", "pinf"])
+def test_s_minus_decay_rows_span_blocks(negative_run256, cone_run256, p):
+    # only the S < 0 snapshots are reduced, a block of them at a time and every
+    # exponent in one pass: the rows must equal a per-snapshot loop bit for bit
+    # when they span blocks, whether some rows have S >= 0 or none
+    for traj in (negative_run256, cone_run256):
+        man = traj.manifold
+        neg = traj.S.min(axis=1) < 0.0
+        assert np.count_nonzero(neg) > 2 * (bounds.BLOCK_ELEMENTS // man.node_count)
+        assert neg.all() == (traj is cone_run256)
+        res = check_s_minus_decay(traj, SPAN_P)[SPAN_P.index(p)]
+        assert res.monitor_id == f"s_minus_decay_p{bounds._exponent_tag(p)}"
+        if traj is cone_run256 and p == math.inf:
+            # gated, and still in its place among the exponents
+            assert not res.applicable and res.t.size == 0 and res.notes
+            continue
+        eps, atol = bounds.slack_epsilon(traj), 1e-10 * (1.0 + abs(traj.rho0))
+        base = s0_minus_norm(man, p)
+        want = []
+        for t, u, S in zip(traj.snap_t.tolist(), traj.u, traj.S):
+            gw = man.mu_weights * u ** critical_exponent(man.n)
+            lhs = lp_norm(np.maximum(-S, 0.0), p, gw) if S.min() < 0.0 else 0.0
+            growth = 1.0 if p == math.inf else math.exp(t * man.n * traj.rho0 / (2.0 * p))
+            bound = growth * base * (1.0 + eps) + atol
+            want.append((t, lhs, bound, lhs <= bound))
+        got = list(zip(res.t.tolist(), res.lhs.tolist(), res.rhs.tolist(), res.verdict.tolist()))
+        assert got == want
+
+
+def test_s_minus_decay_derives_each_negative_row_once(monkeypatch):
+    # six exponents, one pass: the curvature of each of the 93 snapshots with
+    # S < 0 is derived once for all of them, not once per exponent
+    m = build_manifold(perturbed_sphere(0.6), RadialGrid(M=256, gamma=2.0))
+    traj = run(m, FlowConfig(T_final=0.05, dt_init=1e-4, dt_max=1e-4, snapshot_every=1))
+    assert (np.count_nonzero(traj.S.min(axis=1) < 0.0), traj.snap_t.size) == (93, 501)
+    rows, curvature = [], bounds._curvature
+
+    def counting(traj, r):
+        S = curvature(traj, r)
+        rows.append(S.shape[0] if S.ndim == 2 else 1)
+        return S
+
+    monkeypatch.setattr(bounds, "_curvature", counting)
+    p_values = (2.0, 3.0, 4.0, 6.0, 8.0, math.inf)
+    results = run_monitors(traj, names=("s_minus_decay",), p_values=p_values)
+    assert [r.monitor_id for r in results] == [
+        f"s_minus_decay_p{bounds._exponent_tag(p)}" for p in p_values]
+    assert all(r.applicable and r.passed for r in results)
+    assert sum(rows) == 93
+
+
+def test_s_upper_and_audit_norms_past_the_float_range():
+    # on the round S^200, |S|^(n/2) and |S|^q overflow: lp_norm takes the s0_lq_finite
+    # value and each L^{n/2} row again, scaled by max|S|, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = build_manifold(sphere(200), RadialGrid(M=32))
+        report = audit_assumptions(m)
+        traj = run(m, FlowConfig(T_final=0.01))
+        res = check_s_upper(traj)
+    s0 = float(m.S0.max())
+    lq = next(c for c in report.checks if c.name == "s0_lq_finite")
+    assert lq.passed and lq.value == pytest.approx(s0, rel=1e-7)
+    assert "quadrature value 3410.63" in lq.detail
+    rows = traj.snap_t.size
+    assert res.verdict[:rows].all()
+    assert np.allclose(res.lhs[:rows], s0, rtol=1e-7)
 
 
 def test_s_minus_decay_invalid_p(sphere_run):
     with pytest.raises(ValueError):
-        check_s_minus_decay(sphere_run, 1.5)
+        check_s_minus_decay(sphere_run, [2.0, 1.5])
 
 
 @pytest.mark.parametrize("p, tag", [(2.0, "2"), (2, "2"), (2.5, "2.5"), (3.0, "3"),
                                     (2.0000001, "2.0000001"), (math.inf, "inf")])
 def test_s_minus_decay_id_names_its_exponent(sphere_run, p, tag):
     # a non-integer exponent gets its own id; integer ones and inf keep theirs
-    assert check_s_minus_decay(sphere_run, p).monitor_id == f"s_minus_decay_p{tag}"
+    assert check_s_minus_decay(sphere_run, [p])[0].monitor_id == f"s_minus_decay_p{tag}"
 
 
 def test_scal_lower_sphere(sphere_run):
@@ -228,9 +286,10 @@ def test_gated_results_note_the_table_reason_on_steep_cone():
     cfg = FlowConfig(T_final=5e-4, dt_init=1e-5, dt_max=1e-5, snapshot_every=10)
     traj = run(m, cfg)
     reason = f"s0_minus_bounded fails: {traj.manifold.hypotheses['s0_minus_bounded'].detail}"
-    for res in (check_u_upper(traj), check_s_minus_decay(traj, math.inf)):
+    p2, pinf = check_s_minus_decay(traj, [2.0, math.inf])
+    for res in (check_u_upper(traj), pinf):
         assert not res.applicable and res.notes == [reason] and res.t.size == 0
-    assert check_s_minus_decay(traj, 2.0).applicable
+    assert p2.applicable
     lower = check_u_lower(traj)
     assert lower.applicable and f"supersolution rows skipped: {reason}" in lower.notes
     # only the running-inf row; no supersolution rows
@@ -449,7 +508,7 @@ def test_run_monitors_keeps_order_and_rejects_unknown(mixed_run):
 
 def test_violations_recorded_on_failure(sphere_run):
     # the ledger counts failed rows only: a passing monitor adds none
-    res = check_s_minus_decay(sphere_run, 2.0)
+    (res,) = check_s_minus_decay(sphere_run, [2.0])
     assert res.passed
     assert _ledger_values(describe_ledger(sphere_run, [res]))["violations"] == "0"
 
@@ -464,7 +523,7 @@ def test_margins_stable_under_joint_refinement():
 
     coarse = make(128, 1e-3)
     fine = make(256, 5e-4)
-    for check in (lambda tr: check_s_minus_decay(tr, 2.0), check_u_upper,
+    for check in (lambda tr: check_s_minus_decay(tr, [2.0])[0], check_u_upper,
                   check_s_upper):
         res_c, res_f = check(coarse), check(fine)
         assert res_c.passed and res_f.passed

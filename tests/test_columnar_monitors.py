@@ -130,14 +130,16 @@ def _s_minus_decay_reference(traj, p):
 
 @pytest.mark.parametrize("p", [2.0, math.inf], ids=["p2", "pinf"])
 def test_s_minus_decay(traj, p):
-    assert _rows(bounds.check_s_minus_decay(traj, p)) == _s_minus_decay_reference(traj, p)
+    (res,) = bounds.check_s_minus_decay(traj, [p])
+    assert _rows(res) == _s_minus_decay_reference(traj, p)
 
 
 @pytest.mark.parametrize("p", [4.0, 8.0], ids=["p4", "p8"])
 def test_s_minus_decay_roots_while_s_is_negative(negative_run, p):
     # an array power differs from the Python float one on a few of these rows
     want = _s_minus_decay_reference(negative_run, p)
-    assert _rows(bounds.check_s_minus_decay(negative_run, p)) == want
+    (res,) = bounds.check_s_minus_decay(negative_run, [p])
+    assert _rows(res) == want
 
 
 def test_s_upper(traj):

@@ -134,7 +134,8 @@ def test_traced_dense_monitors_job_call_counts(tmp_path):
     assert code == 0
     assert [name for name in DENSE_ON_PATH if calls.get(name, 0) < 1] == []
     assert calls["flow.checkpoint"] == 4
-    assert calls["bounds.check_s_minus_decay"] == 6
+    # one call derives every exponent's rows
+    assert calls["bounds.check_s_minus_decay"] == 1
 
 
 def test_traced_catalogue_job_call_counts(capsys):
