@@ -334,7 +334,7 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
                                       _s_high_norm_time_integral(traj, high)])
     res.notes += [f"sup over [T/2, T] of max|S| = {late:.12g}",
                   f"time integral of high-Lq curvature norm = {integral:.12g}"]
-    res.add(float(traj.t[-1]), ends, math.inf, np.isfinite(ends))
+    res.add(float(traj.t[-1]), ends, math.inf, True)     # add fails a non-finite lhs
 
     if refined is not None:
         for quantity in ("late_sup_abs_s", "s_time_integral"):

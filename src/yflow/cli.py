@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from collections import deque
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,38 +48,25 @@ def _write_rows(path: str, header: str, blocks) -> None:
     """Write ``header`` and then the rows of each of ``blocks`` to ``path``, block by block.
 
     A block of k rows is ``(row_format, floats, labels)``: row i is
-    ``row_format %`` the texts of column i of the (columns x k) float64 array
-    ``floats``, then ``labels[i]`` when ``labels`` is not None. Each distinct bit
-    pattern of a block is formatted once, so +0.0 and -0.0 stay apart, by
-    ``"%.17g" % v``: that is ``f"{v:.17g}"``, for ±inf, nan and subnormals too.
-    A pattern of the two blocks before reuses their text: the monitors share
-    their ``t`` column, and one monitor's rows span about two blocks.
+    ``row_format %`` column i of the (columns x k) float64 array ``floats``,
+    then ``labels[i]`` when ``labels`` is not None. The formats write each float
+    with ``%.17g``, which is ``f"{v:.17g}"``, for ±0, ±inf, nan and subnormals too.
     """
-    recent = deque(maxlen=2)    # (sorted bit patterns, their texts) of the blocks before
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for row_format, floats, labels in blocks:
-            floats = np.asarray(floats, dtype=np.float64)     # the bit patterns of float64s
-            bits, index = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
-            texts = np.empty(bits.size, dtype=object)
-            new = np.ones(bits.size, dtype=bool)
-            for old_bits, old_texts in recent:
-                at = np.searchsorted(old_bits, bits).clip(max=old_bits.size - 1)
-                seen = new & (old_bits[at] == bits)
-                texts[seen] = old_texts[at[seen]]
-                new &= ~seen
-            texts[new] = ["%.17g" % v for v in bits[new].view(np.float64).tolist()]
-            recent.append((bits, texts))
-            cells = texts[index].reshape(floats.shape).T
+            columns = np.asarray(floats, dtype=np.float64).tolist()
             if labels is not None:
-                cells = np.column_stack((cells, labels))
-            text = (row_format * floats.shape[1]) % tuple(cells.ravel().tolist())
-            fh.write(text.encode("ascii"))
+                columns.append(labels)
+            cells = [None] * (len(columns) * len(columns[0]))
+            for i, column in enumerate(columns):     # row-major: the cells of row 0 first
+                cells[i::len(columns)] = column
+            fh.write(((row_format * len(columns[0])) % tuple(cells)).encode("ascii"))
 
 
 def write_timeseries(traj: Trajectory, path: str) -> None:
     cols = [getattr(traj, f) for _, f, _ in TIMESERIES_COLUMNS]
-    row_format = ",".join(["%s"] * len(cols)) + "\n"
+    row_format = ",".join(["%.17g"] * len(cols)) + "\n"
     _write_rows(path, ",".join(col for col, _, _ in TIMESERIES_COLUMNS), (
         (row_format, np.stack([c[lo:lo + _BLOCK_ROWS] for c in cols]), None)
         for lo in range(0, len(cols[0]), _BLOCK_ROWS)))
@@ -89,16 +75,17 @@ def write_timeseries(traj: Trajectory, path: str) -> None:
 def write_monitors(results, path: str) -> None:
     def blocks():
         for res in results:
-            row_format = res.monitor_id + ",%s,%s,%s,%s,%s\n"
+            row_format = res.monitor_id + ",%.17g,%.17g,%.17g,%.17g,%s\n"
             if not res.applicable:      # then it has no rows
                 yield row_format, np.full((4, 1), math.nan), ["not_applicable"]
             for lo in range(0, res.t.size, _BLOCK_ROWS):
                 part = slice(lo, lo + _BLOCK_ROWS)
                 lhs, rhs = res.lhs[part], res.rhs[part]     # margin: rhs - lhs, per block
                 yield (row_format, np.stack((res.t[part], lhs, rhs, rhs - lhs)),
-                       np.where(res.verdict[part], "pass", "FAIL"))
+                       np.where(res.verdict[part], "pass", "FAIL").tolist())
 
-    _write_rows(path, "monitor_id,t,lhs,rhs,margin,verdict", blocks())
+    with np.errstate(invalid="ignore"):     # the margin of an inf, inf row is nan
+        _write_rows(path, "monitor_id,t,lhs,rhs,margin,verdict", blocks())
 
 
 def _make_dir(path: str) -> bool:

@@ -379,9 +379,9 @@ def restore(
     value no run resumes from (t < 0 or past ``T_final``, dt outside
     [``dt_min``, ``dt_max``], step < 0, u <= 0, or one not finite), or has a
     hash or node count that does not match is reported with its byte offset,
-    as is any byte after the last u line; a u off the unit-volume slice with
-    that of its first line.  A t at ``T_final`` is a finished run's last
-    checkpoint.
+    as is any byte after the last u line; a u off the unit-volume slice, or
+    one whose u^p or S leaves the float range, with that of its first line.
+    A t at ``T_final`` is a finished run's last checkpoint.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -433,7 +433,8 @@ def restore(
                                   f"at byte {offset}")
 
     try:
-        state = FlowState.from_u(manifold, u, t)
-    except VolumeError as exc:
+        with np.errstate(over="raise", invalid="raise"):    # a huge or tiny u
+            state = FlowState.from_u(manifold, u, t)
+    except (VolumeError, FloatingPointError) as exc:
         raise CheckpointError(f"{path}: the u lines from byte {u_at}: {exc}") from None
     return state, dt_next, step_index

@@ -457,6 +457,12 @@ CONFIGS = {
     "p_repeated": SPHERE_CFG.replace("monitors.p = 2,inf", "monitors.p = 2,inf,2.0"),
     "enable_repeated": SPHERE_CFG + "monitors.enable = u_upper,scal_lower,u_upper\n",
     "n_344": SPHERE_CFG.replace("manifold.n = 3", "manifold.n = 344"),
+    # phi^199 underflows at the nodes nearest the poles: 8 zero node weights
+    "zero_weight": SPHERE_CFG.replace("= sphere", "= perturbed_sphere\nprofile.eps = 0.2")
+    .replace("manifold.n = 3", "manifold.n = 200").replace("grid.M = 64", "grid.M = 32"),
+    # the last nodes round to x_max: 8 faces of zero width
+    "zero_face": SPHERE_CFG.replace("grid.M = 64", "grid.M = 32")
+    .replace("grid.gamma = 2.0", "grid.gamma = 40"),
 }
 
 
@@ -548,6 +554,12 @@ CONFIGS = {
     (["run", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
     (["yamabe", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
     (["moser", "--config", "{n_344}"], 2, "config error: dimension n = 344 is too large"),
+    # a degenerate grid is a config error, not a solver abort at its first step
+    (["run", "--config", "{zero_weight}"], 2, "config error: zero weight at node 0 "),
+    (["run", "--config", "{zero_face}"], 2,
+     "config error: zero width of the face after node 24 "),
+    (["audit", "--config", "{zero_face}"], 2,
+     "config error: zero width of the face after node 24 "),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -564,7 +576,8 @@ CONFIGS = {
         "run-config-samples-1", "yamabe-config-max-iter-negative", "run-config-p-repeated",
         "run-config-enable-repeated", "run-out-file", "run-out-below-file", "run-sweep-out-file",
         "plot-out-file", "audit-config-n-344", "run-config-n-344", "yamabe-config-n-344",
-        "moser-config-n-344"])
+        "moser-config-n-344", "run-config-zero-weight", "run-config-zero-face",
+        "audit-config-zero-face"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -666,6 +679,18 @@ def test_overflowing_norms_give_finite_rows(tmp_path, capsys):
     assert all(math.isfinite(float(row[2])) for row in passing)
     # an infinite rhs passes only as s_upper's ceiling on its finite late sup and integral
     assert [row[0] for row in passing if not math.isfinite(float(row[3]))] == ["s_upper"] * 2
+
+
+def test_an_infinite_lhs_under_an_infinite_ceiling_has_a_nan_margin(tmp_path, capsys):
+    # on the round S^200 the |S|^q time integral of s_upper leaves the float range
+    out = tmp_path / "out"
+    cfg = "profile.name = sphere\nmanifold.n = 200\ngrid.M = 32\nflow.T = 0.01\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--quiet", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err.splitlines()[-1] == "monitor failures: s_upper"
+    rows = (out / "monitors.csv").read_text().splitlines()
+    assert [row for row in rows if "nan" in row] == ["s_upper,0.01,inf,inf,nan,FAIL"]
 
 
 def test_moser_command(tmp_path, capsys):

@@ -1,13 +1,17 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from yflow.flow import (
     CheckpointError,
@@ -343,17 +347,31 @@ def test_restore_reports_malformed_header_field_offset(tmp_path, key, bad):
         restore(str(path), m, cfg)
 
 
-def test_restore_reports_off_slice_volume_at_first_u_line(tmp_path):
+def _checkpoint_with_u(tmp_path, u: str):
+    """(manifold, config, path, offset of the first u line) of a checkpoint with one u = ``u``."""
     m, cfg = _mini_setup()
     path = tmp_path / "s.ckpt"
     checkpoint(FlowState.initial(m), str(path), m, cfg, dt_next=1e-3, step_index=0)
     lines = path.read_bytes().splitlines(keepends=True)
     first = next(i for i, line in enumerate(lines) if line.startswith(b"u "))
-    lines[first + 10] = b"u 2\n"      # positive and finite, but the volume is no longer 1
+    lines[first + 10] = f"u {u}\n".encode()
     path.write_bytes(b"".join(lines))
-    offset = sum(map(len, lines[:first]))
+    return m, cfg, str(path), sum(map(len, lines[:first]))
+
+
+def test_restore_reports_off_slice_volume_at_first_u_line(tmp_path):
+    # positive and finite, but the volume is no longer 1
+    m, cfg, path, offset = _checkpoint_with_u(tmp_path, "2")
     with pytest.raises(CheckpointError, match=rf"the u lines from byte {offset}: evolving volume"):
-        restore(str(path), m, cfg)
+        restore(path, m, cfg)
+
+
+@pytest.mark.parametrize("u", ["1e200", "1e-200"])
+def test_restore_reports_u_past_the_float_range_at_first_u_line(tmp_path, u):
+    # positive and finite, but u^6 (the volume) or u^-5 (the curvature) overflows
+    m, cfg, path, offset = _checkpoint_with_u(tmp_path, u)
+    with pytest.raises(CheckpointError, match=rf"the u lines from byte {offset}: overflow"):
+        restore(path, m, cfg)
 
 
 @pytest.mark.parametrize("tail", ["garbage", "second-checkpoint"])
@@ -366,6 +384,49 @@ def test_restore_rejects_bytes_after_the_last_u_line(tmp_path, tail):
     with pytest.raises(CheckpointError,
                        match=rf"unexpected data after the last u line at byte {len(blob)}$"):
         restore(str(path), m, cfg)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """(manifold, config, directory, bytes) of a short perturbed_sphere(0.2) run's checkpoint."""
+    m = build_manifold(perturbed_sphere(0.2), RadialGrid(M=32))
+    cfg = FlowConfig(T_final=0.05, dt_init=1e-3, dt_max=2e-3, checkpoint_every=10)
+    out = tmp_path_factory.mktemp("fuzz")
+    run(m, cfg, checkpoint_dir=str(out))
+    return m, cfg, out, (out / "step00000010.ckpt").read_bytes()
+
+
+# ("cut", at, _) keeps the bytes before ``at``; ("put", at, byte) overwrites one byte with
+# any value, or with one that can extend or split a number or a line
+EDITS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**16), st.just(0)),
+    st.tuples(st.just("put"), st.integers(0, 2**16),
+              st.integers(0, 255) | st.sampled_from(list(b"0123456789.+-eE \n"))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edit=EDITS)
+# the first u line reads 1.0997521362124e56, finite and positive, but its u^6 overflows
+@example(edit=("put", 145, ord("e")))
+def test_restore_of_a_damaged_checkpoint_gives_a_state_or_a_byte_offset(fuzz_checkpoint, edit):
+    m, cfg, out, blob = fuzz_checkpoint
+    kind, at, byte = edit
+    if kind == "cut":
+        damaged = blob[:at % (len(blob) + 1)]
+    else:
+        at %= len(blob)
+        damaged = blob[:at] + bytes([byte]) + blob[at + 1:]
+    path = out / "damaged.ckpt"
+    path.write_bytes(damaged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state, _, _ = restore(str(path), m, cfg)
+        except CheckpointError as exc:
+            assert re.search(r"byte \d+", str(exc)), exc
+        else:
+            assert isinstance(state, FlowState)
 
 
 @pytest.mark.parametrize("k", [20, 2000, 10_000])
