@@ -197,7 +197,6 @@ _SUP_GRID = np.concatenate(
 _SUP_SAFETY = 1.0 + 1e-4
 
 
-@lru_cache(maxsize=4096)
 def locate_tilde_constants(beta: float, nu: float, n: int):
     """Empirical L-independent constants (C1, C2) with C1 tH >= tphi^2,
     C2 tH >= x tG.
@@ -218,7 +217,6 @@ def locate_tilde_constants(beta: float, nu: float, n: int):
     return c1, c2
 
 
-@lru_cache(maxsize=4096)
 def locate_chain_constant(beta: float, n: int) -> float:
     """Empirical C4 with C4 tH >= tF^{2 beta} at nu = beta/(2 beta + 1).
 
@@ -334,7 +332,6 @@ def _region_tilde(b, L, nu, n):
     return None
 
 
-@lru_cache(maxsize=16384)
 def i8_region_ok(beta: float, nu: float, n: int) -> bool:
     """Oracle gate for the tilde-family domination x tG - (n/2) tH <= tf.
 

@@ -22,11 +22,12 @@ Slack discipline: inequalities with explicit constants are asserted with
 multiplicative slack ``1 + 10 h^2 + 10 dt`` (h the widest grid face, dt
 the largest accepted step) plus a tiny absolute floor for zero right-hand
 sides (:meth:`MonitorResult.add_upper`).  Where the underlying constant is
-non-constructive, the monitor instead asserts refinement stability: the
-quantity's ratio between a run and its grid-doubled twin must land in
-[0.9, 1.1] (:func:`refinement_ratio`).  :func:`run_monitors` dispatches
-through one name -> call table, whose keys are ``MONITOR_NAMES``, and
-:func:`describe_ledger` writes ``ledger.txt`` from a run and its results.
+non-constructive, a monitor asserts only that the quantity is finite.
+Refinement stability takes two runs: :func:`refinement_ratio` gives the
+quantity's ratio between a run and its grid-doubled twin, which must land in
+``REFINE_BAND``.  :func:`run_monitors` dispatches through one name -> call
+table, whose keys are ``MONITOR_NAMES``, and :func:`describe_ledger` writes
+``ledger.txt`` from a run and its results.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 P_DEFAULT = (2.0, 4.0, 8.0, math.inf)
-REFINE_BAND = (0.9, 1.1)
+REFINE_BAND = (0.9, 1.1)     # where a refinement_ratio between grid-doubled twins must land
 TREND_WINDOW = 5            # energy records averaged per point of the energy_decay trend
 TREND_SLACK = 1e-6          # relative rise the trend tolerates between averaged points
 BLOCK_ELEMENTS = 2**13      # entries per block of a per-snapshot reduction (64 KiB)
@@ -88,8 +89,7 @@ class MonitorResult:
     with a non-finite lhs, or a NaN rhs, never passes; a finite lhs may pass under a
     ``+inf`` ceiling, the bound past the float range.
     ``margin`` is ``rhs - lhs``: >= 0 on a passing upper-bound row, but <= 0 on a
-    passing lower-bound row (``scal_lower``, ``u_lower``), and a refinement row's
-    rhs is only the band's upper edge.
+    passing lower-bound row (``scal_lower``, ``u_lower``).
     """
 
     monitor_id: str
@@ -275,14 +275,13 @@ def check_u_upper(traj) -> MonitorResult:
     return res
 
 
-def check_u_lower(traj, refined=None) -> MonitorResult:
+def check_u_lower(traj) -> MonitorResult:
     """Positivity and supersolution structure of the conformal factor.
 
     (i) running ``inf u`` stays positive; (ii) with
     ``P = (n-2)/(4(n-1)) (S0 + (sup u)^{4/(n-2)} ||(S0)_-||_inf)`` each
     snapshot satisfies ``-Lap(u) + P u >= 0`` up to slack (the elliptic
-    supersolution property behind the uniform lower bound); (iii) given a
-    grid-doubled twin run, ``inf u`` must be refinement-stable.
+    supersolution property behind the uniform lower bound).
     """
     man = traj.manifold
     n = man.n
@@ -305,19 +304,15 @@ def check_u_lower(traj, refined=None) -> MonitorResult:
         lows, peaks = _row_sums(traj, terms)
         tol = eps * (1.0 + peaks)
         res.add(traj.snap_t, lows, -tol, lows >= -tol)
-
-    if refined is not None:
-        _add_refinement(res, traj, refined, "inf_u")
     return res
 
 
-def check_s_upper(traj, refined=None) -> MonitorResult:
+def check_s_upper(traj) -> MonitorResult:
     """Curvature ceilings: monotone L^{n/2} norm plus structural bounds.
 
     (i) ``||S_+||_{L^{n/2}(g)}(t) <= ||(S0)_+||_{L^{n/2}}`` with slack;
     (ii) the late-time sup of max|S| and (iii) the time integral of the
-    high L^q curvature norm are asserted finite, and refinement-stable
-    when a grid-doubled twin is supplied (their constants are
+    high L^q curvature norm are asserted finite (their constants are
     non-constructive, so no explicit level is asserted).
     """
     n = traj.manifold.n
@@ -335,10 +330,6 @@ def check_s_upper(traj, refined=None) -> MonitorResult:
     res.notes += [f"sup over [T/2, T] of max|S| = {late:.12g}",
                   f"time integral of high-Lq curvature norm = {integral:.12g}"]
     res.add(float(traj.t[-1]), ends, math.inf, True)     # add fails a non-finite lhs
-
-    if refined is not None:
-        for quantity in ("late_sup_abs_s", "s_time_integral"):
-            _add_refinement(res, traj, refined, quantity)
     return res
 
 
@@ -365,14 +356,12 @@ def _late_sup_abs_s(traj) -> float:
     return float(vals.max()) if vals.size else math.nan
 
 
-def _s_high_norm_time_integral(traj, sums: Optional[np.ndarray] = None) -> float:
+def _s_high_norm_time_integral(traj, sums: np.ndarray) -> float:
     """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2)).
 
-    ``sums`` are the inner integrals per snapshot, if the caller has them.
+    ``sums`` are the inner integrals per snapshot (:func:`_s_upper_terms`).
     """
     n = traj.manifold.n
-    if sums is None:
-        sums = _row_sums(traj, lambda r: _s_upper_terms(traj, r))[1]
     vals = _each(lambda v: v ** ((n - 2.0) / n), sums)
     return float(np.trapezoid(vals, traj.snap_t))
 
@@ -654,29 +643,18 @@ def moser_chain(traj, beta: float, k_max: int = 6) -> ChainReport:
 # refinement comparison and the monitor driver
 
 
-# refinement quantity -> (label in monitor notes, trajectory summary)
-_REFINE_SUMMARIES = {
-    "inf_u": ("inf u", _inf_u),
-    "late_sup_abs_s": ("late_sup", _late_sup_abs_s),
-    "s_time_integral": ("time_integral", _s_high_norm_time_integral),
-}
+# refinement quantity -> trajectory summary
+_REFINE_SUMMARIES = {"inf_u": _inf_u, "late_sup_abs_s": _late_sup_abs_s}
 
 
 def refinement_ratio(traj_coarse, traj_fine, quantity: str) -> float:
-    """Coarse/fine ratio of a trajectory summary (expected near 1)."""
+    """Coarse/fine ratio of a trajectory summary, to land in ``REFINE_BAND``."""
     try:
-        _, fn = _REFINE_SUMMARIES[quantity]
+        fn = _REFINE_SUMMARIES[quantity]
     except KeyError:
         raise ValueError(f"unknown refinement quantity {quantity!r}") from None
     coarse, fine = fn(traj_coarse), fn(traj_fine)
     return coarse / fine if fine > 0 else math.inf
-
-
-def _add_refinement(res: MonitorResult, traj, refined, quantity: str) -> None:
-    ratio = refinement_ratio(traj, refined, quantity)
-    ok = REFINE_BAND[0] <= ratio <= REFINE_BAND[1]
-    res.add(float(traj.t[-1]), ratio, REFINE_BAND[1], ok)
-    res.notes.append(f"{_REFINE_SUMMARIES[quantity][0]} refinement ratio = {ratio:.6g}")
 
 
 # monitor name -> call; each lambda looks its check_* function up in the

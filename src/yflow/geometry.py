@@ -200,7 +200,12 @@ class RadialGrid:
     def nodes(self, x_max: float) -> np.ndarray:
         s = (np.arange(self.M + 1) + 1.0) / (self.M + 2.0)
         sg = s**self.gamma
-        return x_max * sg / (sg + (1.0 - s) ** self.gamma)
+        den = sg + (1.0 - s) ** self.gamma
+        if not np.all(den > 0.0):   # checked before the map divides by it
+            bad = int(np.argmax(den <= 0.0))
+            raise GeometryError(f"grading exponent gamma = {self.gamma:g} is too steep for "
+                                f"M = {self.M}: both powers underflow to 0 at node {bad}")
+        return x_max * sg / den
 
 
 @dataclass
@@ -340,19 +345,21 @@ def build_manifold(profile: WarpedProfile, grid: RadialGrid) -> DiscretizedManif
         raise ConstructionError(f"degenerate volume {raw_volume}")
     c = raw_volume ** (-1.0 / n)
 
-    xm = 0.5 * (x[:-1] + x[1:])
-    phi_faces = profile.phi_at(xm)
-    s0 = _scal0(profile, x, c)
-
     mu = mu / raw_volume
     mu = mu / mu.sum()  # second pass kills the last ulps of drift
-    # the stencil divides by both: nodes that coincide in float64 (a steep grading) leave
-    # the face after a node zero width, and phi^(n-1) underflowing near a tip a zero weight
+    # checked before anything divides by the grid: the stencil divides by both, and S0
+    # by phi^2, which is 0 only where phi^(n-1) is. Nodes that coincide in float64 (a
+    # steep grading) leave the face after a node zero width, and phi^(n-1) underflowing
+    # near a tip a zero weight
     face_h = c * np.diff(x)
     for what, values in (("width of the face after", face_h), ("weight at", mu)):
         if not np.all(values > 0.0):
             bad = int(np.argmax(values <= 0.0))
             raise ConstructionError(f"zero {what} node {bad} (x={x[bad]:.6g})")
+
+    xm = 0.5 * (x[:-1] + x[1:])
+    phi_faces = profile.phi_at(xm)
+    s0 = _scal0(profile, x, c)
     return DiscretizedManifold(
         profile=profile,
         grid=grid,

@@ -117,9 +117,10 @@ def test_criterion_04_s_minus_decay(mixed256, mixed512):
 
 def test_criterion_05_u_bounds(mixed256, mixed512):
     upper = bounds.check_u_upper(mixed512)
-    lower = bounds.check_u_lower(mixed256, refined=mixed512)
+    lower = bounds.check_u_lower(mixed256)
     ratio = refinement_ratio(mixed256, mixed512, "inf_u")
-    ok = upper.applicable and upper.passed and lower.passed and 0.9 <= ratio <= 1.1
+    lo, hi = bounds.REFINE_BAND
+    ok = upper.applicable and upper.passed and lower.passed and lo <= ratio <= hi
     report(5, "conformal factor bounded above and below", ok,
            f"inf-u refinement ratio {ratio:.3f}")
 
@@ -127,9 +128,10 @@ def test_criterion_05_u_bounds(mixed256, mixed512):
 def test_criterion_06_scalar_bounds(mixed256, mixed512):
     low256 = bounds.check_scal_lower(mixed256)
     low512 = bounds.check_scal_lower(mixed512)
-    up = bounds.check_s_upper(mixed256, refined=mixed512)
+    up = bounds.check_s_upper(mixed256)
     ratio = refinement_ratio(mixed256, mixed512, "late_sup_abs_s")
-    ok = low256.passed and low512.passed and up.passed and 0.9 <= ratio <= 1.1
+    lo, hi = bounds.REFINE_BAND
+    ok = low256.passed and low512.passed and up.passed and lo <= ratio <= hi
     report(6, "scalar curvature floor and ceilings", ok,
            f"late sup ratio {ratio:.3f}")
 

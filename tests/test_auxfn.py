@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -341,7 +342,7 @@ def _per_sample(lookup, *cols):
 
 def _typed_lookup(calls):
     def lookup(beta, nu, n):
-        # the cached constants are keyed by Python scalars
+        # a lookup takes Python scalars, as a per-sample loop passes them
         assert type(beta) is float and type(nu) is float and type(n) is int
         calls.append((beta, nu, n))
         return beta * nu + n, beta - n
@@ -381,7 +382,9 @@ def test_catalogue_rows_equal_per_sample_lookup(monkeypatch):
     # pool workers that do not fork would import the unpatched one
     monkeypatch.setattr(auxfn.os, "cpu_count", lambda: 1)
     rows = run_catalogue(["I9", "I11"], samples=60_000)
-    monkeypatch.setattr(auxfn, "_per_run", _per_sample)
+    # the lookups keep no cache, so the reference loop memoizes its own
+    monkeypatch.setattr(auxfn, "_per_run",
+                        lambda lookup, *cols: _per_sample(functools.cache(lookup), *cols))
     assert rows == run_catalogue(["I9", "I11"], samples=60_000)
 
 

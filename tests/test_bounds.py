@@ -329,10 +329,13 @@ def test_u_lower_refinement_band(mixed_run):
     m2 = build_manifold(perturbed_sphere(0.25), RadialGrid(M=256, gamma=2.0))
     cfg = FlowConfig(T_final=1.0, dt_init=1e-3, dt_max=1e-3, snapshot_every=20)
     fine = run(m2, cfg)
-    res = check_u_lower(mixed_run, refined=fine)
-    assert res.passed
+    assert check_u_lower(mixed_run).passed
     ratio = refinement_ratio(mixed_run, fine, "inf_u")
-    assert 0.9 <= ratio <= 1.1
+    lo, hi = bounds.REFINE_BAND
+    assert lo <= ratio <= hi
+    # the two summaries with a twin comparison are inf u and the late sup of |S|
+    with pytest.raises(ValueError, match="unknown refinement quantity"):
+        refinement_ratio(mixed_run, fine, "s_time_integral")
 
 
 def test_s_upper_monotone_ln2(mixed_run):

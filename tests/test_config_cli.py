@@ -463,6 +463,12 @@ CONFIGS = {
     # the last nodes round to x_max: 8 faces of zero width
     "zero_face": SPHERE_CFG.replace("grid.M = 64", "grid.M = 32")
     .replace("grid.gamma = 2.0", "grid.gamma = 40"),
+    # phi^2 underflows to 0 at node 0 as well, which S0 would divide by
+    "steep_200": SPHERE_CFG.replace("grid.M = 64", "grid.M = 32")
+    .replace("grid.gamma = 2.0", "grid.gamma = 200"),
+    # s^gamma and (1-s)^gamma both underflow: the grading map would be 0/0
+    "steep_inf": SPHERE_CFG.replace("grid.M = 64", "grid.M = 32")
+    .replace("grid.gamma = 2.0", "grid.gamma = inf"),
 }
 
 
@@ -560,6 +566,14 @@ CONFIGS = {
      "config error: zero width of the face after node 24 "),
     (["audit", "--config", "{zero_face}"], 2,
      "config error: zero width of the face after node 24 "),
+    (["audit", "--config", "{steep_200}"], 2,
+     "config error: zero width of the face after node 18 "),
+    (["run", "--config", "{steep_200}"], 2,
+     "config error: zero width of the face after node 18 "),
+    (["audit", "--config", "{steep_inf}"], 2,
+     "config error: grading exponent gamma = inf is too steep for M = 32"),
+    (["run", "--config", "{steep_inf}"], 2,
+     "config error: grading exponent gamma = inf is too steep for M = 32"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -577,7 +591,8 @@ CONFIGS = {
         "run-config-enable-repeated", "run-out-file", "run-out-below-file", "run-sweep-out-file",
         "plot-out-file", "audit-config-n-344", "run-config-n-344", "yamabe-config-n-344",
         "moser-config-n-344", "run-config-zero-weight", "run-config-zero-face",
-        "audit-config-zero-face"])
+        "audit-config-zero-face", "audit-config-steep-200", "run-config-steep-200",
+        "audit-config-steep-inf", "run-config-steep-inf"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
