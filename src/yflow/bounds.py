@@ -317,7 +317,14 @@ def check_s_upper(traj) -> MonitorResult:
     """
     n = traj.manifold.n
     res = MonitorResult(monitor_id="s_upper")
-    sums, high = _row_sums(traj, lambda r: _s_upper_terms(traj, r))
+
+    def terms(r):   # per row: the sums of |S_+|^(n/2) and |S|^q in dVol_g
+        gw, S = _volume_weights(traj.manifold, traj.u[r]), _curvature(traj, r)
+        with np.errstate(over="ignore"):    # a sum past the float range is inf
+            return (np.sum(gw * np.abs(np.maximum(S, 0.0)) ** (n / 2.0), axis=1),
+                    np.sum(gw * np.abs(S) ** lq_exponent(n), axis=1))
+
+    sums, high = _row_sums(traj, terms)
     # a row with S <= 0 has S_+ = 0 and lhs 0.0, its sum's root
     pos = np.flatnonzero(~(traj.max_S[traj.snap_step - traj.step[0]] <= 0.0))
     lhs = np.zeros(sums.size)
@@ -325,21 +332,13 @@ def check_s_upper(traj) -> MonitorResult:
     res.add_upper(traj.snap_t, lhs, _s0_plus_norm(traj.manifold), slack_epsilon(traj),
                   1e-10 * (1.0 + abs(traj.rho0)))
 
-    late, integral = ends = np.array([_late_sup_abs_s(traj),
-                                      _s_high_norm_time_integral(traj, high)])
+    late = _late_sup_abs_s(traj)
+    # int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt, from the inner integrals ``high``
+    integral = float(np.trapezoid(_each(lambda v: v ** ((n - 2.0) / n), high), traj.snap_t))
     res.notes += [f"sup over [T/2, T] of max|S| = {late:.12g}",
                   f"time integral of high-Lq curvature norm = {integral:.12g}"]
-    res.add(float(traj.t[-1]), ends, math.inf, True)     # add fails a non-finite lhs
+    res.add(float(traj.t[-1]), np.array([late, integral]), math.inf, True)  # a non-finite one fails
     return res
-
-
-def _s_upper_terms(traj, r):
-    """Per snapshot row of ``r``: the sums of ``|S_+|^(n/2)`` and ``|S|^q`` in dVol_g."""
-    n = traj.manifold.n
-    gw, S = _volume_weights(traj.manifold, traj.u[r]), _curvature(traj, r)
-    with np.errstate(over="ignore"):    # a sum past the float range is inf
-        return (np.sum(gw * np.abs(np.maximum(S, 0.0)) ** (n / 2.0), axis=1),
-                np.sum(gw * np.abs(S) ** lq_exponent(n), axis=1))
 
 
 def _inf_u(traj) -> float:
@@ -354,16 +353,6 @@ def _late_sup_abs_s(traj) -> float:
     late = traj.t >= 0.5 * traj.config.T_final - 1e-14
     vals = np.maximum(np.abs(traj.min_S[late]), np.abs(traj.max_S[late]))
     return float(vals.max()) if vals.size else math.nan
-
-
-def _s_high_norm_time_integral(traj, sums: np.ndarray) -> float:
-    """int_0^T ( int |S|^q dVol_g )^{(n-2)/n} dt with q = n^2/(2(n-2)).
-
-    ``sums`` are the inner integrals per snapshot (:func:`_s_upper_terms`).
-    """
-    n = traj.manifold.n
-    vals = _each(lambda v: v ** ((n - 2.0) / n), sums)
-    return float(np.trapezoid(vals, traj.snap_t))
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +562,7 @@ def _cylinder_norm(ts: np.ndarray, vals: np.ndarray, q: float, t_lo: float) -> f
     """
     if t_lo <= ts[0]:
         return float(np.trapezoid(vals, ts)) ** (1.0 / q)
-    j = int(np.searchsorted(ts, t_lo))
-    if j >= ts.size:
-        return 0.0
+    j = int(np.searchsorted(ts, t_lo))     # t_lo < T/2 <= ts[-1], so j < ts.size
     # linear interpolation of the integrand at the cylinder base
     if j > 0 and ts[j] > t_lo:
         w = (t_lo - ts[j - 1]) / (ts[j] - ts[j - 1])

@@ -304,22 +304,16 @@ def cmd_auxcheck(args) -> int:
 
 
 def cmd_moser(args) -> int:
-    if (loaded := _load(args.config)) is None:
+    flags = {"moser.beta": args.beta, "moser.k_max": args.kmax}
+    if (loaded := _load(args.config, {k: v for k, v in flags.items() if v is not None})) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
-    beta = args.beta if args.beta is not None else cfg.moser_beta
-    k_max = args.kmax if args.kmax is not None else cfg.moser_k_max
-    try:
-        bounds.check_chain_parameters(beta, k_max)
-    except ValueError as exc:
-        print(f"yflow moser: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         traj = run(manifold, cfg.flow)
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    report = bounds.moser_chain(traj, beta=beta, k_max=k_max)
+    report = bounds.moser_chain(traj, beta=cfg.moser_beta, k_max=cfg.moser_k_max)
     print(report.describe())
     return EXIT_OK if report.finite else EXIT_MONITOR
 
@@ -393,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     moser_p = sub.add_parser("moser", help="cylinder norm chain diagnostics")
     moser_p.add_argument("--config", required=True)
-    moser_p.add_argument("--beta", type=float, default=None)
-    moser_p.add_argument("--kmax", type=int, default=None)
+    # read as the moser.beta and moser.k_max values of the config file
+    moser_p.add_argument("--beta", default=None)
+    moser_p.add_argument("--kmax", default=None)
     moser_p.set_defaults(func=cmd_moser)
 
     plot_p = sub.add_parser("plot", help="render timeseries.csv to SVG")

@@ -106,7 +106,6 @@ _KNOWN_KEYS = {
     "flow.dt_init": (float, "flow", "dt_init"),
     "flow.dt_min": (float, "flow", "dt_min"),
     "flow.dt_max": (float, "flow", "dt_max"),
-    "flow.vol_tol": (float, "flow", "vol_tol"),
     "flow.positivity_floor": (float, "flow", "positivity_floor"),
     "flow.checkpoint_every": (_integer_from(0), "flow", "checkpoint_every"),
     "flow.snapshot_every": (int, "flow", "snapshot_every"),
@@ -142,7 +141,8 @@ def parse_kv(text: str, overrides: Optional[Mapping[str, str]] = None) -> Dict[s
     """Parse the flat key = value format, validating keys and types.
 
     ``overrides`` maps keys to value texts that replace the file's values,
-    as ``--seed`` and ``--sweep`` give them; their errors cite no line.
+    as ``run --seed``, ``--sweep`` and ``moser --beta``/``--kmax`` give them;
+    their errors cite no line.
     """
     values: Dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

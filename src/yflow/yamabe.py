@@ -73,10 +73,15 @@ def _positive_field(manifold: DiscretizedManifold, u: np.ndarray) -> np.ndarray:
     return u
 
 
+# largest |vol - 1| of a state on the unit-volume slice; the projection's
+# rounding floor is ~4 ulps (8.9e-16)
+_VOLUME_TOL = 1e-10
+
+
 def _require_unit_volume(volume: float) -> None:
-    if abs(volume - 1.0) > 1e-8:
+    if abs(volume - 1.0) > _VOLUME_TOL:
         raise VolumeError(
-            f"evolving volume {volume:.12g} is outside tolerance 1e-08 of 1; "
+            f"evolving volume {volume:.12g} is outside tolerance {_VOLUME_TOL:g} of 1; "
             "renormalize the state first"
         )
 

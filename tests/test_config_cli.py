@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import yflow.cli
+import yflow.config
 from yflow.cli import main
 from yflow.config import ConfigError, load_scenario, parse_kv, parse_scenario
 
@@ -233,20 +234,6 @@ def _assert_one_negative_phi_error(err):
     assert "phi must be positive" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--config", "bad.cfg", "--out", "o"],
-    ["audit", "--config", "bad.cfg"],
-    ["yamabe", "--config", "bad.cfg"],
-    ["moser", "--config", "bad.cfg"],
-], ids=["run", "audit", "yamabe", "moser"])
-def test_negative_tabulated_phi_exits_two(argv, tmp_path, monkeypatch, capsys):
-    # a tabulated phi that dips below zero parses but cannot be built
-    monkeypatch.chdir(tmp_path)
-    _write_tabulated_configs(tmp_path)
-    assert main(argv) == 2
-    _assert_one_negative_phi_error(capsys.readouterr().err)
-
-
 # `yflow` on a process pool of the start method argv[1] names
 CLI_WITH_START_METHOD = """
 import multiprocessing
@@ -422,7 +409,7 @@ def test_cut_auxcheck_starts_no_process_pool():
     assert len(proc.stdout.splitlines()) == 15
 
 
-# tabulated profiles with a token that is not a finite number
+# tabulated profiles: with a token that is not a finite number, or a phi that dips below zero
 TABULATED = Path(__file__).resolve().parent / "data" / "tabulated"
 
 PLOT_HEADER = ",".join(col for col, _, _ in yflow.cli.TIMESERIES_COLUMNS)
@@ -450,6 +437,10 @@ CONFIGS = {
     "audit_q": SPHERE_CFG + "audit.q = 4.5\n",
     "phi_word": f"profile.name = tabulated\nprofile.path = {TABULATED / 'word_token.txt'}\n",
     "phi_nan_x": f"profile.name = tabulated\nprofile.path = {TABULATED / 'nan_abscissa.txt'}\n",
+    "negative_phi": f"profile.name = tabulated\nprofile.path = {TABULATED / 'negative_phi.txt'}\n"
+    "grid.M = 32\nflow.T = 0.01\n",
+    "vol_tol": SPHERE_CFG + "flow.vol_tol = 1e-10\n",
+    "floor_inf": SPHERE_CFG + "flow.positivity_floor = inf\n",
     "seed_negative": SPHERE_CFG + "seed = -3000\n",
     "checkpoint_negative": SPHERE_CFG + "flow.checkpoint_every = -2\n",
     "samples_1": SPHERE_CFG + "monitors.samples = 1\n",
@@ -480,12 +471,13 @@ CONFIGS = {
     (["auxcheck", "--ineq", ","], 2, "--ineq names no inequality (got ',')"),
     (["auxcheck", "--ineq", ""], 2, "--ineq names no inequality (got '')"),
     (["auxcheck", "--ineq", " , ", "--sharpness"], 2, "--ineq names no inequality"),
+    # the moser flags are moser.beta and moser.k_max overrides
     (["moser", "--config", "{sphere}", "--kmax", "0"], 2,
-     "yflow moser: k_max must lie in [1, 8] (got 0)"),
+     "config error: k_max must lie in [1, 8] (got 0)"),
     (["moser", "--config", "{sphere}", "--kmax", "9"], 2,
-     "yflow moser: k_max must lie in [1, 8] (got 9)"),
+     "config error: k_max must lie in [1, 8] (got 9)"),
     (["moser", "--config", "{sphere}", "--beta", "0.5"], 2,
-     "yflow moser: chain exponent beta must exceed 1 (got 0.5)"),
+     "config error: chain exponent beta must exceed 1 (got 0.5)"),
     (["moser", "--config", "{beta_1}"], 2,
      "config error: chain exponent beta must exceed 1 (got 1)"),
     (["moser", "--config", "{kmax_9}"], 2, "config error: k_max must lie in [1, 8] (got 9)"),
@@ -498,7 +490,7 @@ CONFIGS = {
     (["yamabe", "--config", "{T_inf}"], 2, "config error: T_final must be positive and finite"),
     (["yamabe", "--config", "{multistart}"], 2, "unknown key 'yamabe.multistart'"),
     (["moser", "--config", "{sphere}", "--beta", "inf"], 2,
-     "yflow moser: chain exponent beta must be finite (got inf)"),
+     "config error: chain exponent beta must be finite (got inf)"),
     (["run", "--config", "{beta_inf}"], 2,
      "config error: chain exponent beta must be finite (got inf)"),
     (["audit", "--config", "{beta_inf}"], 2, "config error: chain exponent beta must be finite"),
@@ -574,6 +566,17 @@ CONFIGS = {
      "config error: grading exponent gamma = inf is too steep for M = 32"),
     (["run", "--config", "{steep_inf}"], 2,
      "config error: grading exponent gamma = inf is too steep for M = 32"),
+    # a tabulated phi that dips below zero parses but cannot be built
+    (["run", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
+    (["audit", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
+    (["yamabe", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
+    (["moser", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
+    # the unit-volume tolerance is fixed, not a key
+    (["run", "--config", "{vol_tol}"], 2,
+     "config error: line 11, column 1: unknown key 'flow.vol_tol'"),
+    # every step would be rejected
+    (["run", "--config", "{floor_inf}"], 2,
+     "config error: positivity_floor must be positive and finite"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
@@ -592,7 +595,9 @@ CONFIGS = {
         "plot-out-file", "audit-config-n-344", "run-config-n-344", "yamabe-config-n-344",
         "moser-config-n-344", "run-config-zero-weight", "run-config-zero-face",
         "audit-config-zero-face", "audit-config-steep-200", "run-config-steep-200",
-        "audit-config-steep-inf", "run-config-steep-inf"])
+        "audit-config-steep-inf", "run-config-steep-inf", "run-config-negative-phi",
+        "audit-config-negative-phi", "yamabe-config-negative-phi", "moser-config-negative-phi",
+        "run-config-vol-tol", "run-config-floor-inf"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -664,9 +669,7 @@ def _repro(changes):
      "reaction cap dt=5.539e-32 below dt_min=1.000e-09 at t=0.000184405", "abort_step11.ckpt"),
     ({"manifold.n": "100", "flow.dt_init": "2e-4"},
      "reaction cap dt=5.539e-32 below dt_min=1.000e-09 at t=0.000184405", "abort_step11.ckpt"),
-    # the run's own volume invariant, with a tolerance below its rounding floor
-    ({"flow.vol_tol": "5e-324"}, "state at t=0.001 violates volume tolerance", None),
-], ids=["cfl-subnormal", "n-100-short", "n-100", "vol-tol-subnormal"])
+], ids=["cfl-subnormal", "n-100-short", "n-100"])
 def test_solver_failures_exit_three(changes, message, checkpoint, tmp_path, capsys):
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -676,6 +679,44 @@ def test_solver_failures_exit_three(changes, message, checkpoint, tmp_path, caps
     err = capsys.readouterr().err
     assert code == 3 and f"solver abort: {message}" in err
     assert sorted(p.name for p in out.iterdir()) == ([checkpoint] if checkpoint else [])
+
+
+# one-key perturbations of REPRO_CFG: each key at each edge value.  Left out, since they
+# run for hours until a step limit (`flow.max_steps`) exists: flow.T = 1e300 here, and
+# outside these values profile.eps = -0.99, a dt of 1e-300 and flow.cfl = 1e-300
+EDGE_VALUES = ("0", "-1", "nan", "inf", "5e-324", "1e300", "abc")
+EDGE_CASES = [(key, value) for key in yflow.config._KNOWN_KEYS for value in EDGE_VALUES
+              if (key, value) != ("flow.T", "1e300")]
+# the stderr lines `run --quiet` prints, in order, for each exit code
+STDERR_LINES = {0: (), 1: ("monitor failures: ",), 2: ("config error: ",),
+                3: ("solver abort: ", "last valid checkpoint: ")}
+
+
+@pytest.mark.parametrize("key, value", EDGE_CASES, ids=[f"{k}={v}" for k, v in EDGE_CASES])
+def test_one_key_edge_values_end_cleanly(key, value, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--quiet", "--config", _write(tmp_path, _repro({key: value})),
+                     "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert code in STDERR_LINES and out == "" and (code == 0) == (lines == [])
+    assert len(lines) <= len(STDERR_LINES[code])
+    assert all(line.startswith(p) for line, p in zip(lines, STDERR_LINES[code])), err
+
+
+def test_a_run_that_fails_its_own_validation_exits_three(tmp_path, capsys, monkeypatch):
+    # a finished trajectory that breaks an invariant is a solver abort, with no checkpoint
+    def broken(traj):
+        raise ValueError("final rho disagrees with the Dirichlet form")
+
+    monkeypatch.setattr(yflow.flow.Trajectory, "validate", broken)
+    out = tmp_path / "out"
+    code = main(["run", "--quiet", "--config", _write(tmp_path, REPRO_CFG), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "solver abort: final rho disagrees with the Dirichlet form\n")
+    assert list(out.iterdir()) == []
 
 
 def test_overflowing_norms_give_finite_rows(tmp_path, capsys):
@@ -713,6 +754,15 @@ def test_moser_command(tmp_path, capsys):
     assert main(["moser", "--config", cfg, "--beta", "2.0", "--kmax", "4"]) == 0
     out = capsys.readouterr().out
     assert "iteration chain" in out and "ratio" in out
+
+
+def test_moser_flags_win_over_the_file_values(tmp_path, capsys):
+    # as run --seed does: the flags replace the file's values before they are checked
+    cfg = _write(tmp_path, SPHERE_CFG + "moser.beta = 1.0\nmoser.k_max = 9\n")
+    assert main(["moser", "--config", cfg, "--beta", "3", "--kmax", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("iteration chain: beta = 3, ")
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["1", "2"]
 
 
 def test_plot_command(tmp_path, capsys):

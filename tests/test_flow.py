@@ -31,7 +31,7 @@ from yflow.bounds import describe_ledger, run_monitors
 from yflow.discretization import lp_norm
 from yflow.flow import _record_of
 from yflow.geometry import RadialGrid, build_manifold, perturbed_sphere, sphere
-from yflow.yamabe import FlowState
+from yflow.yamabe import FlowState, VolumeError
 
 
 def test_flow_does_not_import_the_monitors():
@@ -146,17 +146,6 @@ def test_validate_checks_final_rho_against_dirichlet_form(bumpy128):
         traj.validate()
 
 
-def test_validate_checks_the_vol_column(bumpy128):
-    traj = run(bumpy128, FlowConfig(T_final=0.02, dt_init=1e-3, dt_max=1e-3,
-                                    snapshot_every=5))
-    # a state between two snapshots, forged off the unit-volume slice
-    k = 3
-    assert k not in traj.snap_step
-    traj.vol[k] = 1.0 + 10.0 * traj.config.vol_tol
-    with pytest.raises(ValueError, match=f"state at t={traj.t[k]:g} violates volume"):
-        traj.validate()
-
-
 def test_trajectory_stores_no_volume_weights():
     # a snapshot's weights are derived from its u, never stored
     assert "gvol_weights" not in {f.name for f in dataclasses.fields(Trajectory)}
@@ -224,10 +213,12 @@ def test_flow_config_rejects_negative_checkpoint_every():
 
 @pytest.mark.parametrize("fields", [
     {"T_final": math.inf}, {"T_final": math.nan},
-    {"T_final": 1.0, "vol_tol": math.nan}, {"T_final": 1.0, "positivity_floor": math.nan},
-], ids=["T-inf", "T-nan", "vol-tol-nan", "floor-nan"])
+    {"T_final": 1.0, "positivity_floor": math.inf},
+    {"T_final": 1.0, "positivity_floor": math.nan},
+], ids=["T-inf", "T-nan", "floor-inf", "floor-nan"])
 def test_flow_config_rejects_non_finite(fields):
-    # an infinite horizon never ends; a NaN tolerance passes every check
+    # an infinite horizon never ends; an infinite floor rejects every step, and a NaN one
+    # passes every check
     with pytest.raises(ValueError):
         FlowConfig(**fields)
 
@@ -366,6 +357,25 @@ def test_restore_reports_off_slice_volume_at_first_u_line(tmp_path):
         restore(path, m, cfg)
 
 
+def test_states_off_unit_volume_by_2e_10_are_refused(tmp_path):
+    # every state is held to |vol - 1| <= 1e-10 where it is built: in FlowState.from_u,
+    # and so in restore, which reports it at the first u line
+    m, cfg = _mini_setup()
+    state = FlowState.initial(m)
+    p = 2.0 * m.n / (m.n - 2.0)
+    assert FlowState.from_u(m, state.u * (1.0 + 5e-11) ** (1.0 / p), 0.0).volume != 1.0
+    off = state.u * (1.0 + 2e-10) ** (1.0 / p)
+    with pytest.raises(VolumeError, match="outside tolerance 1e-10 of 1"):
+        FlowState.from_u(m, off, 0.0)
+    path = tmp_path / "s.ckpt"
+    checkpoint(dataclasses.replace(state, u=off), str(path), m, cfg, dt_next=1e-3, step_index=0)
+    lines = path.read_bytes().splitlines(keepends=True)
+    offset = sum(map(len, lines[:next(i for i, ln in enumerate(lines) if ln.startswith(b"u "))]))
+    with pytest.raises(CheckpointError, match=rf"the u lines from byte {offset}: evolving volume "
+                                              r"1\.0000000002 is outside tolerance 1e-10 of 1"):
+        restore(str(path), m, cfg)
+
+
 @pytest.mark.parametrize("u", ["1e200", "1e-200"])
 def test_restore_reports_u_past_the_float_range_at_first_u_line(tmp_path, u):
     # positive and finite, but u^6 (the volume) or u^-5 (the curvature) overflows
@@ -485,8 +495,10 @@ def test_config_hash_sensitivity():
     m2 = build_manifold(perturbed_sphere(0.1), RadialGrid(M=48, gamma=2.0))
     assert config_hash(m2, cfg) != h1
     cfg2 = FlowConfig(T_final=0.2, dt_init=1e-3, dt_max=2e-3, snapshot_every=1,
-                      vol_tol=1e-9)
+                      positivity_floor=1e-11)
     assert config_hash(m, cfg2) != h1
+    # the fixed unit-volume tolerance keeps its text, so earlier checkpoints keep their hash
+    assert "|voltol=1e-10|" in cfg.spec_string()
 
 
 @pytest.mark.parametrize("shape", ["mixed", "positive", "zero"])
