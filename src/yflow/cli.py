@@ -182,7 +182,7 @@ def cmd_run(args) -> int:
     if args.sweep:
         key, _, items = args.sweep.partition("=")
         key = key.strip()
-        values = [v for v in items.split(",") if v]
+        values = [v for v in map(str.strip, items.split(",")) if v]
         if not key or not values or len(set(values)) < len(values):   # one directory per value
             print("sweep error: sweep needs PARAM=a,b,c with distinct values", file=sys.stderr)
             return EXIT_CONFIG
@@ -275,9 +275,12 @@ def cmd_auxcheck(args) -> int:
             print(f"yflow auxcheck: --ineq names no inequality (got {args.ineq!r})",
                   file=sys.stderr)
             return EXIT_CONFIG
-        for ineq_id in ids:
+        for i, ineq_id in enumerate(ids):
             if ineq_id not in auxfn.catalogue_ids():
                 print(f"unknown inequality {ineq_id!r}", file=sys.stderr)
+                return EXIT_CONFIG
+            if ineq_id in ids[:i]:      # one row per id, and one scan
+                print(f"yflow auxcheck: --ineq lists {ineq_id} twice", file=sys.stderr)
                 return EXIT_CONFIG
     rows = auxfn.run_catalogue(ids=ids, samples=args.samples, seed=args.seed)
     print(f"{'inequality':<10} {'samples':>9} {'violations':>11} {'worst margin':>14}")

@@ -102,11 +102,9 @@ _KNOWN_KEYS = {
     "grid.M": (int, "grid", "M"),
     "grid.gamma": (float, "grid", "gamma"),
     "flow.T": (float, "flow", "T_final"),
-    "flow.cfl": (float, "flow", "cfl"),
     "flow.dt_init": (float, "flow", "dt_init"),
     "flow.dt_min": (float, "flow", "dt_min"),
     "flow.dt_max": (float, "flow", "dt_max"),
-    "flow.positivity_floor": (float, "flow", "positivity_floor"),
     "flow.checkpoint_every": (_integer_from(0), "flow", "checkpoint_every"),
     "flow.snapshot_every": (int, "flow", "snapshot_every"),
     "monitors.enable": (_monitor_list, "scenario", "monitors"),

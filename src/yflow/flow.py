@@ -12,9 +12,11 @@ the volume weights and ``rho = int S dVol_g`` once each, from u alone;
 :meth:`Trajectory.validate` checks the final rho against the Dirichlet form.
 
 The step controller grows dt by 1.2x on success up to ``dt_max`` and caps
-dt by the explicit reaction limit ``cfl * 4 / ((n-2) max|S - rho|)``, which
+dt by the explicit reaction limit ``_CFL * 4 / ((n-2) max|S - rho|)``, which
 each step's record returns with its row; a limit below ``dt_min`` aborts the
-run.  When a step loses positivity it halves the nominal dt until that is
+run.  A step is accepted when its min u is above ``_POSITIVITY_FLOOR``.  Both
+safety factors are module constants, read at call time, not configuration.
+When a step loses positivity it halves the nominal dt until that is
 below the rejected dt, so no retry repeats a rejected (state, dt) pair; a
 nominal dt at ``dt_min`` that must still be halved aborts the run, as does a
 trajectory that fails :meth:`Trajectory.validate`.  Runs are strictly
@@ -64,39 +66,37 @@ __all__ = [
     "config_hash",
 ]
 
+# the reaction cap's safety factor, and the least u a step may accept
+_CFL = 0.9
+_POSITIVITY_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class FlowConfig:
     T_final: float = 1.0
-    cfl: float = 0.9
     dt_init: float = 1e-3
     dt_min: float = 1e-9
     dt_max: float = 1e-2
-    positivity_floor: float = 1e-12
     checkpoint_every: int = 0       # steps; 0 disables periodic checkpoints
     snapshot_every: int = 1         # steps between stored field snapshots
 
     def __post_init__(self):
         if not 0.0 < self.T_final < math.inf:
             raise ValueError("T_final must be positive and finite")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if not 0.0 < self.positivity_floor < math.inf:     # at inf every step is rejected
-            raise ValueError("positivity_floor must be positive and finite")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
     def spec_string(self) -> str:
-        # voltol: the unit-volume tolerance, fixed at 1e-10 (yamabe._VOLUME_TOL); the text
-        # stays so that configuration hashes, and the checkpoints that carry them, keep their value
+        # cfl, voltol and floor: the fixed _CFL, yamabe._VOLUME_TOL and _POSITIVITY_FLOOR; their
+        # text stays, so configuration hashes and the checkpoints that carry them keep their value
         return (
-            f"T={self.T_final:.17g}|cfl={self.cfl:.17g}|dt0={self.dt_init:.17g}"
+            f"T={self.T_final:.17g}|cfl={_CFL:.17g}|dt0={self.dt_init:.17g}"
             f"|dtmin={self.dt_min:.17g}|dtmax={self.dt_max:.17g}"
-            f"|voltol=1e-10|floor={self.positivity_floor:.17g}"
+            f"|voltol=1e-10|floor={_POSITIVITY_FLOOR:.17g}"
         )
 
 
@@ -131,9 +131,7 @@ def renormalize_volume(manifold: DiscretizedManifold, u: np.ndarray, t: float) -
     return FlowState.from_u(manifold, _unit_volume(manifold, u), t)
 
 
-def _advance(
-    manifold: DiscretizedManifold, state: FlowState, dt: float, positivity_floor: float
-) -> np.ndarray:
+def _advance(manifold: DiscretizedManifold, state: FlowState, dt: float) -> np.ndarray:
     """The conformal factor one semi-implicit step of size dt on, before projection."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -154,23 +152,20 @@ def _advance(
     u_new = TridiagonalOperator(sub=w * lap.sub, diag=diag, sup=w * lap.sup).solve(rhs)
 
     # one min/max test; NaN fails both comparisons
-    if not (np.minimum.reduce(u_new) > positivity_floor
+    if not (np.minimum.reduce(u_new) > _POSITIVITY_FLOOR
             and np.maximum.reduce(u_new) < math.inf):
         if not np.isfinite(u_new).all():
             bad = int(np.argmax(~np.isfinite(u_new)))
             raise SolverAbort(f"non-finite conformal factor at node {bad} "
                               f"(x={manifold.nodes[bad]:.6g}, dt={dt:.3e})")
-        bad = int(np.argmax(u_new <= positivity_floor))
+        bad = int(np.argmax(u_new <= _POSITIVITY_FLOOR))
         raise StepRejected(dt, bad, float(u_new[bad]))
     return u_new
 
 
-def step(
-    manifold: DiscretizedManifold, state: FlowState, dt: float, positivity_floor: float = 1e-12
-) -> FlowState:
+def step(manifold: DiscretizedManifold, state: FlowState, dt: float) -> FlowState:
     """Advance one semi-implicit step of size dt, projected with :func:`renormalize_volume`."""
-    return renormalize_volume(manifold, _advance(manifold, state, dt, positivity_floor),
-                              state.t + dt)
+    return renormalize_volume(manifold, _advance(manifold, state, dt), state.t + dt)
 
 
 # per-step Trajectory columns after ``step``; ``energy`` is int (S - rho)^2 dVol_g
@@ -296,14 +291,14 @@ def run(
     _snapshot(snapshots, k, state)
 
     while not _ended(state.t, T, k):
-        dt_cap = config.cfl * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
+        dt_cap = _CFL * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
         if dt_cap < config.dt_min:
             raise abort(f"reaction cap dt={dt_cap:.3e} below dt_min={config.dt_min:.3e} "
                         f"at t={state.t:.6g} (max|S - rho| = {reaction:.3e})")
         dt_eff = min(dt_nominal, dt_cap, T - state.t)
 
         try:
-            state = step(manifold, state, dt_eff, positivity_floor=config.positivity_floor)
+            state = step(manifold, state, dt_eff)
         except StepRejected:
             while dt_nominal >= dt_eff:     # a retry at the rejected dt would fail again
                 if dt_nominal <= config.dt_min * (1.0 + 1e-12):

@@ -12,7 +12,7 @@ RHO_SPHERE = 6.0 * (2.0 * np.pi**2) ** (2.0 / 3.0)
 
 def raw_volume(m, state, dt):
     """The evolving volume after one step of size dt, before projection."""
-    return float(np.add.reduce(_volume_weights(m, _advance(m, state, dt, 1e-12))))
+    return float(np.add.reduce(_volume_weights(m, _advance(m, state, dt))))
 
 
 @pytest.fixture(scope="session")

@@ -440,7 +440,9 @@ CONFIGS = {
     "negative_phi": f"profile.name = tabulated\nprofile.path = {TABULATED / 'negative_phi.txt'}\n"
     "grid.M = 32\nflow.T = 0.01\n",
     "vol_tol": SPHERE_CFG + "flow.vol_tol = 1e-10\n",
+    "cfl": SPHERE_CFG + "flow.cfl = 0.5\n",
     "floor_inf": SPHERE_CFG + "flow.positivity_floor = inf\n",
+    "floor_huge": SPHERE_CFG + "flow.positivity_floor = 1e300\n",
     "seed_negative": SPHERE_CFG + "seed = -3000\n",
     "checkpoint_negative": SPHERE_CFG + "flow.checkpoint_every = -2\n",
     "samples_1": SPHERE_CFG + "monitors.samples = 1\n",
@@ -471,6 +473,8 @@ CONFIGS = {
     (["auxcheck", "--ineq", ","], 2, "--ineq names no inequality (got ',')"),
     (["auxcheck", "--ineq", ""], 2, "--ineq names no inequality (got '')"),
     (["auxcheck", "--ineq", " , ", "--sharpness"], 2, "--ineq names no inequality"),
+    # each id names its own row
+    (["auxcheck", "--ineq", "I1,I1,I3"], 2, "yflow auxcheck: --ineq lists I1 twice"),
     # the moser flags are moser.beta and moser.k_max overrides
     (["moser", "--config", "{sphere}", "--kmax", "0"], 2,
      "config error: k_max must lie in [1, 8] (got 0)"),
@@ -523,6 +527,8 @@ CONFIGS = {
     # both workers would write grid.M=32/
     (["run", "--quiet", "--config", "{sphere}", "--sweep", "grid.M=32,32"], 2,
      "sweep error: sweep needs PARAM=a,b,c with distinct values"),
+    (["run", "--quiet", "--config", "{sphere}", "--sweep", "flow.T=0.01, 0.01"], 2,
+     "sweep error: sweep needs PARAM=a,b,c with distinct values"),
     # integer keys out of range are read as errors, before the flow runs
     (["run", "--config", "{seed_negative}"], 2,
      "config error: line 11, column 8: cannot parse value '-3000' for 'seed' as int >= 0"),
@@ -571,15 +577,19 @@ CONFIGS = {
     (["audit", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
     (["yamabe", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
     (["moser", "--config", "{negative_phi}"], 2, "config error: phi must be positive"),
-    # the unit-volume tolerance is fixed, not a key
+    # the unit-volume tolerance, the reaction cap's factor and the positivity floor are
+    # fixed, not keys
     (["run", "--config", "{vol_tol}"], 2,
      "config error: line 11, column 1: unknown key 'flow.vol_tol'"),
-    # every step would be rejected
+    (["run", "--config", "{cfl}"], 2, "config error: line 11, column 1: unknown key 'flow.cfl'"),
     (["run", "--config", "{floor_inf}"], 2,
-     "config error: positivity_floor must be positive and finite"),
+     "config error: line 11, column 1: unknown key 'flow.positivity_floor'"),
+    (["run", "--config", "{floor_huge}"], 2,
+     "config error: line 11, column 1: unknown key 'flow.positivity_floor'"),
 ], ids=["auxcheck-samples-0", "auxcheck-samples-negative",
         "auxcheck-samples-0-sharpness", "auxcheck-seed-negative",
         "auxcheck-ineq-comma", "auxcheck-ineq-empty", "auxcheck-ineq-blank-sharpness",
+        "auxcheck-ineq-repeated",
         "moser-kmax-0", "moser-kmax-9", "moser-beta-half", "moser-config-beta-1",
         "moser-config-kmax-9", "run-config-beta-1", "audit-config-kmax-9",
         "yamabe-config-beta-1", "run-config-p-nan", "audit-config-T-inf",
@@ -589,6 +599,7 @@ CONFIGS = {
         "run-sweep-unknown-key", "run-config-p-abc", "audit-config-no-phi-file",
         "run-config-M-padded", "run-config-audit-q", "audit-config-audit-q",
         "audit-config-phi-word", "audit-config-phi-nan-x", "run-sweep-repeated-value",
+        "run-sweep-repeated-padded-value",
         "run-config-seed-negative", "run-seed-negative", "run-config-checkpoint-negative",
         "run-config-samples-1", "yamabe-config-max-iter-negative", "run-config-p-repeated",
         "run-config-enable-repeated", "run-out-file", "run-out-below-file", "run-sweep-out-file",
@@ -597,7 +608,8 @@ CONFIGS = {
         "audit-config-zero-face", "audit-config-steep-200", "run-config-steep-200",
         "audit-config-steep-inf", "run-config-steep-inf", "run-config-negative-phi",
         "audit-config-negative-phi", "yamabe-config-negative-phi", "moser-config-negative-phi",
-        "run-config-vol-tol", "run-config-floor-inf"])
+        "run-config-vol-tol", "run-config-cfl", "run-config-floor-inf",
+        "run-config-floor-huge"])
 def test_exit_codes(argv, code, message, tmp_path, capsys):
     paths = {name: _write(tmp_path, text, name=f"{name}.cfg") for name, text in CONFIGS.items()}
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -660,16 +672,13 @@ def _repro(changes):
 
 
 @pytest.mark.parametrize("changes, message, checkpoint", [
-    # the reaction cap is 0, below dt_min, before the first step
-    ({"flow.cfl": "5e-324"},
-     "reaction cap dt=0.000e+00 below dt_min=1.000e-09 at t=0 ", "abort_step0.ckpt"),
     # max|S - rho| explodes: t + dt == t once the cap reaches 5.5e-32, at T = 2e-4 and
     # before any horizon
     ({"manifold.n": "100", "flow.T": "2e-4", "flow.dt_init": "2e-4"},
      "reaction cap dt=5.539e-32 below dt_min=1.000e-09 at t=0.000184405", "abort_step11.ckpt"),
     ({"manifold.n": "100", "flow.dt_init": "2e-4"},
      "reaction cap dt=5.539e-32 below dt_min=1.000e-09 at t=0.000184405", "abort_step11.ckpt"),
-], ids=["cfl-subnormal", "n-100-short", "n-100"])
+], ids=["n-100-short", "n-100"])
 def test_solver_failures_exit_three(changes, message, checkpoint, tmp_path, capsys):
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -681,12 +690,14 @@ def test_solver_failures_exit_three(changes, message, checkpoint, tmp_path, caps
     assert sorted(p.name for p in out.iterdir()) == ([checkpoint] if checkpoint else [])
 
 
-# one-key perturbations of REPRO_CFG: each key at each edge value.  Left out, since they
-# run for hours until a step limit (`flow.max_steps`) exists: flow.T = 1e300 here, and
-# outside these values profile.eps = -0.99, a dt of 1e-300 and flow.cfl = 1e-300
+# one-key perturbations of REPRO_CFG: each key at each edge value, and each key that is
+# gone (an unknown key, whatever its value).  Left out, since they run for hours until a
+# step limit (`flow.max_steps`) exists: flow.T = 1e300 here, and outside these values
+# profile.eps = -0.99 and a dt of 1e-300
 EDGE_VALUES = ("0", "-1", "nan", "inf", "5e-324", "1e300", "abc")
-EDGE_CASES = [(key, value) for key in yflow.config._KNOWN_KEYS for value in EDGE_VALUES
-              if (key, value) != ("flow.T", "1e300")]
+REMOVED_KEYS = ("yamabe.multistart", "flow.vol_tol", "flow.cfl", "flow.positivity_floor")
+EDGE_CASES = [(key, value) for key in (*yflow.config._KNOWN_KEYS, *REMOVED_KEYS)
+              for value in EDGE_VALUES if (key, value) != ("flow.T", "1e300")]
 # the stderr lines `run --quiet` prints, in order, for each exit code
 STDERR_LINES = {0: (), 1: ("monitor failures: ",), 2: ("config error: ",),
                 3: ("solver abort: ", "last valid checkpoint: ")}
@@ -703,6 +714,8 @@ def test_one_key_edge_values_end_cleanly(key, value, tmp_path, capsys):
     assert code in STDERR_LINES and out == "" and (code == 0) == (lines == [])
     assert len(lines) <= len(STDERR_LINES[code])
     assert all(line.startswith(p) for line, p in zip(lines, STDERR_LINES[code])), err
+    if key in REMOVED_KEYS:
+        assert code == 2 and f"unknown key {key!r}" in err
 
 
 def test_a_run_that_fails_its_own_validation_exits_three(tmp_path, capsys, monkeypatch):
@@ -838,6 +851,13 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     assert code == 0
     assert os.path.exists(os.path.join(out, "grid.M=48", "timeseries.csv"))
     assert os.path.exists(os.path.join(out, "grid.M=64", "timeseries.csv"))
+
+
+def test_sweep_names_each_directory_by_its_stripped_value(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", _write(tmp_path, SPHERE_CFG), "--out", str(out),
+                 "--sweep", "flow.T=0.01, 0.02", "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["flow.T=0.01", "flow.T=0.02"]
 
 
 @pytest.mark.parametrize("cpus, values, workers", [

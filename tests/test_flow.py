@@ -27,6 +27,7 @@ from yflow.flow import (
     step,
 )
 from conftest import raw_volume
+import yflow.flow
 from yflow.bounds import describe_ledger, run_monitors
 from yflow.discretization import lp_norm
 from yflow.flow import _record_of
@@ -151,19 +152,20 @@ def test_trajectory_stores_no_volume_weights():
     assert "gvol_weights" not in {f.name for f in dataclasses.fields(Trajectory)}
 
 
-def test_step_rejection_on_positivity():
+def test_step_rejection_on_positivity(monkeypatch):
     # where S0 exceeds rho the factor moves down ~ dt (S0 - rho)/4; against
     # a tight floor that must reject the step, never clip it
+    monkeypatch.setattr(yflow.flow, "_POSITIVITY_FLOOR", 0.99)
     m = build_manifold(perturbed_sphere(0.4), RadialGrid(M=32))
     st0 = FlowState.initial(m)
     with pytest.raises(StepRejected):
-        step(m, st0, dt=0.01, positivity_floor=0.99)
+        step(m, st0, dt=0.01)
 
 
-def test_abort_after_dt_underflow(tmp_path):
+def test_abort_after_dt_underflow(tmp_path, monkeypatch):
+    monkeypatch.setattr(yflow.flow, "_POSITIVITY_FLOOR", 0.999)
     m = build_manifold(perturbed_sphere(0.4), RadialGrid(M=32))
-    cfg = FlowConfig(T_final=1.0, dt_init=1e-3, dt_min=1e-3, dt_max=1e-3,
-                     positivity_floor=0.999)
+    cfg = FlowConfig(T_final=1.0, dt_init=1e-3, dt_min=1e-3, dt_max=1e-3)
     with pytest.raises(SolverAbort, match="underflow"):
         run(m, cfg, checkpoint_dir=str(tmp_path))
     # the last valid state was persisted
@@ -173,22 +175,21 @@ def test_abort_after_dt_underflow(tmp_path):
 def test_rejected_step_is_never_retried_unchanged(monkeypatch):
     # the reaction cap and T - t set dt here, so one halving of the nominal dt
     # can leave it above the rejected dt
-    from yflow import flow
-
     attempts = []   # (t, dt, accepted) of every step the controller tries
 
-    def spy(manifold, state, dt, **kw):
+    def spy(manifold, state, dt):
         try:
-            out = step(manifold, state, dt, **kw)
+            out = step(manifold, state, dt)
         except StepRejected:
             attempts.append((state.t, dt, False))
             raise
         attempts.append((state.t, dt, True))
         return out
 
-    monkeypatch.setattr(flow, "step", spy)
+    monkeypatch.setattr(yflow.flow, "step", spy)
+    monkeypatch.setattr(yflow.flow, "_POSITIVITY_FLOOR", 0.97)
     m = build_manifold(perturbed_sphere(0.4), RadialGrid(M=32))
-    cfg = FlowConfig(T_final=0.05, dt_init=0.5, dt_max=1.0, dt_min=1e-6, positivity_floor=0.97)
+    cfg = FlowConfig(T_final=0.05, dt_init=0.5, dt_max=1.0, dt_min=1e-6)
     with pytest.raises(SolverAbort, match="underflow at t=0.00864103"):
         run(m, cfg)
     assert not any(a[:2] == b[:2] for a, b in zip(attempts, attempts[1:]) if not a[2])
@@ -200,8 +201,6 @@ def test_flow_config_validation():
         FlowConfig(T_final=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(T_final=1.0, dt_init=1e-3, dt_min=1e-2)
-    with pytest.raises(ValueError):
-        FlowConfig(T_final=1.0, cfl=1.5)
 
 
 def test_flow_config_rejects_negative_checkpoint_every():
@@ -213,12 +212,9 @@ def test_flow_config_rejects_negative_checkpoint_every():
 
 @pytest.mark.parametrize("fields", [
     {"T_final": math.inf}, {"T_final": math.nan},
-    {"T_final": 1.0, "positivity_floor": math.inf},
-    {"T_final": 1.0, "positivity_floor": math.nan},
-], ids=["T-inf", "T-nan", "floor-inf", "floor-nan"])
+], ids=["T-inf", "T-nan"])
 def test_flow_config_rejects_non_finite(fields):
-    # an infinite horizon never ends; an infinite floor rejects every step, and a NaN one
-    # passes every check
+    # an infinite horizon never ends, and a NaN one passes every check
     with pytest.raises(ValueError):
         FlowConfig(**fields)
 
@@ -494,11 +490,13 @@ def test_config_hash_sensitivity():
     h1 = config_hash(m, cfg)
     m2 = build_manifold(perturbed_sphere(0.1), RadialGrid(M=48, gamma=2.0))
     assert config_hash(m2, cfg) != h1
-    cfg2 = FlowConfig(T_final=0.2, dt_init=1e-3, dt_max=2e-3, snapshot_every=1,
-                      positivity_floor=1e-11)
+    cfg2 = FlowConfig(T_final=0.2, dt_init=1e-3, dt_max=2e-3, snapshot_every=1, dt_min=1e-8)
     assert config_hash(m, cfg2) != h1
-    # the fixed unit-volume tolerance keeps its text, so earlier checkpoints keep their hash
-    assert "|voltol=1e-10|" in cfg.spec_string()
+    # the fixed reaction-cap factor, unit-volume tolerance and positivity floor keep their
+    # text, so earlier checkpoints keep their hash
+    assert cfg.spec_string() == (
+        "T=0.20000000000000001|cfl=0.90000000000000002|dt0=0.001|dtmin=1.0000000000000001e-09"
+        "|dtmax=0.002|voltol=1e-10|floor=9.9999999999999998e-13")
 
 
 @pytest.mark.parametrize("shape", ["mixed", "positive", "zero"])

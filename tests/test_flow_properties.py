@@ -27,7 +27,7 @@ def test_step_invariants(eps, M, dt):
     state = FlowState.initial(m)
     for _ in range(STEPS):
         try:
-            raw = _advance(m, state, dt, 1e-12)
+            raw = _advance(m, state, dt)
         except StepRejected:
             return
         new = step(m, state, dt)
@@ -58,7 +58,7 @@ def test_step_invariants_in_higher_dimensions(n, eps, M, dt):
     state = FlowState.initial(m)
     for _ in range(STEPS):
         try:
-            raw = _advance(m, state, dt, 1e-12)
+            raw = _advance(m, state, dt)
         except StepRejected:
             return
         new = step(m, state, dt)
