@@ -142,7 +142,7 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
     y_est = None
     if "parabolic_sobolev" in cfg.monitors and all(
             manifold.hypotheses[name].passed for name in bounds.REQUIRES["parabolic_sobolev"]):
-        est = estimate_yamabe_constant(manifold, max_iter=cfg.yamabe_max_iter)
+        est = estimate_yamabe_constant(manifold)
         if est.value > 0.0:
             y_est = est.value
 
@@ -249,8 +249,8 @@ def cmd_audit(args) -> int:
 def cmd_yamabe(args) -> int:
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
-    cfg, manifold = loaded
-    est = estimate_yamabe_constant(manifold, max_iter=cfg.yamabe_max_iter)
+    _, manifold = loaded
+    est = estimate_yamabe_constant(manifold)
     tag = "" if est.converged else "  [not_converged]"
     print(f"Y_est = {est.value:.12g}  (upper bound; rotationally symmetric "
           f"competitors){tag}")

@@ -85,7 +85,7 @@ def _boolean(spec: str) -> bool:
 # least value of each bounded integer ScenarioConfig field (the Sobolev fields
 # always include const and u_along_run); ScenarioConfig checks it, and so does
 # the scenario reader, which cites a file's value at its line and column
-_LEAST = {"sobolev_samples": 2, "yamabe_max_iter": 0, "seed": 0}
+_LEAST = {"sobolev_samples": 2, "seed": 0}
 
 # key -> (reader, part, keyword).  The value reader(text) is the keyword
 # argument of the profile function that profile.name names (part "profile"),
@@ -103,7 +103,6 @@ _KNOWN_KEYS = {
     "grid.gamma": (float, "grid", "gamma"),
     "flow.T": (float, "flow", "T_final"),
     "flow.dt_init": (float, "flow", "dt_init"),
-    "flow.dt_min": (float, "flow", "dt_min"),
     "flow.dt_max": (float, "flow", "dt_max"),
     "flow.checkpoint_every": (_integer_from(0), "flow", "checkpoint_every"),
     "flow.snapshot_every": (int, "flow", "snapshot_every"),
@@ -111,7 +110,6 @@ _KNOWN_KEYS = {
     "monitors.p": (_exponent_list, "scenario", "p_values"),
     "monitors.samples": (_integer_from(_LEAST["sobolev_samples"]), "scenario",
                          "sobolev_samples"),
-    "yamabe.max_iter": (_integer_from(_LEAST["yamabe_max_iter"]), "scenario", "yamabe_max_iter"),
     "moser.beta": (float, "scenario", "moser_beta"),
     "moser.k_max": (int, "scenario", "moser_k_max"),
     "output.dir": (str, "scenario", "output_dir"),
@@ -172,7 +170,6 @@ class ScenarioConfig:
     monitors: Tuple[str, ...] = MONITOR_NAMES
     p_values: Tuple[float, ...] = P_DEFAULT
     sobolev_samples: int = 20
-    yamabe_max_iter: int = 300
     moser_beta: float = 2.0
     moser_k_max: int = 6
     output_dir: Optional[str] = None

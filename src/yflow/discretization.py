@@ -179,6 +179,13 @@ class TridiagonalOperator:
         return _solve_tridiagonal(self, rhs)
 
 
+def _shifted_laplacian(lap: TridiagonalOperator, coef, shift) -> TridiagonalOperator:
+    """The bands of ``coef Lap + shift`` from the Laplacian's; each may be per node."""
+    diag = coef * lap.diag
+    diag += shift
+    return TridiagonalOperator(sub=coef * lap.sub, diag=diag, sup=coef * lap.sup)
+
+
 def _solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     """The body of :meth:`TridiagonalOperator.solve`.
 

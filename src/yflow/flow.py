@@ -13,15 +13,15 @@ the volume weights and ``rho = int S dVol_g`` once each, from u alone;
 
 The step controller grows dt by 1.2x on success up to ``dt_max`` and caps
 dt by the explicit reaction limit ``_CFL * 4 / ((n-2) max|S - rho|)``, which
-each step's record returns with its row; a limit below ``dt_min`` aborts the
-run.  A step is accepted when its min u is above ``_POSITIVITY_FLOOR``.  Both
-safety factors are module constants, read at call time, not configuration.
-When a step loses positivity it halves the nominal dt until that is
-below the rejected dt, so no retry repeats a rejected (state, dt) pair; a
-nominal dt at ``dt_min`` that must still be halved aborts the run, as does a
-trajectory that fails :meth:`Trajectory.validate`.  Runs are strictly
-sequential and bit-deterministic for a fixed configuration; independent runs
-can execute concurrently.
+each step's record returns with its row; a limit below ``_DT_MIN`` aborts the
+run.  A step is accepted when its min u is above ``_POSITIVITY_FLOOR``.  The
+safety factors and the step-size floor are module constants, read at call
+time, not configuration.  When a step loses positivity it halves the nominal
+dt until that is below the rejected dt, so no retry repeats a rejected
+(state, dt) pair; a nominal dt at ``_DT_MIN`` that must still be halved aborts
+the run, as does a trajectory that fails :meth:`Trajectory.validate`.  Runs
+are strictly sequential and bit-deterministic for a fixed configuration;
+independent runs can execute concurrently.
 
 Every run starts at ``FlowState.initial(manifold)`` and takes its ``rho0``
 from that state; ``run(..., resume_from=path)`` then continues from the
@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import TridiagonalOperator, flow_exponent, lp_norm
+from .discretization import _shifted_laplacian, flow_exponent, lp_norm
 from .geometry import DiscretizedManifold
 from .yamabe import (FlowState, VolumeError, _scalar_curvature, _unit_volume, _volume_weights,
                      average_scalar)
@@ -66,16 +66,16 @@ __all__ = [
     "config_hash",
 ]
 
-# the reaction cap's safety factor, and the least u a step may accept
+# the reaction cap's safety factor, the least u a step may accept, and the least dt
 _CFL = 0.9
 _POSITIVITY_FLOOR = 1e-12
+_DT_MIN = 1e-9
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     T_final: float = 1.0
     dt_init: float = 1e-3
-    dt_min: float = 1e-9
     dt_max: float = 1e-2
     checkpoint_every: int = 0       # steps; 0 disables periodic checkpoints
     snapshot_every: int = 1         # steps between stored field snapshots
@@ -83,19 +83,20 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.T_final < math.inf:
             raise ValueError("T_final must be positive and finite")
-        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        if not (_DT_MIN <= self.dt_init <= self.dt_max):
+            raise ValueError(f"need {_DT_MIN:g} <= dt_init <= dt_max")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
     def spec_string(self) -> str:
-        # cfl, voltol and floor: the fixed _CFL, yamabe._VOLUME_TOL and _POSITIVITY_FLOOR; their
-        # text stays, so configuration hashes and the checkpoints that carry them keep their value
+        # cfl, dtmin, voltol and floor: the fixed _CFL, _DT_MIN, yamabe._VOLUME_TOL and
+        # _POSITIVITY_FLOOR; their text stays, so configuration hashes and the checkpoints
+        # that carry them keep their value
         return (
             f"T={self.T_final:.17g}|cfl={_CFL:.17g}|dt0={self.dt_init:.17g}"
-            f"|dtmin={self.dt_min:.17g}|dtmax={self.dt_max:.17g}"
+            f"|dtmin={_DT_MIN:.17g}|dtmax={self.dt_max:.17g}"
             f"|voltol=1e-10|floor={_POSITIVITY_FLOOR:.17g}"
         )
 
@@ -146,10 +147,7 @@ def _advance(manifold: DiscretizedManifold, state: FlowState, dt: float) -> np.n
     rhs *= u
     # I - dt (n-1) u^{1-N} Lap, row by row
     w *= -dt * (n - 1)
-    lap = manifold.laplacian_bands
-    diag = w * lap.diag
-    diag += 1.0
-    u_new = TridiagonalOperator(sub=w * lap.sub, diag=diag, sup=w * lap.sup).solve(rhs)
+    u_new = _shifted_laplacian(manifold.laplacian_bands, w, 1.0).solve(rhs)
 
     # one min/max test; NaN fails both comparisons
     if not (np.minimum.reduce(u_new) > _POSITIVITY_FLOOR
@@ -292,8 +290,8 @@ def run(
 
     while not _ended(state.t, T, k):
         dt_cap = _CFL * 4.0 / ((n - 2) * reaction) if reaction > 0.0 else math.inf
-        if dt_cap < config.dt_min:
-            raise abort(f"reaction cap dt={dt_cap:.3e} below dt_min={config.dt_min:.3e} "
+        if dt_cap < _DT_MIN:
+            raise abort(f"reaction cap dt={dt_cap:.3e} below dt_min={_DT_MIN:.3e} "
                         f"at t={state.t:.6g} (max|S - rho| = {reaction:.3e})")
         dt_eff = min(dt_nominal, dt_cap, T - state.t)
 
@@ -301,9 +299,9 @@ def run(
             state = step(manifold, state, dt_eff)
         except StepRejected:
             while dt_nominal >= dt_eff:     # a retry at the rejected dt would fail again
-                if dt_nominal <= config.dt_min * (1.0 + 1e-12):
+                if dt_nominal <= _DT_MIN * (1.0 + 1e-12):
                     raise abort(f"dt underflow at t={state.t:.6g} after repeated rejections")
-                dt_nominal = max(dt_nominal / 2.0, config.dt_min)
+                dt_nominal = max(dt_nominal / 2.0, _DT_MIN)
             continue
 
         k += 1
@@ -370,7 +368,7 @@ def restore(
     Refuses files whose configuration hash does not match the given
     manifold and flow configuration.  A line that cannot be read, holds a
     value no run resumes from (t < 0 or past ``T_final``, dt outside
-    [``dt_min``, ``dt_max``], step < 0, u <= 0, or one not finite), or has a
+    [``_DT_MIN``, ``dt_max``], step < 0, u <= 0, or one not finite), or has a
     hash or node count that does not match is reported with its byte offset,
     as is any byte after the last u line; a u off the unit-volume slice, or
     one whose u^p or S leaves the float range, with that of its first line.
@@ -411,7 +409,7 @@ def restore(
                 "the checkpoint belongs to a different manifold or flow setup"
             )
         t = field("t", float, lambda v: 0.0 <= v <= config.T_final)
-        dt_next = field("dt", float, lambda v: config.dt_min <= v <= config.dt_max)
+        dt_next = field("dt", float, lambda v: _DT_MIN <= v <= config.dt_max)
         step_index = field("step", int, lambda v: v >= 0)
         nodes = field("nodes", int)
         if nodes != manifold.node_count:

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .discretization import (
-    TridiagonalOperator,
     _conformal_laplacian,
     _dirichlet_form,
+    _shifted_laplacian,
     _solve_tridiagonal,
     check_field,
     critical_exponent,
@@ -210,9 +210,7 @@ def estimate_yamabe_constant(manifold: DiscretizedManifold, max_iter: int = 300)
     """
     n = manifold.n
     p, mu, k = critical_exponent(n), manifold.mu_weights, kappa(n)
-    lap = manifold.laplacian_bands
-    l0 = TridiagonalOperator(sub=-k * lap.sub, diag=manifold.S0 - k * lap.diag,
-                             sup=-k * lap.sup)
+    l0 = _shifted_laplacian(manifold.laplacian_bands, -k, manifold.S0)
     v = np.ones(manifold.node_count)
     v /= lp_norm(v, p, mu)
     value, minimizer = yamabe_quotient(manifold, v), v

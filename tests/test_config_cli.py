@@ -95,7 +95,7 @@ def test_load_scenario_monitor_subset(tmp_path):
 
 
 @pytest.mark.parametrize("field, least", [
-    ("seed", 0), ("yamabe_max_iter", 0), ("sobolev_samples", 2),
+    ("seed", 0), ("sobolev_samples", 2),
 ])
 def test_scenario_config_rejects_counts_below_their_range(field, least):
     # the scenario reader checks these ranges too; a config built in Python must not skip them
@@ -539,7 +539,7 @@ CONFIGS = {
     (["run", "--config", "{samples_1}"], 2,
      "cannot parse value '1' for 'monitors.samples' as int >= 2"),
     (["yamabe", "--config", "{max_iter_negative}"], 2,
-     "cannot parse value '-1' for 'yamabe.max_iter' as int >= 0"),
+     "config error: line 11, column 1: unknown key 'yamabe.max_iter'"),
     # each entry names its own monitor results, so a repeated one is an error
     (["run", "--config", "{p_repeated}"], 2, "config error: monitors.p lists 2.0 twice"),
     (["run", "--config", "{enable_repeated}"], 2,
@@ -693,9 +693,10 @@ def test_solver_failures_exit_three(changes, message, checkpoint, tmp_path, caps
 # one-key perturbations of REPRO_CFG: each key at each edge value, and each key that is
 # gone (an unknown key, whatever its value).  Left out, since they run for hours until a
 # step limit (`flow.max_steps`) exists: flow.T = 1e300 here, and outside these values
-# profile.eps = -0.99 and a dt of 1e-300
+# profile.eps = -0.99
 EDGE_VALUES = ("0", "-1", "nan", "inf", "5e-324", "1e300", "abc")
-REMOVED_KEYS = ("yamabe.multistart", "flow.vol_tol", "flow.cfl", "flow.positivity_floor")
+REMOVED_KEYS = ("yamabe.multistart", "flow.vol_tol", "flow.cfl", "flow.positivity_floor",
+                "flow.dt_min", "yamabe.max_iter")
 EDGE_CASES = [(key, value) for key in (*yflow.config._KNOWN_KEYS, *REMOVED_KEYS)
               for value in EDGE_VALUES if (key, value) != ("flow.T", "1e300")]
 # the stderr lines `run --quiet` prints, in order, for each exit code

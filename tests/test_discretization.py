@@ -16,6 +16,7 @@ from yflow.discretization import (
     _conformal_laplacian,
     _dirichlet_form,
     _gradient,
+    _shifted_laplacian,
     h1_norm,
     kappa,
     laplacian,
@@ -182,8 +183,7 @@ def _step_systems(M, count, seed):
     for _ in range(count):
         u = rng.uniform(0.5, 2.0, m.node_count)
         dt_diff = 10.0 ** rng.uniform(-6.0, -2.0) * 2.0 * u**-4.0
-        op = TridiagonalOperator(sub=-(dt_diff * lap.sub), diag=1.0 - dt_diff * lap.diag,
-                                 sup=-(dt_diff * lap.sup))
+        op = _shifted_laplacian(lap, -dt_diff, 1.0)
         yield op, u + rng.normal(0.0, 1e-3, m.node_count)
 
 

@@ -164,8 +164,9 @@ def test_step_rejection_on_positivity(monkeypatch):
 
 def test_abort_after_dt_underflow(tmp_path, monkeypatch):
     monkeypatch.setattr(yflow.flow, "_POSITIVITY_FLOOR", 0.999)
+    monkeypatch.setattr(yflow.flow, "_DT_MIN", 1e-3)
     m = build_manifold(perturbed_sphere(0.4), RadialGrid(M=32))
-    cfg = FlowConfig(T_final=1.0, dt_init=1e-3, dt_min=1e-3, dt_max=1e-3)
+    cfg = FlowConfig(T_final=1.0, dt_init=1e-3, dt_max=1e-3)
     with pytest.raises(SolverAbort, match="underflow"):
         run(m, cfg, checkpoint_dir=str(tmp_path))
     # the last valid state was persisted
@@ -188,19 +189,22 @@ def test_rejected_step_is_never_retried_unchanged(monkeypatch):
 
     monkeypatch.setattr(yflow.flow, "step", spy)
     monkeypatch.setattr(yflow.flow, "_POSITIVITY_FLOOR", 0.97)
+    monkeypatch.setattr(yflow.flow, "_DT_MIN", 1e-6)
     m = build_manifold(perturbed_sphere(0.4), RadialGrid(M=32))
-    cfg = FlowConfig(T_final=0.05, dt_init=0.5, dt_max=1.0, dt_min=1e-6)
+    cfg = FlowConfig(T_final=0.05, dt_init=0.5, dt_max=1.0)
     with pytest.raises(SolverAbort, match="underflow at t=0.00864103"):
         run(m, cfg)
     assert not any(a[:2] == b[:2] for a, b in zip(attempts, attempts[1:]) if not a[2])
     assert sum(not ok for _, _, ok in attempts) >= 10
 
 
-def test_flow_config_validation():
+def test_flow_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         FlowConfig(T_final=-1.0)
+    # the step-size floor is read when the config is built
+    monkeypatch.setattr(yflow.flow, "_DT_MIN", 1e-2)
     with pytest.raises(ValueError):
-        FlowConfig(T_final=1.0, dt_init=1e-3, dt_min=1e-2)
+        FlowConfig(T_final=1.0, dt_init=1e-3)
 
 
 def test_flow_config_rejects_negative_checkpoint_every():
@@ -313,7 +317,7 @@ def test_restore_reports_truncation_offset(tmp_path):
 
 
 # the values after "nodes" are ones no run can resume from: a t outside [0, T_final],
-# a dt outside [dt_min, dt_max] (1e-9 and 2e-3 here), a negative step, a u that is not
+# a dt outside [_DT_MIN, dt_max] (1e-9 and 2e-3 here), a negative step, a u that is not
 # positive, or any of them not finite
 @pytest.mark.parametrize("key, bad", [
     ("t", "zero"), ("dt", "1e-3e"), ("step", "1.5"), ("nodes", "17.5"),
@@ -490,10 +494,10 @@ def test_config_hash_sensitivity():
     h1 = config_hash(m, cfg)
     m2 = build_manifold(perturbed_sphere(0.1), RadialGrid(M=48, gamma=2.0))
     assert config_hash(m2, cfg) != h1
-    cfg2 = FlowConfig(T_final=0.2, dt_init=1e-3, dt_max=2e-3, snapshot_every=1, dt_min=1e-8)
+    cfg2 = FlowConfig(T_final=0.2, dt_init=2e-3, dt_max=2e-3, snapshot_every=1)
     assert config_hash(m, cfg2) != h1
-    # the fixed reaction-cap factor, unit-volume tolerance and positivity floor keep their
-    # text, so earlier checkpoints keep their hash
+    # the fixed reaction-cap factor, step-size floor, unit-volume tolerance and positivity
+    # floor keep their text, so earlier checkpoints keep their hash
     assert cfg.spec_string() == (
         "T=0.20000000000000001|cfl=0.90000000000000002|dt0=0.001|dtmin=1.0000000000000001e-09"
         "|dtmax=0.002|voltol=1e-10|floor=9.9999999999999998e-13")
