@@ -18,6 +18,12 @@ scale-reduced point ``(x, L)/max(x, L)``.  That keeps verdicts exact over
 the full sampler ranges without floating-point overflow; reported sides
 are the scale-reduced values.  The sides see the points with x <= L and
 the rest apart, so that every family there takes one branch.
+
+The located constants of I9 (C1, C2) and I11 (C4) and the region gate of I8
+are suprema over s = x/L, each in closed form: the ratios of I9 and I11 peak
+at the branch point, and I8's lhs where its derivative, affine in
+s^{2 nu - 1}, vanishes.  Each carries a stated allowance for the rounding of
+the computed sides.
 """
 from __future__ import annotations
 
@@ -185,54 +191,58 @@ def _tF(b, L, nu, n, x):
 
 # ---------------------------------------------------------------------------
 # located constants for the tilde comparisons
+#
+# Each constant is the supremum of a ratio that depends on (x, L) only through
+# s = x/L, so L = 1 is general.  The outer branches obey tH' = tG, tG' = tphi'^2
+# and tphi'' = beta (nu - 1) s^{nu-2} <= 0, and the suprema follow in closed form.
 
-# grid in s = x/L, dense just past the branch point where ratios peak
-_SUP_GRID = np.concatenate(
-    [
-        1.0 + np.exp(np.linspace(math.log(1e-10), math.log(1.0), 2048)),
-        np.exp(np.linspace(math.log(2.0), math.log(1e6), 2048))[1:],
-    ]
-)
-# covers the grid's interpolation error for smooth ratio maxima
-_SUP_SAFETY = 1.0 + 1e-4
+# C1 and C2 are their suprema times 1 + _ROUNDING_ULPS u (1 + beta (2 beta - 1)/(nu
+# |2 nu - 1|)), u the unit roundoff: over 6000 draws the ratios computed near the
+# junction exceeded their suprema by at most 3 u (1 + ...)
+_UNIT_ROUNDOFF = 2.0**-53
+_ROUNDING_ULPS = 16.0
+# C4's relative margin over its supremum, wider than that bound at nu = beta/(2 beta + 1)
+# (below 2e-9 for beta <= 50)
+_C4_MARGIN = 1.0 + 1e-4
 
 
 def locate_tilde_constants(beta: float, nu: float, n: int):
-    """Empirical L-independent constants (C1, C2) with C1 tH >= tphi^2,
-    C2 tH >= x tG.
+    """Constants (C1, C2) with C1 tH >= tphi^2 and C2 tH >= x tG for all x.
 
-    Both ratios depend on (x, L) only through s = x/L, so the supremum is
-    searched over s in (1, 1e6] and combined with the closed-form constant
-    of the inner branch.  These are artifact constants located by the
-    oracle, not quoted values.
+    On the inner branch the ratios are the constants c1 = 2 (2 beta - 1)/beta
+    and c2 = 2 beta.  On the outer branch E = c1 tH - tphi^2 and
+    D = c2 tH - s tG vanish at s = 1 with their first derivatives, and
+    E'' = (c1 - 2) tphi'^2 - 2 tphi tphi'' >= 0 and
+    D'' = 2 beta^2 (beta - nu) s^{2 nu - 2} >= 0, so both ratios fall past L:
+    c1 and c2 are the suprema.  Each is returned times
+    1 + 16 u (1 + beta (2 beta - 1)/(nu |2 nu - 1|)), u the unit roundoff,
+    which bounds the rounding of the computed ratios near the junction, where
+    they peak.  ``n`` does not enter.
     """
-    s = _SUP_GRID
-    tp = _tphi(beta, 1.0, nu, s)
-    tg = _tG(beta, 1.0, nu, s)
-    th = _tH(beta, 1.0, nu, s)
-    inner_c1 = 2.0 * (2.0 * beta - 1.0) / beta
-    inner_c2 = 2.0 * beta
-    c1 = max(float(np.max(tp * tp / th)), inner_c1) * _SUP_SAFETY
-    c2 = max(float(np.max(s * tg / th)), inner_c2) * _SUP_SAFETY
-    return c1, c2
+    # near the junction the outer branches add powers of s scaled by up to
+    # beta^2/(nu |2 nu - 1|) to tH(L) = beta/(2 (2 beta - 1)), so one rounding of a
+    # power moves the computed ratios by about u beta (2 beta - 1)/(nu |2 nu - 1|)
+    margin = 1.0 + _ROUNDING_ULPS * _UNIT_ROUNDOFF * (
+        1.0 + beta * (2.0 * beta - 1.0) / (nu * abs(2.0 * nu - 1.0)))
+    return 2.0 * (2.0 * beta - 1.0) / beta * margin, 2.0 * beta * margin
 
 
 def locate_chain_constant(beta: float, n: int) -> float:
-    """Empirical C4 with C4 tH >= tF^{2 beta} at nu = beta/(2 beta + 1).
+    """C4 with C4 tH >= tF^{2 beta} for all x, at nu = beta/(2 beta + 1).
 
-    tF jumps up at x = L while tH is continuous and tH' / tH >= 1/x keeps
-    the ratio falling beyond, so the supremum of the outer branch sits at
-    x -> L+ and has a closed form; the grid scan is a safety net.
+    On the inner branch the ratio is 2 (2 beta - 1) beta^{2 nu - 1}.  tF jumps
+    up at x = L, and past it tF^{2 beta} = (s tf)^{2 nu} with tf constant,
+    while s tG >= tH (tH is the integral of the nondecreasing tG): the
+    logarithmic derivative 2 nu/s - tG/tH is negative, so the ratio falls
+    from its x -> L+ limit, the jump.  C4 is the larger of the two times
+    ``_C4_MARGIN``.
     """
     nu = beta / (2.0 * beta + 1.0)
-    s = _SUP_GRID
-    tf2b = _tF(beta, 1.0, nu, n, s) ** (2.0 * beta)
-    th = _tH(beta, 1.0, nu, s)
     inner = 2.0 * (2.0 * beta - 1.0) * beta ** (2.0 * nu - 1.0)
     jump = (0.5 * n * abs(_C_coeff(beta, nu))) ** (2.0 * nu) * 2.0 * (
         2.0 * beta - 1.0
     ) / beta
-    return max(float(np.max(tf2b / th)), inner, jump) * _SUP_SAFETY
+    return max(inner, jump) * _C4_MARGIN
 
 
 def _chain_c3(beta, nu, n):
@@ -332,23 +342,44 @@ def _region_tilde(b, L, nu, n):
     return None
 
 
+# I8's relative margin must stay below this, as the gate's guard against rounding
+_I8_THRESHOLD = -1e-9
+
+
+def _i8_sup_margin(b, nu, n):
+    """The supremum over x of I8's relative margin (lhs - rhs)/max(|lhs|, |rhs|), for
+    nu < 1/2 <= n/4 <= beta; elementwise over arrays.
+
+    The claim is scale invariant, so L = 1.  The inner branch's margin is
+    (beta - n/4)/(2 beta - 1) - 1 <= -1/2.  On the outer branch rhs = tf is
+    constant and q = s tG - (n/2) tH is concave, q'' = beta^2 s^{2 nu - 2}
+    (2 nu - n/2) < 0, while q' = (1 - n/2) tG + beta^2 t is affine in
+    t = s^{2 nu - 1}.  So q peaks at the root t* = 2 a (beta - nu)/((2 beta - 1)
+    (a + 2 nu - 1)), a = 1 - n/2, or at x -> L+ when t* >= 1.  The margin rises
+    with q wherever it exceeds -1, so the margin there is the supremum whenever
+    the gate can refuse.  Its rounding, at most 2.3e-14 over 3000 sampler draws
+    against a 40-digit evaluation, is far inside the gate's 1e-9 guard.
+    """
+    a = 1.0 - 0.5 * n
+    t = np.minimum(2.0 * a * (b - nu) / ((2.0 * b - 1.0) * (a + 2.0 * nu - 1.0)), 1.0)
+    # a nan or inf at extreme parameters fails the gate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the least s > 1 stands for x -> L+, where the points take the outer branch
+        s = np.maximum(t ** (1.0 / (2.0 * nu - 1.0)), np.nextafter(1.0, 2.0))
+        lhs, rhs = _sides_I8(b, 1.0, nu, n, s)
+        return (lhs - rhs) / np.maximum(1e-300, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 def i8_region_ok(beta: float, nu: float, n: int) -> bool:
     """Oracle gate for the tilde-family domination x tG - (n/2) tH <= tf.
 
-    The claim is scale invariant, so L = 1 is general; validity is decided
-    by a supremum scan over s = x/L.  The admissible (beta, nu) set is
-    genuinely curved: nu >= 1/2 flips the linear coefficient's sign against
-    the constant outer branch of tf, and even below 1/2 large beta opens a
-    mid-range band of failures.
+    Admits (beta, nu, n) when the supremum over x of the relative margin,
+    located in closed form (``_i8_sup_margin``), is at most -1e-9.  The
+    admissible (beta, nu) set is genuinely curved: nu >= 1/2 flips the linear
+    coefficient's sign against the constant outer branch of tf, and even
+    below 1/2 large beta opens a mid-range band of failures.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the prefix points take the inner branches, the grid (s > 1) the outer ones
-        lhs, rhs = (np.concatenate(side) for side in zip(
-            _sides_I8(beta, 1.0, nu, n, np.array([0.25, 0.75, 1.0])),
-            _sides_I8(beta, 1.0, nu, n, _SUP_GRID)))
-    scale = np.maximum(1e-300, np.maximum(np.abs(lhs), np.abs(rhs)))
-    # strict pointwise relative margin guards the grid's interpolation error
-    return float(np.max((lhs - rhs) / scale)) <= -1e-9
+    return bool(_i8_sup_margin(beta, nu, n) <= _I8_THRESHOLD)
 
 
 def _region_I8(b, L, nu, n):
@@ -464,7 +495,7 @@ def _draw_nu(rng, size, cap):
 
 def _tile_groups(rng, size, draw_group):
     # located-constant inequalities reuse each parameter triple for many x
-    # samples, so the supremum search runs once per group
+    # samples, so the constants are located once per group
     groups = max(1, size // 512)
     cols = draw_group(groups)
     reps = -(-size // groups)
@@ -491,9 +522,10 @@ def _sample_I8(rng, size):
         n = rng.choice(_N_CHOICES, size=groups)
         b = np.maximum(_log_uniform(rng, *_BETA_RANGE, groups), n / 4.0)
         nu = _log_uniform(rng, 1e-3, 0.49, groups)
-        for i in range(groups):
-            while not i8_region_ok(float(b[i]), float(nu[i]), int(n[i])):
-                nu[i] *= 0.5
+        out = np.ones(groups, dtype=bool)
+        while out.any():    # every refused group at once; draws nothing
+            out[out] = ~(_i8_sup_margin(b[out], nu[out], n[out]) <= _I8_THRESHOLD)
+            nu[out] *= 0.5
         return b, nu, n
 
     b, nu, n = _tile_groups(rng, size, draw)

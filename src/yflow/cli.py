@@ -4,6 +4,9 @@ Subcommands: ``run``, ``audit``, ``yamabe``, ``auxcheck``, ``moser``,
 ``plot``.  Exit codes: 0 success, 1 monitor failure, 2 configuration or
 usage error, 3 solver abort.  ``YFLOW_OUT`` sets the default output root;
 audit findings are warnings on stderr and never abort a run.
+
+The flow stack (config, geometry, flow, yamabe, bounds) is imported by the
+subcommands that use it, so ``auxcheck`` loads only the catalogue.
 """
 from __future__ import annotations
 
@@ -11,24 +14,33 @@ import argparse
 import math
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from . import bounds
-from .config import ConfigError, ScenarioConfig, load_scenario, parse_kv
-from .flow import RECORD_COLUMNS, SolverAbort, Trajectory, run
-from .geometry import DiscretizedManifold, GeometryError, audit_assumptions
-from .yamabe import estimate_yamabe_constant
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
+    from .flow import Trajectory
+    from .geometry import DiscretizedManifold
 
-# (timeseries.csv column, Trajectory column, plotted to <column>.svg): the
-# record columns, energy headed energy_S_rho; t, dt and the (S - rho)_- norms
-# are not plotted
-TIMESERIES_COLUMNS = tuple(
-    ("energy_S_rho" if f == "energy" else f, f,
-     f not in ("t", "dt", "s_minus_l2", "s_minus_linf"))
-    for f in RECORD_COLUMNS
-)
+
+def _timeseries_columns():
+    """(timeseries.csv column, Trajectory column, plotted to <column>.svg): the
+    record columns, energy headed energy_S_rho; t, dt and the (S - rho)_- norms
+    are not plotted."""
+    from .flow import RECORD_COLUMNS
+
+    return tuple(("energy_S_rho" if f == "energy" else f, f,
+                  f not in ("t", "dt", "s_minus_l2", "s_minus_linf"))
+                 for f in RECORD_COLUMNS)
+
+
+def __getattr__(name):
+    # PEP 562: TIMESERIES_COLUMNS reads flow's columns on first use
+    if name == "TIMESERIES_COLUMNS":
+        return _timeseries_columns()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_MONITOR = 1
@@ -65,9 +77,10 @@ def _write_rows(path: str, header: str, blocks) -> None:
 
 
 def write_timeseries(traj: Trajectory, path: str) -> None:
-    cols = [getattr(traj, f) for _, f, _ in TIMESERIES_COLUMNS]
+    columns = _timeseries_columns()
+    cols = [getattr(traj, f) for _, f, _ in columns]
     row_format = ",".join(["%.17g"] * len(cols)) + "\n"
-    _write_rows(path, ",".join(col for col, _, _ in TIMESERIES_COLUMNS), (
+    _write_rows(path, ",".join(col for col, _, _ in columns), (
         (row_format, np.stack([c[lo:lo + _BLOCK_ROWS] for c in cols]), None)
         for lo in range(0, len(cols[0]), _BLOCK_ROWS)))
 
@@ -103,7 +116,7 @@ def _plot_columns(cols, plot_dir: str) -> None:
     from .svgplot import render_series
 
     ts = np.asarray(cols["t"], dtype=float).tolist()
-    for col, _, plotted in TIMESERIES_COLUMNS:
+    for col, _, plotted in _timeseries_columns():
         if plotted:
             render_series(ts, np.asarray(cols[col], dtype=float).tolist(),
                           col, os.path.join(plot_dir, f"{col}.svg"))
@@ -115,6 +128,9 @@ def _load(path: str, overrides: Optional[Dict[str, str]] = None):
     Prints one ``config error:`` line and returns None when either is invalid
     or a file the profile names (``tabulated``) cannot be read.
     """
+    from .config import ConfigError, load_scenario
+    from .geometry import GeometryError
+
     try:
         cfg = load_scenario(path, overrides)
         return cfg, cfg.build()
@@ -125,6 +141,11 @@ def _load(path: str, overrides: Optional[Dict[str, str]] = None):
 
 def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: str,
                   quiet: bool) -> int:
+    from . import bounds
+    from .flow import SolverAbort, run
+    from .geometry import audit_assumptions
+    from .yamabe import estimate_yamabe_constant
+
     if not _make_dir(out_dir):
         return EXIT_CONFIG
     report = audit_assumptions(manifold)
@@ -158,7 +179,7 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
     if cfg.plots:
         if not _make_dir(plot_dir := os.path.join(out_dir, "plots")):
             return EXIT_CONFIG
-        _plot_columns({col: getattr(traj, f) for col, f, _ in TIMESERIES_COLUMNS}, plot_dir)
+        _plot_columns({col: getattr(traj, f) for col, f, _ in _timeseries_columns()}, plot_dir)
 
     failed = [r.monitor_id for r in results if r.applicable and not r.passed]
     if not quiet:
@@ -173,6 +194,8 @@ def _scenario_run(cfg: ScenarioConfig, manifold: DiscretizedManifold, out_dir: s
 
 
 def cmd_run(args) -> int:
+    from .config import ConfigError, parse_kv
+
     overrides = {} if args.seed is None else {"seed": str(args.seed)}
     if (loaded := _load(args.config, overrides)) is None:
         return EXIT_CONFIG
@@ -234,6 +257,9 @@ def _sweep_job(config_path: str, overrides: Dict[str, str], out_dir: str) -> int
 
 
 def cmd_audit(args) -> int:
+    from . import bounds
+    from .geometry import audit_assumptions
+
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
     cfg, manifold = loaded
@@ -247,6 +273,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_yamabe(args) -> int:
+    from .yamabe import estimate_yamabe_constant
+
     if (loaded := _load(args.config)) is None:
         return EXIT_CONFIG
     _, manifold = loaded
@@ -259,7 +287,7 @@ def cmd_yamabe(args) -> int:
 
 
 def cmd_auxcheck(args) -> int:
-    from . import auxfn     # imported here: no other subcommand needs the catalogue
+    from . import auxfn
 
     if args.seed is None:
         args.seed = auxfn.DEFAULT_SEED
@@ -307,6 +335,9 @@ def cmd_auxcheck(args) -> int:
 
 
 def cmd_moser(args) -> int:
+    from . import bounds
+    from .flow import SolverAbort, run
+
     flags = {"moser.beta": args.beta, "moser.k_max": args.kmax}
     if (loaded := _load(args.config, {k: v for k, v in flags.items() if v is not None})) is None:
         return EXIT_CONFIG
@@ -332,7 +363,7 @@ def cmd_plot(args) -> int:
         print(f"{args.csv}: no data rows", file=sys.stderr)
         return EXIT_CONFIG
     header = lines[0][1].split(",")
-    missing = [c for c, _, _ in TIMESERIES_COLUMNS if c not in header]
+    missing = [c for c, _, _ in _timeseries_columns() if c not in header]
     if missing:
         print(f"{args.csv}: missing columns {', '.join(missing)}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,14 @@ ULP = float(np.finfo(float).eps)     # one unit in the last place, relative
 BASE = (auxfn._phi, auxfn._G, auxfn._H)
 TILDE = (auxfn._tphi, auxfn._tG, auxfn._tH)
 
+# 4095 points in s = x/L > 1, dense just past the branch point: the scan that once
+# located C1, C2, C4 and the I8 gate, kept as their reference
+SUP_GRID = np.concatenate([
+    1.0 + np.exp(np.linspace(math.log(1e-10), math.log(1.0), 2048)),
+    np.exp(np.linspace(math.log(2.0), math.log(1e6), 2048))[1:],
+])
+SCAN_SAFETY = 1.0 + 1e-4    # the scan's allowance for its interpolation error
+
 
 # --- frozen branch values ----------------------------------------------------
 
@@ -314,6 +322,124 @@ def test_chain_constant_certifies():
         assert np.all(tf2 <= c4 * th * (1 + 1e-9) + 1e-300)
 
 
+# --- the located constants against the 4095-point scan -------------------------
+
+
+def _draw_groups(sampler, groups, seed):
+    """(beta, nu, n) of ``groups`` parameter groups drawn by a grouped sampler."""
+    b, _, nu, n, _ = sampler(np.random.default_rng(seed), 512 * groups)
+    return [(float(v), float(w), int(m)) for v, w, m in zip(b[::512], nu[::512], n[::512])]
+
+
+def test_chain_constant_is_the_scanned_closed_form():
+    # past L the chain ratio falls because x tG >= tH, so the scan never beats the
+    # closed form: C4 keeps the scan's value bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        beta = float(np.exp(rng.uniform(0.0, math.log(50.0))))
+        n = int(rng.choice(auxfn._N_CHOICES))
+        nu = beta / (2.0 * beta + 1.0)
+        assert np.all(SUP_GRID * auxfn._tG(beta, 1.0, nu, SUP_GRID)
+                      >= auxfn._tH(beta, 1.0, nu, SUP_GRID))
+        ratio = auxfn._tF(beta, 1.0, nu, n, SUP_GRID) ** (2.0 * beta) / auxfn._tH(
+            beta, 1.0, nu, SUP_GRID)
+        inner = 2.0 * (2.0 * beta - 1.0) * beta ** (2.0 * nu - 1.0)
+        jump = (0.5 * n * abs(auxfn._C_coeff(beta, nu))) ** (2.0 * nu) * 2.0 * (
+            2.0 * beta - 1.0) / beta
+        scanned = max(float(np.max(ratio)), inner, jump) * SCAN_SAFETY
+        assert locate_chain_constant(beta, n) == scanned
+
+
+def test_tilde_constants_bound_the_scan_within_its_allowance():
+    # C1 and C2 are the inner constants times a rounding bound: at least every
+    # gridded ratio, at most the scan's maximum times its 1 + 1e-4
+    groups = (_draw_groups(auxfn._sample_tilde, 600, 22)
+              + _draw_groups(auxfn._sample_I8, 600, 23))
+    for beta, nu, n in groups:
+        tp, tg, th = (fn(beta, 1.0, nu, SUP_GRID) for fn in TILDE)
+        scanned = (max(float(np.max(tp * tp / th)), 2.0 * (2.0 * beta - 1.0) / beta),
+                   max(float(np.max(SUP_GRID * tg / th)), 2.0 * beta))
+        for c, scan in zip(locate_tilde_constants(beta, nu, n), scanned):
+            assert scan <= c <= scan * SCAN_SAFETY, (beta, nu, n)
+
+
+def _scanned_i8_margin(beta, nu, n):
+    # the largest relative margin over three inner points and the outer grid, at L = 1
+    lhs, rhs = (np.concatenate(side) for side in zip(
+        auxfn._sides_I8(beta, 1.0, nu, n, np.array([0.25, 0.75, 1.0])),
+        auxfn._sides_I8(beta, 1.0, nu, n, SUP_GRID)))
+    return float(np.max((lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
+
+
+def _gates_differ(beta, nu, n):
+    """Whether the located gate and the scan's decide (beta, nu, n) apart; a difference
+    may only come where the scan's margin is within its 1e-4 allowance of -1e-9."""
+    scanned = _scanned_i8_margin(beta, nu, n)
+    if scanned > -0.5:      # the outer branch's margin, which the scan samples
+        located = float(auxfn._i8_sup_margin(beta, nu, n))
+        assert scanned - 1e-12 <= located <= scanned + 1e-4, (beta, nu, n)
+    differ = auxfn.i8_region_ok(beta, nu, n) != (scanned <= -1e-9)
+    assert not differ or abs(scanned + 1e-9) <= 1e-4, (beta, nu, n)
+    return differ
+
+
+def test_i8_gate_agrees_with_the_scan():
+    # raw draws of the I8 sampler, each followed down its halvings of nu until the
+    # scan admits it: 0 of 1001 decisions differ
+    rng = np.random.default_rng(24)
+    decisions = []
+    for _ in range(1000):
+        n = int(rng.choice(auxfn._N_CHOICES))
+        beta = max(float(np.exp(rng.uniform(0.0, math.log(50.0)))), n / 4.0)
+        nu = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.49))))
+        while True:
+            decisions.append(_gates_differ(beta, nu, n))
+            if _scanned_i8_margin(beta, nu, n) <= -1e-9:
+                break
+            nu *= 0.5
+    assert len(decisions) > 1000 and not any(decisions)
+
+
+def test_i8_gate_differs_from_the_scan_only_at_its_edge():
+    # nu within 1e-9 to 1e-4 of the located edge of the admitted set: the scan misses
+    # the peak by up to 8.2e-6, so 52 of these 252 decisions differ
+    rng = np.random.default_rng(26)
+    decisions = []
+    for _ in range(300):
+        n = int(rng.choice(auxfn._N_CHOICES))
+        beta = max(float(np.exp(rng.uniform(0.0, math.log(50.0)))), n / 4.0)
+        if auxfn.i8_region_ok(beta, 0.49, n):
+            continue
+        lo, hi = 1e-3, 0.49     # the gate admits lo and refuses hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if auxfn.i8_region_ok(beta, mid, n) else (lo, mid)
+        decisions += [_gates_differ(beta, lo * f, n)
+                      for f in (1 - 1e-4, 1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6, 1 + 1e-4)]
+    assert len(decisions) > 200 and 0 < sum(decisions) < len(decisions)
+
+
+def test_i8_sampler_halves_refused_groups_without_drawing():
+    rng = np.random.default_rng(25)
+    b, L, nu, n, x = auxfn._sample_I8(rng, 512 * 200)
+    # the same draws with no gate: the sampler takes nothing more from the stream
+    ref = np.random.default_rng(25)
+    n0 = ref.choice(auxfn._N_CHOICES, size=200)
+    b0 = np.maximum(auxfn._log_uniform(ref, *auxfn._BETA_RANGE, 200), n0 / 4.0)
+    nu0 = auxfn._log_uniform(ref, 1e-3, 0.49, 200)
+    assert np.array_equal(L, auxfn._log_uniform(ref, *auxfn._L_RANGE, L.size))
+    assert np.array_equal(x, auxfn._log_uniform(ref, *auxfn._X_RANGE, x.size))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    halved = 0
+    for i in range(200):    # the per-group loop: halve nu until the gate admits it
+        want = float(nu0[i])
+        while not auxfn.i8_region_ok(float(b0[i]), want, int(n0[i])):
+            want *= 0.5
+            halved += 1
+        assert (b[512 * i], nu[512 * i], n[512 * i]) == (b0[i], want, n0[i])
+    assert halved > 0
+
+
 def test_run_catalogue_rows():
     rows = run_catalogue(ids=["I1", "I7"], samples=5000, seed=1)
     assert [r.ineq_id for r in rows] == ["I1", "I7"]
@@ -515,8 +641,8 @@ def test_family_equals_where_of_both_branches(name, beta, L, nu, n, s, part, arr
 @pytest.mark.parametrize("beta, nu, n", [(1.0, 0.25, 3), (7.5, 0.45, 4), (50.0, 0.7, 10)])
 def test_family_on_the_sup_grid_equals_where_of_both_branches(name, beta, nu, n):
     # every grid point s > 1 takes the outer branch, so only that one is evaluated
-    assert (auxfn._SUP_GRID > 1.0).all()
-    _assert_family_bits(name, beta, 1.0, nu, n, auxfn._SUP_GRID)
+    assert (SUP_GRID > 1.0).all()
+    _assert_family_bits(name, beta, 1.0, nu, n, SUP_GRID)
 
 
 def test_piecewise_calls_only_the_branches_taken():

@@ -187,6 +187,44 @@ def test_run_does_not_import_auxfn(tmp_path):
     assert len((tmp_path / "out" / "timeseries.csv").read_text().splitlines()) == 3
 
 
+AUXCHECK_ONE_SAMPLE = """
+import contextlib, io, sys
+import yflow.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = yflow.cli.main(["auxcheck", "--samples", "1"])
+print(code, *sorted(name for name in sys.modules if name.startswith("yflow")))
+"""
+
+LAZY_NAMES = """
+import sys
+import yflow.cli
+trajectory = yflow.flow.Trajectory      # the submodule loads on first access
+from yflow import FlowConfig, estimate_yamabe_constant, perturbed_sphere, run
+import yflow.flow, yflow.geometry, yflow.yamabe
+print(trajectory is yflow.flow.Trajectory, run is yflow.flow.run,
+      FlowConfig is yflow.flow.FlowConfig, perturbed_sphere is yflow.geometry.perturbed_sphere,
+      estimate_yamabe_constant is yflow.yamabe.estimate_yamabe_constant)
+"""
+
+
+def _fresh_interpreter(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(yflow.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_auxcheck_imports_only_the_catalogue():
+    # no config, geometry, flow, yamabe or bounds: the package resolves its names lazily
+    assert _fresh_interpreter(AUXCHECK_ONE_SAMPLE).split() == [
+        "0", "yflow", "yflow.auxfn", "yflow.cli"]
+
+
+def test_package_names_resolve_on_first_use():
+    assert _fresh_interpreter(LAZY_NAMES).split() == ["True"] * 5
+
+
 def test_run_emits_byte_identical_csv(tmp_path, capsys):
     cfg = _write(tmp_path, SPHERE_CFG)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -366,7 +404,7 @@ I5             40000           0      0.000e+00
 I6             40000           0      4.368e-42
 I7             40000           0     -3.902e-16
 I8             40000           0    -4.447e-323
-I9             40000           0    -2.124e-322
+I9             40000           0    -2.174e-322
 I10            40000           0      0.000e+00
 I11            40000           0    -6.930e-316
 I12            40000           0     -9.709e-17
